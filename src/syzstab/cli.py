@@ -17,7 +17,8 @@ Toric divisors are entered as comma-separated integer coefficients in fan
 ray order.  On Hirzebruch fans ``--sf`` accepts section/fiber class
 coordinates (two coefficients are auto-interpreted this way), and on the
 blown-up plane ``--he`` accepts hyperplane/exceptional coordinates.
-Rationals are written as "p/q"; decimals are rejected everywhere.
+Rationals are written as "p/q" or as decimal strings such as "1.5",
+which are read exactly (as 3/2); JSON floats in input files are rejected.
 
 Exit status: 0 success, 2 invalid input, 1 internal error.
 """
@@ -25,8 +26,7 @@ Exit status: 0 success, 2 invalid input, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
+import functools
 import sys
 from fractions import Fraction
 
@@ -43,6 +43,9 @@ from .files import (
     load_fan,
     parse_divisor_arg,
     parse_rational,
+    read_json,
+    surface_from_jsonable,
+    surface_to_jsonable,
 )
 from .stability import (
     CHI_ASSUMPTION,
@@ -68,46 +71,23 @@ from .stability import (
 
 
 def _surface_from_args(args):
-    """Load the surface model plus a JSON echo of its source data."""
     fan_path = getattr(args, "fan", None)
     surface_path = getattr(args, "surface", None)
     if fan_path and surface_path:
         raise InputError("give either --fan or --surface, not both")
     if fan_path:
-        fan = load_fan(fan_path)
-        X = ToricSurface(fan)
-        return X, {"fan": {"rays": [list(r) for r in fan.rays]}}
+        return ToricSurface(load_fan(fan_path))
     if surface_path:
-        X = load_abstract_surface(surface_path)
-        pairing = [
-            [
-                int(x) if x.denominator == 1 else format_rational(x)
-                for x in row
-            ]
-            for row in X.matrix
-        ]
-        return X, {
-            "surface": {
-                "labels": list(X.labels),
-                "pairing": pairing,
-                "canonical": divisor_to_jsonable(X.canonical),
-                "effective_generators": list(X.effective_generators),
-            }
-        }
+        return load_abstract_surface(surface_path)
     raise InputError("a surface is required: pass --fan FILE or --surface FILE")
 
 
-def _surface_from_echo(echo: dict):
-    if "fan" in echo:
-        return ToricSurface(Fan(echo["fan"]["rays"]))
-    if "surface" in echo:
-        s = echo["surface"]
-        pairing = [[parse_rational(x) for x in row] for row in s["pairing"]]
-        canonical = [parse_rational(x) for x in s["canonical"]]
-        return AbstractSurface(
-            s["labels"], pairing, canonical, s["effective_generators"]
-        )
-    raise InputError("report echo names no surface")
+def _field(data, key: str, kind: type, what: str):
+    """data[key], checked to be present and of the given JSON type."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"{what}: {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _divisor_in_ambient(X, text: str, args, role: str):
@@ -181,7 +161,7 @@ def _emit(args, text: str, payload: dict) -> None:
         sys.stdout.write(out)
 
 
-def _report_jsonable(report: StabilityReport) -> dict:
+def _report_jsonable(report: StabilityReport, echo: dict) -> dict:
     cert = None
     if report.certificate is not None:
         c = report.certificate
@@ -198,7 +178,7 @@ def _report_jsonable(report: StabilityReport) -> dict:
         "verdict": report.verdict,
         "certificate": cert,
         "assumptions": list(report.assumptions),
-        "echo": report.echo,
+        "echo": echo,
     }
 
 
@@ -218,71 +198,65 @@ def _render_report(X, report: StabilityReport) -> str:
     return "\n".join(lines)
 
 
-def _analysis_at_d(X, D, A, d, echo) -> StabilityReport:
+def _analysis_at_d(X, D, A, d) -> StabilityReport:
     assumptions = [CHI_ASSUMPTION] if X.uses_chi_for_h0 else []
     found = find_destabilizer(X, D, A, d)
     if found is None:
-        return StabilityReport(
-            NO_DESTABILIZER, None, tuple(assumptions), echo
-        )
+        return StabilityReport(NO_DESTABILIZER, None, tuple(assumptions))
     verdict = NOT_SEMISTABLE if found.strict else NOT_STABLE
     cert = Certificate(
         A, found.shift, d, found.subbundle_slope, found.ambient_slope
     )
-    return StabilityReport(verdict, cert, tuple(assumptions), echo)
+    return StabilityReport(verdict, cert, tuple(assumptions))
 
 
-def _run_from_echo(echo: dict) -> StabilityReport:
-    X = _surface_from_echo(echo)
-    D = divisor_from_jsonable(echo["D"])
-    mode = echo.get("mode")
-    if mode == "driver":
+def _analysis(X, D, A, d) -> StabilityReport:
+    """Certificate construction (no A), asymptotic candidate scan (A) or
+    fixed-exponent destabilizer search (A and d)."""
+    if A is None:
         if isinstance(X, ToricSurface):
-            report = toric_driver(X, D)
-        else:
-            report = abstract_driver(X, D)
-        return dataclasses.replace(report, echo=echo)
-    A = divisor_from_jsonable(echo["A"])
-    if mode == "fixed-exponent":
-        return _analysis_at_d(X, D, A, int(echo["d"]), echo)
-    if mode == "asymptotic-scan":
-        report = scan_candidates(X, D, A)
-        return dataclasses.replace(report, echo=echo)
-    raise InputError(f"report echo has unknown mode {mode!r}")
+            return toric_driver(X, D)
+        return abstract_driver(X, D)
+    if d is None:
+        return scan_candidates(X, D, A)
+    return _analysis_at_d(X, D, A, d)
 
 
 def _cmd_verify(args) -> int:
-    with open(args.verify, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.verify}: invalid JSON: {exc}") from exc
-    if "echo" not in data or "verdict" not in data:
-        raise InputError(f"{args.verify}: not a syzstab report")
-    echo = data["echo"]
-    report = _run_from_echo(echo)
-    fresh = _report_jsonable(report)
-    same_verdict = fresh["verdict"] == data["verdict"]
+    data = read_json(args.verify)
+    echo = _field(data, "echo", dict, args.verify)
+    verdict = _field(data, "verdict", str, args.verify)
+    X = surface_from_jsonable(echo)
+    D = divisor_from_jsonable(_field(echo, "D", list, "report echo"))
+    mode = echo.get("mode")
+    if mode not in ("driver", "asymptotic-scan", "fixed-exponent"):
+        raise InputError(f"report echo has unknown mode {mode!r}")
+    A = d = None
+    if mode != "driver":
+        A = divisor_from_jsonable(_field(echo, "A", list, "report echo"))
+    if mode == "fixed-exponent":
+        d = _field(echo, "d", int, "report echo")
+    fresh = _report_jsonable(_analysis(X, D, A, d), echo)
+    same_verdict = fresh["verdict"] == verdict
     same_cert = fresh["certificate"] == data.get("certificate")
 
     # independent slope re-check of the stored certificate
     cert_ok = True
     cert = data.get("certificate")
     if cert is not None:
-        X = _surface_from_echo(echo)
-        D = divisor_from_jsonable(echo["D"])
-        A = divisor_from_jsonable(cert["A"])
-        S = divisor_from_jsonable(cert["S"])
-        order = slope_compare(X, D, S, A, int(cert["d0"]))
-        expected = GREATER if data["verdict"] == NOT_SEMISTABLE else EQUAL
+        A = divisor_from_jsonable(_field(cert, "A", list, "certificate"))
+        S = divisor_from_jsonable(_field(cert, "S", list, "certificate"))
+        d0 = _field(cert, "d0", int, "certificate")
+        order = slope_compare(X, D, S, A, d0)
+        expected = GREATER if verdict == NOT_SEMISTABLE else EQUAL
         cert_ok = order == expected
 
     ok = same_verdict and same_cert and cert_ok
     status = "verified" if ok else "MISMATCH"
-    text = f"{status}: {data['verdict']}"
+    text = f"{status}: {verdict}"
     payload = {
         "verified": ok,
-        "verdict": data["verdict"],
+        "verdict": verdict,
         "recomputed_verdict": fresh["verdict"],
         "certificate_matches": same_cert,
         "certificate_slopes_check": cert_ok,
@@ -292,72 +266,44 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """``analyze``, and ``destabilize``: the same report, with --A and
+    --d required."""
     if args.verify:
         return _cmd_verify(args)
     if args.D is None:
-        raise InputError("--D is required (or use --verify REPORT)")
-    X, src_echo = _surface_from_args(args)
+        raise InputError("--D is required (or use analyze --verify REPORT)")
+    X = _surface_from_args(args)
     D, basis = _divisor_in_ambient(X, args.D, args, "--D")
     if not D.is_integral:
         raise InputError("--D must have integer coefficients")
     echo = {
-        "command": "analyze",
-        **src_echo,
+        "command": args.command,
+        **surface_to_jsonable(X),
         "D": divisor_to_jsonable(D),
         "input_basis": basis,
         "tool": {"name": "syzstab", "version": __version__},
     }
-    if args.A is not None:
+    A = None
+    if args.A is None:
+        if args.d is not None:
+            raise InputError("--d needs --A as well")
+        echo["mode"] = "driver"
+    else:
         A, _ = _divisor_in_ambient(X, args.A, args, "--A")
         if not A.is_integral:
             A = A.scaled_primitive()
         echo["A"] = divisor_to_jsonable(A)
+        echo["mode"] = "asymptotic-scan"
         if args.d is not None:
             echo["mode"] = "fixed-exponent"
             echo["d"] = args.d
-            report = _analysis_at_d(X, D, A, args.d, echo)
-        else:
-            echo["mode"] = "asymptotic-scan"
-            report = dataclasses.replace(
-                scan_candidates(X, D, A), echo=echo
-            )
-    else:
-        if args.d is not None:
-            raise InputError("--d needs --A as well")
-        echo["mode"] = "driver"
-        if isinstance(X, ToricSurface):
-            report = dataclasses.replace(toric_driver(X, D), echo=echo)
-        else:
-            report = dataclasses.replace(abstract_driver(X, D), echo=echo)
-    _emit(args, _render_report(X, report), _report_jsonable(report))
-    return 0
-
-
-def _cmd_destabilize(args) -> int:
-    X, src_echo = _surface_from_args(args)
-    D, basis = _divisor_in_ambient(X, args.D, args, "--D")
-    if not D.is_integral:
-        raise InputError("--D must have integer coefficients")
-    A, _ = _divisor_in_ambient(X, args.A, args, "--A")
-    if not A.is_integral:
-        A = A.scaled_primitive()
-    echo = {
-        "command": "destabilize",
-        **src_echo,
-        "D": divisor_to_jsonable(D),
-        "A": divisor_to_jsonable(A),
-        "d": args.d,
-        "input_basis": basis,
-        "mode": "fixed-exponent",
-        "tool": {"name": "syzstab", "version": __version__},
-    }
-    report = _analysis_at_d(X, D, A, args.d, echo)
-    _emit(args, _render_report(X, report), _report_jsonable(report))
+    report = _analysis(X, D, A, args.d)
+    _emit(args, _render_report(X, report), _report_jsonable(report, echo))
     return 0
 
 
 def _cmd_polarize(args) -> int:
-    X, src_echo = _surface_from_args(args)
+    X = _surface_from_args(args)
     D, _ = _divisor_in_ambient(X, args.D, args, "--D")
     if not D.is_integral:
         raise InputError("--D must have integer coefficients")
@@ -373,7 +319,7 @@ def _cmd_polarize(args) -> int:
         "nef_threshold": format_rational(pol.threshold),
         "alpha": format_rational(pol.alpha),
         "notes": list(pol.notes),
-        "echo": {**src_echo, "D": divisor_to_jsonable(D)},
+        "echo": {**surface_to_jsonable(X), "D": divisor_to_jsonable(D)},
     }
     lines = [
         f"polarization A: {_pretty_divisor(X, pol.polarization)}",
@@ -404,7 +350,7 @@ def _cmd_hirzebruch(args) -> int:
 
 
 def _cmd_h0(args) -> int:
-    X, _ = _surface_from_args(args)
+    X = _surface_from_args(args)
     if not isinstance(X, ToricSurface):
         raise InputError("h0 by lattice count needs a toric surface (--fan)")
     D, _ = _divisor_in_ambient(X, args.D, args, "--D")
@@ -526,7 +472,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="syzstab",
         description=(
@@ -570,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--A", required=True, help="polarization coefficients")
     p.add_argument("--d", type=int, required=True, help="tensor exponent")
-    p.set_defaults(func=_cmd_destabilize)
+    p.set_defaults(func=_cmd_analyze, verify=None)
 
     p = sub.add_parser("polarize", help="construct a boundary polarization")
     add_common(p)
@@ -617,9 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -1,7 +1,8 @@
 """Divisors, intersection pairing and section counts on surface models.
 
-Two surface models share one interface.  :class:`ToricSurface` is built
-from a :class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
+Two surface models share the intersection theory of one base class,
+:class:`SurfaceModel`.  :class:`ToricSurface` is built from a
+:class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
 count in the section polygon, and the Euler characteristic from
 Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
@@ -222,7 +223,87 @@ class Polytope:
                     yield (x, y)
 
 
-class ToricSurface:
+class SurfaceModel:
+    """The pairing, nefness, ampleness, Riemann-Roch and nef thresholds,
+    written once over what each subclass provides: ``n``, ``canonical``,
+    ``effective_generators``, ``h0`` and ``pair_generator(D, i)``, the
+    intersection number of D with the i-th basis curve.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def generator(self, i: int) -> Divisor:
+        return basis_divisor(self.n, i)
+
+    def _check(self, D: Divisor) -> None:
+        if len(D) != self.n:
+            raise DimensionMismatchError(
+                f"divisor has {len(D)} coefficients, surface has {self.n} curves"
+            )
+
+    def pair(self, D1: Divisor, D2: Divisor) -> Fraction:
+        """Bilinear intersection product, exact rational."""
+        self._check(D1)
+        self._check(D2)
+        return sum(
+            b * self.pair_generator(D1, i)
+            for i, b in enumerate(D2.coeffs)
+            if b
+        ) or Fraction(0)
+
+    def is_nef(self, D: Divisor) -> bool:
+        return all(
+            self.pair_generator(D, i) >= 0 for i in self.effective_generators
+        )
+
+    def is_ample(self, D: Divisor) -> bool:
+        return all(
+            self.pair_generator(D, i) > 0 for i in self.effective_generators
+        )
+
+    def chi(self, D: Divisor) -> Fraction:
+        """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch."""
+        return 1 + Fraction(
+            self.pair(D, D) - self.pair(D, self.canonical), 2
+        )
+
+    def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
+        """Largest t with D - t*E nef, for nef D.
+
+        Computed as the minimum of (D.C)/(E.C) over effective-cone
+        generators C with E.C > 0.  On a complete surface at least one
+        such generator exists whenever E is a prime curve.
+        """
+        if not self.is_nef(D):
+            raise NotNefError("nef threshold needs a nef divisor")
+        self._check(E)
+        best = None
+        for i in self.effective_generators:
+            ec = self.pair_generator(E, i)
+            if ec > 0:
+                t = self.pair_generator(D, i) / ec
+                if best is None or t < best:
+                    best = t
+        if best is None:
+            raise InternalError(
+                "nef threshold unbounded: E meets no effective generator "
+                "positively (impossible for an effective E with E^2 < 0)"
+            )
+        return best
+
+    def negative_generator_indices(self) -> tuple[int, ...]:
+        """Effective generators of negative self-intersection."""
+        return tuple(
+            i
+            for i in self.effective_generators
+            if self.pair_generator(self.generator(i), i) < 0
+        )
+
+
+class ToricSurface(SurfaceModel):
     """Intersection theory of the smooth complete toric surface of a fan."""
 
     uses_chi_for_h0 = False
@@ -239,56 +320,19 @@ class ToricSurface:
             self, "effective_generators", tuple(range(fan.n))
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToricSurface is immutable")
-
     @property
     def picard_rank(self) -> int:
         return self.n - 2
 
-    def generator(self, i: int) -> Divisor:
-        return basis_divisor(self.n, i)
-
-    def _check(self, D: Divisor) -> None:
-        if len(D) != self.n:
-            raise DimensionMismatchError(
-                f"divisor has {len(D)} coefficients, surface has {self.n} curves"
-            )
-
     def pair_generator(self, D: Divisor, i: int) -> Fraction:
-        """Intersection number of D with the i-th prime curve."""
+        """Intersection number of D with the i-th prime curve: three
+        terms by the wall relation, whatever the number of rays."""
         self._check(D)
         a = D.coeffs
         return (
             a[(i - 1) % self.n]
             + a[(i + 1) % self.n]
             - self.walls[i] * a[i]
-        )
-
-    def pair(self, D1: Divisor, D2: Divisor) -> Fraction:
-        """Bilinear intersection product, exact rational."""
-        self._check(D1)
-        self._check(D2)
-        return sum(
-            b * self.pair_generator(D1, i)
-            for i, b in enumerate(D2.coeffs)
-            if b
-        ) or Fraction(0)
-
-    def is_nef(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) >= 0 for i in range(self.n)
-        )
-
-    def is_ample(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) > 0 for i in range(self.n)
-        )
-
-    def chi(self, D: Divisor) -> Fraction:
-        """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch."""
-        return 1 + Fraction(
-            self.pair(D, D) - self.pair(D, self.canonical), 2
         )
 
     def polytope(self, D: Divisor) -> Polytope:
@@ -327,34 +371,6 @@ class ToricSurface:
             m[0] * u[0] + m[1] * u[1] == e[i]
             for i, u in enumerate(self.fan.rays)
         )
-
-    def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
-        """Largest t with D - t*E nef, for nef D.
-
-        Computed as the minimum of (D.C)/(E.C) over effective-cone
-        generators C with E.C > 0.  On a complete surface at least one
-        such generator exists whenever E is a prime curve.
-        """
-        if not self.is_nef(D):
-            raise NotNefError("nef threshold needs a nef divisor")
-        self._check(E)
-        best = None
-        for i in self.effective_generators:
-            ec = self.pair_generator(E, i)
-            if ec > 0:
-                t = self.pair_generator(D, i) / ec
-                if best is None or t < best:
-                    best = t
-        if best is None:
-            raise InternalError(
-                "nef threshold unbounded: E meets no effective generator "
-                "positively (impossible for an effective E with E^2 < 0)"
-            )
-        return best
-
-    def negative_generator_indices(self) -> tuple[int, ...]:
-        """Prime curves of negative self-intersection."""
-        return tuple(i for i, c in enumerate(self.walls) if c > 0)
 
     # -- Hirzebruch bookkeeping -------------------------------------------
 
@@ -417,7 +433,7 @@ def _matrix_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-class AbstractSurface:
+class AbstractSurface(SurfaceModel):
     """A surface given by labels, an intersection matrix, the canonical
     class and a declared set of effective-cone generator indices.
 
@@ -481,9 +497,6 @@ class AbstractSurface:
         object.__setattr__(self, "effective_generators", gens)
         object.__setattr__(self, "_rank", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AbstractSurface is immutable")
-
     @property
     def picard_rank(self) -> int:
         """Rank of the pairing matrix (a lower bound for the Picard rank
@@ -496,50 +509,11 @@ class AbstractSurface:
             )
         return self._rank
 
-    def generator(self, i: int) -> Divisor:
-        return basis_divisor(self.n, i)
-
-    def _check(self, D: Divisor) -> None:
-        if len(D) != self.n:
-            raise DimensionMismatchError(
-                f"divisor has {len(D)} coefficients, surface has {self.n}"
-            )
-
     def pair_generator(self, D: Divisor, i: int) -> Fraction:
         self._check(D)
         return sum(
             a * self.matrix[i][j] for j, a in enumerate(D.coeffs) if a
         ) or Fraction(0)
-
-    def pair(self, D1: Divisor, D2: Divisor) -> Fraction:
-        self._check(D1)
-        self._check(D2)
-        total = Fraction(0)
-        for i, a in enumerate(D1.coeffs):
-            if a:
-                total += a * sum(
-                    b * self.matrix[i][j]
-                    for j, b in enumerate(D2.coeffs)
-                    if b
-                )
-        return total
-
-    def is_nef(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) >= 0
-            for i in self.effective_generators
-        )
-
-    def is_ample(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) > 0
-            for i in self.effective_generators
-        )
-
-    def chi(self, D: Divisor) -> Fraction:
-        return 1 + Fraction(
-            self.pair(D, D) - self.pair(D, self.canonical), 2
-        )
 
     def h0(self, D: Divisor) -> int:
         """Euler characteristic standing in for h0 (vanishing assumed)."""
@@ -550,30 +524,6 @@ class AbstractSurface:
                 "the pairing matrix is not compatible with the lattice"
             )
         return int(value)
-
-    def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
-        if not self.is_nef(D):
-            raise NotNefError("nef threshold needs a nef divisor")
-        self._check(E)
-        best = None
-        for i in self.effective_generators:
-            ec = self.pair_generator(E, i)
-            if ec > 0:
-                t = self.pair_generator(D, i) / ec
-                if best is None or t < best:
-                    best = t
-        if best is None:
-            raise InternalError(
-                "nef threshold unbounded against the declared generators"
-            )
-        return best
-
-    def negative_generator_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i in self.effective_generators
-            if self.matrix[i][i] < 0
-        )
 
     def check_hypotheses(self) -> tuple[bool, list[str]]:
         """Hypotheses for the boundary-polarization construction.
@@ -609,5 +559,3 @@ class AbstractSurface:
                     )
         return not problems, problems
 
-
-SurfaceModel = ToricSurface | AbstractSurface

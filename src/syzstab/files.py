@@ -2,10 +2,15 @@
 
 Fan files are JSON objects ``{"rays": [[x, y], ...]}`` with integer
 entries.  Abstract surface files are JSON objects with ``labels``,
-``pairing`` (entries may be integers or exact "p/q" strings),
-``canonical`` (integers) and ``effective_generators`` (indices into
-labels).  Emitted JSON is byte-stable: keys sorted, rationals rendered
-in lowest terms with positive denominators, never as decimals.
+``pairing`` (a square list of rows), ``canonical`` (integers) and
+``effective_generators`` (integer indices into labels).  The same shape
+checks apply to the surface a report echoes back for ``--verify``.
+
+Rational entries may be JSON integers or strings: "p/q", or a decimal
+string such as "1.5", which is read exactly (as 3/2).  JSON floats are
+rejected, since they are binary approximations.  Emitted JSON is
+byte-stable: keys sorted, rationals rendered in lowest terms with
+positive denominators, never as decimals.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .divisors import AbstractSurface, Divisor
+from .divisors import AbstractSurface, Divisor, SurfaceModel, ToricSurface
 from .errors import InputError
 from .fan import Fan
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, integer strings and 'p/q' strings; never floats."""
+    """Accept ints and exact strings ('3', 'p/q', '1.5'); never floats."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
@@ -42,16 +47,31 @@ def format_rational(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def rational_to_jsonable(value: Fraction) -> int | str:
+    """An integer as a JSON int, anything else as 'p/q'."""
+    return int(value) if value.denominator == 1 else format_rational(value)
+
+
 def divisor_to_jsonable(D: Divisor) -> list:
-    """Integer coefficients as JSON ints, fractional ones as 'p/q'."""
-    return [
-        int(c) if c.denominator == 1 else format_rational(c)
-        for c in D.coeffs
-    ]
+    return [rational_to_jsonable(c) for c in D.coeffs]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _rationals(values, what: str) -> list[Fraction]:
+    return [parse_rational(v) for v in _require_list(values, what)]
 
 
 def divisor_from_jsonable(values) -> Divisor:
-    return Divisor(parse_rational(v) for v in values)
+    return Divisor(_rationals(values, "divisor"))
 
 
 def parse_divisor_arg(text: str) -> Divisor:
@@ -62,49 +82,81 @@ def parse_divisor_arg(text: str) -> Divisor:
     return Divisor(parse_rational(p) for p in parts)
 
 
-def load_fan(path: str) -> Fan:
+def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def fan_from_jsonable(data, where: str) -> Fan:
+    """Fan from a decoded ``{"rays": [[x, y], ...]}`` object."""
     if not isinstance(data, dict) or "rays" not in data:
-        raise InputError(f'{path}: expected an object with a "rays" key')
-    rays = data["rays"]
-    if not isinstance(rays, list):
-        raise InputError(f'{path}: "rays" must be a list of [x, y] pairs')
+        raise InputError(f'{where}: expected an object with a "rays" key')
+    rays = _require_list(data["rays"], f'{where}: "rays"')
     for r in rays:
-        if (
-            not isinstance(r, list)
-            or len(r) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in r)
-        ):
+        if not isinstance(r, list) or len(r) != 2 or not all(map(_is_int, r)):
             raise InputError(
-                f'{path}: every ray must be a pair of integers, got {r!r}'
+                f'{where}: every ray must be a pair of integers, got {r!r}'
             )
     return Fan(rays)
 
 
-def load_abstract_surface(path: str) -> AbstractSurface:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+def abstract_from_jsonable(data, where: str) -> AbstractSurface:
+    """Abstract surface from a decoded surface object."""
     required = ("labels", "pairing", "canonical", "effective_generators")
     if not isinstance(data, dict) or any(k not in data for k in required):
         raise InputError(
-            f"{path}: expected an object with keys {', '.join(required)}"
+            f"{where}: expected an object with keys {', '.join(required)}"
         )
+    labels = _require_list(data["labels"], f'{where}: "labels"')
     pairing = [
-        [parse_rational(x) for x in row] for row in data["pairing"]
+        _rationals(row, f"{where}: pairing row")
+        for row in _require_list(data["pairing"], f'{where}: "pairing"')
     ]
-    canonical = [parse_rational(x) for x in data["canonical"]]
+    canonical = _rationals(data["canonical"], f'{where}: "canonical"')
     if any(c.denominator != 1 for c in canonical):
-        raise InputError(f"{path}: canonical class must be integral")
-    return AbstractSurface(
-        data["labels"], pairing, canonical, data["effective_generators"]
-    )
+        raise InputError(f"{where}: canonical class must be integral")
+    gens = data["effective_generators"]
+    if not isinstance(gens, list) or not all(map(_is_int, gens)):
+        raise InputError(
+            f'{where}: "effective_generators" must be a list of integer indices'
+        )
+    return AbstractSurface(labels, pairing, canonical, gens)
+
+
+def load_fan(path: str) -> Fan:
+    return fan_from_jsonable(read_json(path), path)
+
+
+def load_abstract_surface(path: str) -> AbstractSurface:
+    return abstract_from_jsonable(read_json(path), path)
+
+
+def surface_to_jsonable(X: SurfaceModel) -> dict:
+    """The surface as a report echoes it: ``{"fan": ...}`` for a toric
+    surface, ``{"surface": ...}`` in the abstract file format otherwise."""
+    if isinstance(X, ToricSurface):
+        return {"fan": {"rays": [list(r) for r in X.fan.rays]}}
+    return {
+        "surface": {
+            "labels": list(X.labels),
+            "pairing": [[rational_to_jsonable(x) for x in row] for row in X.matrix],
+            "canonical": divisor_to_jsonable(X.canonical),
+            "effective_generators": list(X.effective_generators),
+        }
+    }
+
+
+def surface_from_jsonable(echo) -> SurfaceModel:
+    """The surface a report echo names, read back with the file checks."""
+    if isinstance(echo, dict):
+        if "fan" in echo:
+            return ToricSurface(fan_from_jsonable(echo["fan"], "report echo fan"))
+        if "surface" in echo:
+            return abstract_from_jsonable(echo["surface"], "report echo surface")
+    raise InputError("report echo names no surface")
 
 
 def dumps_canonical(obj) -> str:

@@ -13,8 +13,11 @@ controls the slope comparison between the subbundle built from d*D - S
 and the ambient bundle built from d*D for large d: the subbundle slope is
 the larger one exactly when q(d) < 0, provided the Euler characteristic
 computes both section counts.  On toric surfaces that identity holds for
-nef divisors, and every verdict produced here is re-verified with exact
-lattice-count slopes before it is reported.
+nef divisors (Demazure vanishing), so for d past the first nef multiple
+the sign of q(d) decides each comparison exactly: :func:`d_threshold`
+reads d0 off the root of q and confirms it with exact lattice-count
+slopes at d0 and at d0 - 1, and those verified slopes are the ones the
+certificate reports.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -34,7 +37,6 @@ from .divisors import (
     Divisor,
     SurfaceModel,
     ToricSurface,
-    basis_divisor,
 )
 from .errors import (
     ConstructionFailedError,
@@ -76,11 +78,6 @@ LOW_RANK_NOTE = (
     "result is informational"
 )
 
-# how far d_threshold walks candidate d values with exact slope
-# comparisons before trusting the sign polynomial for minimality
-_EXHAUSTIVE_SCAN_LIMIT = 64
-
-
 def _require_ample(X: SurfaceModel, D: Divisor, what: str) -> None:
     if not X.is_ample(D):
         raise NotAmpleError(f"{what} is not ample")
@@ -104,6 +101,25 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
     return -X.pair(D, A) / (h - 1)
 
 
+def _slopes(
+    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, d: int
+) -> tuple[Fraction, Fraction]:
+    """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D)."""
+    ambient = d * D
+    if isinstance(X, ToricSurface) and not X.is_effective(S):
+        raise NotEffectiveError("candidate S is not effective")
+    mu_ambient = syzygy_slope(X, ambient, A)
+    return syzygy_slope(X, ambient - S, A), mu_ambient
+
+
+def _order(mu_sub: Fraction, mu_ambient: Fraction) -> str:
+    if mu_sub > mu_ambient:
+        return GREATER
+    if mu_sub == mu_ambient:
+        return EQUAL
+    return LESS
+
+
 def slope_compare(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, d: int
 ) -> str:
@@ -113,17 +129,7 @@ def slope_compare(
     O(d*D).  Returns ``greater``, ``equal`` or ``less`` (subbundle
     relative to ambient).  Both divisors must be nef and S effective.
     """
-    ambient = d * D
-    sub = ambient - S
-    if isinstance(X, ToricSurface) and not X.is_effective(S):
-        raise NotEffectiveError("candidate S is not effective")
-    mu_ambient = syzygy_slope(X, ambient, A)
-    mu_sub = syzygy_slope(X, sub, A)
-    if mu_sub > mu_ambient:
-        return GREATER
-    if mu_sub == mu_ambient:
-        return EQUAL
-    return LESS
+    return _order(*_slopes(X, D, S, A, d))
 
 
 @dataclass(frozen=True)
@@ -191,13 +197,15 @@ class Threshold:
 
     ``strict`` distinguishes a strict violation (not semistable) from a
     permanent tie (not stable).  ``first_nef_d`` records where d*D - S
-    enters the nef cone.
+    enters the nef cone; the two slopes are the ones compared at d0.
     """
 
     d0: int
     strict: bool
     first_nef_d: int
     coefficients: AlphaBeta
+    subbundle_slope: Fraction
+    ambient_slope: Fraction
 
 
 def _first_nef_multiple(X: SurfaceModel, D: Divisor, S: Divisor) -> int:
@@ -219,9 +227,12 @@ def d_threshold(
     """Smallest d >= 1 with d*D - S nef and the subbundle slope >= the
     ambient slope, with strictness where attainable.
 
-    The roots of q(d) seed the search; every returned d is confirmed by
-    exact slope comparison (and, for small thresholds, so is minimality,
-    one d at a time).  Requires an unstable asymptotic verdict.
+    d0 comes from the root of q(d).  For d at or past the first nef
+    multiple, h0 equals the Euler characteristic, so the sign of q(d)
+    decides every comparison there.  Exact slope comparisons confirm the
+    violation at d0, and its absence at d0 - 1 whenever d0 - 1 is at
+    least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
+    an unstable asymptotic verdict.
     """
     verdict = asymptotic_condition(X, D, S, A)
     if not verdict.unstable:
@@ -232,54 +243,35 @@ def d_threshold(
     ab = verdict.coefficients
     d_nef = _first_nef_multiple(X, D, S)
 
-    if ab.alpha == 0 and ab.beta == 0:
-        # q vanishes identically: permanent tie from the first nef power
-        d0 = d_nef
-        while (d0 * D - S).is_zero:
-            d0 += 1
-        order = slope_compare(X, D, S, A, d0)
-        if order != EQUAL:
-            raise InternalError(
-                f"expected slope tie at d = {d0}, got {order}"
-            )
-        return Threshold(d0, False, d_nef, ab)
-
+    strict = True
     if ab.alpha < 0:
         # q(d) < 0 exactly when d > -beta/alpha (for d > 0)
         root = -ab.beta / ab.alpha
         d_sign = max(1, root.numerator // root.denominator + 1)
     else:
-        # alpha == 0, beta < 0: q(d) < 0 for every d >= 1
+        # alpha == 0 and beta <= 0: q(d) < 0 for every d >= 1, or q
+        # vanishes identically and the tie is permanent
         d_sign = 1
+        strict = ab.beta < 0
     d0 = max(d_nef, d_sign)
     while (d0 * D - S).is_zero:
         d0 += 1
 
-    if d0 - d_nef <= _EXHAUSTIVE_SCAN_LIMIT:
-        d = d_nef
-        while d < d0:
-            if not (d * D - S).is_zero:
-                order = slope_compare(X, D, S, A, d)
-                if order == GREATER:
-                    raise InternalError(
-                        f"sign polynomial predicted no violation at d = {d}, "
-                        "exact comparison disagrees"
-                    )
-            d += 1
-    else:
-        check = d0 - 1
-        if check >= d_nef and not (check * D - S).is_zero:
-            if slope_compare(X, D, S, A, check) == GREATER:
-                raise InternalError(
-                    f"threshold not minimal: violation already at d = {check}"
-                )
-    order = slope_compare(X, D, S, A, d0)
-    if order != GREATER:
+    check = d0 - 1
+    if check >= d_nef and not (check * D - S).is_zero:
+        if slope_compare(X, D, S, A, check) == GREATER:
+            raise InternalError(
+                f"threshold not minimal: violation already at d = {check}"
+            )
+    mu_sub, mu_ambient = _slopes(X, D, S, A, d0)
+    order = _order(mu_sub, mu_ambient)
+    expected = GREATER if strict else EQUAL
+    if order != expected:
         raise InternalError(
-            f"sign polynomial predicted a violation at d = {d0}, "
+            f"sign polynomial predicted {expected} slopes at d = {d0}, "
             f"exact comparison returned {order}"
         )
-    return Threshold(d0, True, d_nef, ab)
+    return Threshold(d0, strict, d_nef, ab, mu_sub, mu_ambient)
 
 
 @dataclass(frozen=True)
@@ -290,6 +282,19 @@ class Destabilizer:
     subbundle_slope: Fraction
     ambient_slope: Fraction
     strict: bool
+
+
+def _candidate_shifts(X: SurfaceModel, max_generators: int):
+    """Shifts S in scan order: sums of 1 to ``max_generators``
+    effective-cone generators, repeats allowed."""
+    for r in range(1, max_generators + 1):
+        for combo in combinations_with_replacement(
+            X.effective_generators, r
+        ):
+            coeffs = [0] * X.n
+            for i in combo:
+                coeffs[i] += 1
+            yield Divisor(coeffs)
 
 
 def find_destabilizer(
@@ -310,24 +315,18 @@ def find_destabilizer(
     _require_ample(X, ambient, "d*D")
     mu_ambient = syzygy_slope(X, ambient, A)
     tie: Optional[Destabilizer] = None
-    for r in range(1, max_generators + 1):
-        for combo in combinations_with_replacement(
-            X.effective_generators, r
-        ):
-            S = Divisor([0] * X.n)
-            for i in combo:
-                S = S + basis_divisor(X.n, i)
-            sub = ambient - S
-            if sub.is_zero or not X.is_nef(sub):
-                continue
-            try:
-                mu_sub = syzygy_slope(X, sub, A)
-            except DegenerateBundleError:
-                continue
-            if mu_sub > mu_ambient:
-                return Destabilizer(S, mu_sub, mu_ambient, True)
-            if mu_sub == mu_ambient and tie is None:
-                tie = Destabilizer(S, mu_sub, mu_ambient, False)
+    for S in _candidate_shifts(X, max_generators):
+        sub = ambient - S
+        if sub.is_zero or not X.is_nef(sub):
+            continue
+        try:
+            mu_sub = syzygy_slope(X, sub, A)
+        except DegenerateBundleError:
+            continue
+        if mu_sub > mu_ambient:
+            return Destabilizer(S, mu_sub, mu_ambient, True)
+        if mu_sub == mu_ambient and tie is None:
+            tie = Destabilizer(S, mu_sub, mu_ambient, False)
     return tie
 
 
@@ -469,7 +468,6 @@ class StabilityReport:
     verdict: str
     certificate: Optional[Certificate]
     assumptions: tuple[str, ...] = ()
-    echo: dict = field(default_factory=dict)
 
 
 def _certified_report(
@@ -478,28 +476,16 @@ def _certified_report(
     S: Divisor,
     A: Divisor,
     assumptions: list[str],
-    echo: dict,
 ) -> StabilityReport:
+    # d_threshold raises unless the exact slopes at d0 confirm the verdict
     th = d_threshold(X, D, S, A)
-    ambient = th.d0 * D
-    mu_ambient = syzygy_slope(X, ambient, A)
-    mu_sub = syzygy_slope(X, ambient - S, A)
-    # re-verify the certificate independently of d_threshold's bookkeeping
-    order = slope_compare(X, D, S, A, th.d0)
-    expected = GREATER if th.strict else EQUAL
-    if order != expected:
-        raise InternalError(
-            f"certificate failed re-verification: expected {expected}, "
-            f"got {order} at d = {th.d0}"
-        )
     verdict = NOT_SEMISTABLE if th.strict else NOT_STABLE
     if X.uses_chi_for_h0:
         assumptions = assumptions + [CHI_ASSUMPTION]
     return StabilityReport(
         verdict,
-        Certificate(A, S, th.d0, mu_sub, mu_ambient),
+        Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope),
         tuple(assumptions),
-        echo,
     )
 
 
@@ -519,22 +505,15 @@ def scan_candidates(
     """
     _require_ample(X, D, "divisor D")
     _require_ample(X, A, "polarization")
-    for r in range(1, max_generators + 1):
-        for combo in combinations_with_replacement(
-            X.effective_generators, r
-        ):
-            S = Divisor([0] * X.n)
-            for i in combo:
-                S = S + basis_divisor(X.n, i)
-            verdict = asymptotic_condition(X, D, S, A)
-            if verdict.unstable:
-                return _certified_report(X, D, S, A, [], {})
+    for S in _candidate_shifts(X, max_generators):
+        if asymptotic_condition(X, D, S, A).unstable:
+            return _certified_report(X, D, S, A, [])
     assumptions = [
         "every scanned candidate shift admits stability asymptotically"
     ]
     if X.uses_chi_for_h0:
         assumptions.append(CHI_ASSUMPTION)
-    return StabilityReport(NO_DESTABILIZER, None, tuple(assumptions), {})
+    return StabilityReport(NO_DESTABILIZER, None, tuple(assumptions))
 
 
 def _smallest_exceeding_rational(bound: Fraction, max_denominator: int) -> Fraction:
@@ -546,13 +525,6 @@ def _smallest_exceeding_rational(bound: Fraction, max_denominator: int) -> Fract
         if best is None or cand < best:
             best = cand
     return best
-
-
-def _echo_divisor(D: Divisor) -> list:
-    return [
-        int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        for c in D.coeffs
-    ]
 
 
 def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityReport:
@@ -576,7 +548,6 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
             f"no destabilizing polarization is constructed for {st}"
         )
     _require_ample(X, D, "divisor D")
-    echo = {"rays": [list(r) for r in X.fan.rays], "D": _echo_divisor(D)}
     assumptions: list[str] = []
 
     if st.kind == HIRZEBRUCH:
@@ -601,7 +572,7 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
         A = pol.polarization_integral
         S = pol.generator
         assumptions.extend(pol.notes)
-    return _certified_report(X, D, S, A, assumptions, echo)
+    return _certified_report(X, D, S, A, assumptions)
 
 
 def abstract_driver(X: AbstractSurface, D: Divisor) -> StabilityReport:
@@ -612,7 +583,6 @@ def abstract_driver(X: AbstractSurface, D: Divisor) -> StabilityReport:
     counts, and the report records that assumption.
     """
     pol = construct_polarization(X, D)
-    echo = {"labels": list(X.labels), "D": _echo_divisor(D)}
     return _certified_report(
-        X, D, pol.generator, pol.polarization_integral, list(pol.notes), echo
+        X, D, pol.generator, pol.polarization_integral, list(pol.notes)
     )

@@ -117,6 +117,45 @@ class TestAnalyze:
         bad.write_text('{"rays": [[2, 0], [0, 1], [-1, -1]]}')
         assert main(["analyze", "--fan", str(bad), "--D", "1,0,0"]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"rays": 5},
+            {"rays": [[1, 0], [0, 1], 5]},
+            {"rays": [[1, 0], [0, 1], [-1.0, -1]]},
+            [[1, 0], [0, 1], [-1, -1]],
+        ],
+        ids=["rays", "ray", "float-entry", "not-an-object"],
+    )
+    def test_malformed_fan_data(self, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["analyze", "--fan", str(bad), "--D", "1,0,0"]) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"pairing": 5},
+            {"labels": "abc"},
+            {"pairing": [[-1, 0, 1], 5, [1, 1, -1]]},
+            {"canonical": -2},
+            {"effective_generators": 3},
+            {"effective_generators": ["0", 1, 2]},
+        ],
+        ids=[
+            "pairing",
+            "labels",
+            "row",
+            "canonical",
+            "generators",
+            "generator-entry",
+        ],
+    )
+    def test_malformed_surface_data(self, tmp_path, change):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**BL2P2_ABSTRACT, **change}))
+        assert main(["analyze", "--surface", str(bad), "--D", "2,2,3"]) == 2
+
 
 class TestVerifyRoundTrip:
     def run_and_verify(self, argv, tmp_path, capsys):
@@ -169,6 +208,44 @@ class TestVerifyRoundTrip:
         rc = main(["analyze", "--verify", str(report)])
         assert rc == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda r: r["echo"].pop("D"),
+            lambda r: r["echo"].update(fan={"rays": 5}),
+            lambda r: r["echo"].update(fan=5),
+            lambda r: r.update(echo=5),
+            lambda r: r["echo"].update(mode="frobnicate"),
+            lambda r: r["echo"].pop("A"),
+            lambda r: r["echo"].update(d="1"),
+            lambda r: r["certificate"].pop("d0"),
+            lambda r: r["certificate"].update(S=7),
+            lambda r: r.update(certificate=5),
+            lambda r: r.pop("verdict"),
+        ],
+        ids=[
+            "no-D",
+            "rays",
+            "fan",
+            "echo",
+            "mode",
+            "no-A",
+            "string-d",
+            "no-d0",
+            "shift",
+            "certificate",
+            "no-verdict",
+        ],
+    )
+    def test_malformed_report_is_input_error(self, f1_path, tmp_path, tamper):
+        report = tmp_path / "report.json"
+        argv = ["analyze", "--fan", f1_path, "--D", "8,9", "--A", "2,3", "--d", "1"]
+        assert main(argv + ["--json", "--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        tamper(data)
+        report.write_text(json.dumps(data))
+        assert main(["analyze", "--verify", str(report)]) == 2
 
     def test_byte_stable_output(self, f1_path, tmp_path):
         first = tmp_path / "a.json"

@@ -39,7 +39,15 @@ from syzstab import (
 )
 from syzstab.stability import LOW_RANK_NOTE
 
-from conftest import BL2P2_ABSTRACT, BL2P2_RAYS, DP6_RAYS, hirzebruch_rays
+from conftest import (
+    AMPLE_FOR_DRIVER,
+    BL2P2_ABSTRACT,
+    BL2P2_RAYS,
+    DP6_RAYS,
+    ample_on,
+    driver_divisor,
+    hirzebruch_rays,
+)
 
 
 def sf(X, s, f):
@@ -337,3 +345,80 @@ class TestScanCandidates:
         report = scan_candidates(p2, H, H)
         assert report.verdict == NO_DESTABILIZER
         assert report.certificate is None
+
+
+def assert_threshold_minimal(X, D, S, A):
+    """Walk every d from the first nef multiple up to d0 with exact slopes.
+
+    d_threshold itself checks only d0 and d0 - 1 and relies on the sign
+    of q(d) in between; this walk is the independent oracle for that.
+    """
+    th = d_threshold(X, D, S, A)
+    for d in range(th.first_nef_d, th.d0):
+        if not (d * D - S).is_zero:
+            assert slope_compare(X, D, S, A, d) != GREATER, d
+    expected = GREATER if th.strict else EQUAL
+    assert slope_compare(X, D, S, A, th.d0) == expected
+    ambient = th.d0 * D
+    assert th.subbundle_slope == syzygy_slope(X, ambient - S, A)
+    assert th.ambient_slope == syzygy_slope(X, ambient, A)
+    return th
+
+
+class TestThresholdMinimality:
+    def test_driver_thresholds_on_corpus(self, surfaces, power_family):
+        cases = [power_family]
+        for name in AMPLE_FOR_DRIVER:
+            X = surfaces[name]
+            D = driver_divisor(name, X)
+            cert = toric_driver(X, D).certificate
+            cases.append((X, D, cert.shift, cert.polarization))
+        walked = [assert_threshold_minimal(*case) for case in cases]
+        # rank5, rank6 and the power family reach d0 well past d_nef
+        assert max(th.d0 - th.first_nef_d for th in walked) >= 59
+
+    def test_abstract_driver_threshold(self):
+        X = AbstractSurface(
+            BL2P2_ABSTRACT["labels"],
+            BL2P2_ABSTRACT["pairing"],
+            BL2P2_ABSTRACT["canonical"],
+            BL2P2_ABSTRACT["effective_generators"],
+        )
+        D = -1 * X.canonical
+        cert = abstract_driver(X, D).certificate
+        assert_threshold_minimal(X, D, cert.shift, cert.polarization)
+
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_scan_thresholds_on_hirzebruch(self, surfaces, name):
+        X = surfaces[name]
+        D = ample_on(name, X)
+        ell = X.fan.surface_type().ell
+        found = 0
+        for k in range(ell + 1, 4 * ell + 9):
+            A = sf(X, 1, k)
+            report = scan_candidates(X, D, A)
+            if report.certificate is not None:
+                cert = report.certificate
+                assert_threshold_minimal(X, D, cert.shift, A)
+                found += 1
+        assert found
+
+    def test_hirzebruch_grid_thresholds(self):
+        # the rows a sweep turns into thresholds: D = B1*S + B2*F and
+        # A = A1*S + A2*F with b = B2/B1 and a = A2/A1 on a grid of eighths
+        step = Fraction(1, 8)
+        walked = []
+        for ell in (1, 2, 3):
+            X = ToricSurface(Fan(hirzebruch_rays(ell)))
+            S = X.generator(X.hirzebruch_presentation()[1])
+            for i in range(1, 25):
+                a = ell + i * step
+                for j in range(1, 17):
+                    b = ell + j * step
+                    if hirzebruch_region(ell, a, b) != UNSTABLE_FOR_LARGE_D:
+                        continue
+                    D = sf(X, b.denominator, b.numerator)
+                    A = sf(X, a.denominator, a.numerator)
+                    walked.append(assert_threshold_minimal(X, D, S, A))
+        assert len(walked) > 200
+        assert max(th.d0 for th in walked) > 1
