@@ -71,6 +71,7 @@ from .stability import (
 
 
 def _surface_from_args(args):
+    """The surface model named by --fan or --surface."""
     fan_path = getattr(args, "fan", None)
     surface_path = getattr(args, "surface", None)
     if fan_path and surface_path:
@@ -237,12 +238,12 @@ def _cmd_verify(args) -> int:
     if mode == "fixed-exponent":
         d = _field(echo, "d", int, "report echo")
     fresh = _report_jsonable(_analysis(X, D, A, d), echo)
+    cert = data.get("certificate")
     same_verdict = fresh["verdict"] == verdict
-    same_cert = fresh["certificate"] == data.get("certificate")
+    same_cert = fresh["certificate"] == cert
 
     # independent slope re-check of the stored certificate
     cert_ok = True
-    cert = data.get("certificate")
     if cert is not None:
         A = divisor_from_jsonable(_field(cert, "A", list, "certificate"))
         S = divisor_from_jsonable(_field(cert, "S", list, "certificate"))

@@ -558,4 +558,3 @@ class AbstractSurface(SurfaceModel):
                         f"meet with multiplicity {self.matrix[i][j]}"
                     )
         return not problems, problems
-

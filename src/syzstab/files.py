@@ -53,6 +53,7 @@ def rational_to_jsonable(value: Fraction) -> int | str:
 
 
 def divisor_to_jsonable(D: Divisor) -> list:
+    """Integer coefficients as JSON ints, fractional ones as 'p/q'."""
     return [rational_to_jsonable(c) for c in D.coeffs]
 
 

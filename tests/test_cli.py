@@ -296,6 +296,11 @@ class TestDestabilize:
         assert data["certificate"]["S"] == [0, 1, 0, 0]
 
 
+    def test_missing_divisor_is_input_error(self, f1_path):
+        argv = ["destabilize", "--fan", f1_path, "--A", "2,3", "--d", "1"]
+        assert main(argv) == 2
+
+
 class TestPolarize:
     def test_bl2p2(self, bl2_path, capsys):
         rc = main(
