@@ -10,7 +10,8 @@ a canonical class and a declared list of effective-cone generators; there
 ``h0`` falls back to the Euler characteristic and callers must surface
 that assumption (``uses_chi_for_h0`` is True).
 
-All arithmetic is exact: divisor coefficients are `fractions.Fraction`,
+All arithmetic is exact: divisor coefficients are ints when integral and
+`fractions.Fraction` otherwise, quotients are built as ``Fraction(p, q)``,
 lattice point counting is pure integer arithmetic, and no floating point
 is used anywhere.  Every object is immutable after construction and every
 method is pure, so instances are safe for unrestricted concurrent reads.
@@ -34,8 +35,17 @@ from .fan import HIRZEBRUCH, Fan
 Rat = int | Fraction
 
 
+def _exact(c: Rat) -> Rat:
+    """c as an int when integral, as a Fraction otherwise."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
+
+
 class Divisor:
-    """A divisor with exact rational coefficients on the ambient basis.
+    """A divisor with exact int or Fraction coefficients on the ambient basis.
 
     On a toric surface the basis entries are the prime torus-invariant
     curves in fan ray order; on an abstract surface they are the declared
@@ -45,9 +55,7 @@ class Divisor:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat]):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -244,15 +252,15 @@ class SurfaceModel:
                 f"divisor has {len(D)} coefficients, surface has {self.n} curves"
             )
 
-    def pair(self, D1: Divisor, D2: Divisor) -> Fraction:
-        """Bilinear intersection product, exact rational."""
+    def pair(self, D1: Divisor, D2: Divisor) -> Rat:
+        """Bilinear intersection product: an int for integral divisors."""
         self._check(D1)
         self._check(D2)
         return sum(
             b * self.pair_generator(D1, i)
             for i, b in enumerate(D2.coeffs)
             if b
-        ) or Fraction(0)
+        )
 
     def is_nef(self, D: Divisor) -> bool:
         return all(
@@ -264,10 +272,10 @@ class SurfaceModel:
             self.pair_generator(D, i) > 0 for i in self.effective_generators
         )
 
-    def chi(self, D: Divisor) -> Fraction:
+    def chi(self, D: Divisor) -> Rat:
         """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch."""
-        return 1 + Fraction(
-            self.pair(D, D) - self.pair(D, self.canonical), 2
+        return _exact(
+            1 + Fraction(self.pair(D, D) - self.pair(D, self.canonical), 2)
         )
 
     def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
@@ -284,7 +292,7 @@ class SurfaceModel:
         for i in self.effective_generators:
             ec = self.pair_generator(E, i)
             if ec > 0:
-                t = self.pair_generator(D, i) / ec
+                t = Fraction(self.pair_generator(D, i), ec)
                 if best is None or t < best:
                     best = t
         if best is None:
@@ -324,9 +332,9 @@ class ToricSurface(SurfaceModel):
     def picard_rank(self) -> int:
         return self.n - 2
 
-    def pair_generator(self, D: Divisor, i: int) -> Fraction:
+    def pair_generator(self, D: Divisor, i: int) -> Rat:
         """Intersection number of D with the i-th prime curve: three
-        terms by the wall relation, whatever the number of rays."""
+        terms by the wall relation, an int for integral D."""
         self._check(D)
         a = D.coeffs
         return (
@@ -353,7 +361,10 @@ class ToricSurface(SurfaceModel):
         return self.polytope(D).lattice_point_count()
 
     def is_effective(self, D: Divisor) -> bool:
-        return self.h0(D) > 0
+        """A nonnegative integral D is a sum of prime invariant curves and
+        effective without a count; any other integral D is counted."""
+        self._check(D)
+        return min(D.int_coeffs()) >= 0 or self.h0(D) > 0
 
     def linearly_equivalent(self, D1: Divisor, D2: Divisor) -> bool:
         """True when D1 - D2 is the divisor of a character monomial."""
@@ -393,12 +404,12 @@ class ToricSurface(SurfaceModel):
     def from_section_fiber(self, s: Rat, f: Rat) -> Divisor:
         """Divisor of class s*S + f*F in section/fiber coordinates."""
         _, s_idx, f_idx = self.hirzebruch_presentation()
-        coeffs = [Fraction(0)] * self.n
-        coeffs[s_idx] = Fraction(s)
-        coeffs[f_idx] = Fraction(f)
+        coeffs = [0] * self.n
+        coeffs[s_idx] = s
+        coeffs[f_idx] = f
         return Divisor(coeffs)
 
-    def to_section_fiber(self, D: Divisor) -> tuple[Fraction, Fraction]:
+    def to_section_fiber(self, D: Divisor) -> tuple[Rat, Rat]:
         """Class coordinates (s, f) with D ~ s*S + f*F."""
         ell, s_idx, f_idx = self.hirzebruch_presentation()
         s = self.pair_generator(D, f_idx)
@@ -424,7 +435,7 @@ def _matrix_rank(rows: list[list[Fraction]]) -> int:
         pv = m[rank][col]
         for r in range(rank + 1, nrows):
             if m[r][col]:
-                factor = m[r][col] / pv
+                factor = Fraction(m[r][col], pv)
                 m[r] = [
                     a - factor * b for a, b in zip(m[r], m[rank])
                 ]
@@ -465,9 +476,7 @@ class AbstractSurface(SurfaceModel):
         n = len(labels)
         if n == 0:
             raise InputError("abstract surface needs at least one label")
-        matrix = tuple(
-            tuple(Fraction(x) for x in row) for row in pairing
-        )
+        matrix = tuple(tuple(map(_exact, row)) for row in pairing)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatchError(
                 f"pairing must be a {n}x{n} matrix"
@@ -509,11 +518,11 @@ class AbstractSurface(SurfaceModel):
             )
         return self._rank
 
-    def pair_generator(self, D: Divisor, i: int) -> Fraction:
+    def pair_generator(self, D: Divisor, i: int) -> Rat:
         self._check(D)
         return sum(
             a * self.matrix[i][j] for j, a in enumerate(D.coeffs) if a
-        ) or Fraction(0)
+        )
 
     def h0(self, D: Divisor) -> int:
         """Euler characteristic standing in for h0 (vanishing assumed)."""

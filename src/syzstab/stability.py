@@ -98,7 +98,7 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
         raise DegenerateBundleError(
             f"h0 = {h} <= 1: no syzygy bundle slope"
         )
-    return -X.pair(D, A) / (h - 1)
+    return Fraction(-X.pair(D, A), h - 1)
 
 
 def _slopes(
@@ -217,7 +217,7 @@ def _first_nef_multiple(X: SurfaceModel, D: Divisor, S: Divisor) -> int:
         if dc <= 0:
             raise NotAmpleError("divisor D is not ample")
         # need d >= (S.C)/(D.C) against every generator C
-        d = max(d, math.ceil(Fraction(sc) / dc))
+        d = max(d, math.ceil(Fraction(sc, dc)))
     return d
 
 
@@ -553,7 +553,7 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
     if st.kind == HIRZEBRUCH:
         ell, s_idx, f_idx = X.hirzebruch_presentation()
         b1, b2 = X.to_section_fiber(D)
-        b = b2 / b1
+        b = Fraction(b2, b1)
         bound = Fraction(2) * b * (b - ell) / ell + ell
         a = _smallest_exceeding_rational(bound, 8)
         if hirzebruch_region(ell, a, b) != UNSTABLE_FOR_LARGE_D:

@@ -12,9 +12,11 @@ from syzstab import (
     InputError,
     NonIntegralDivisorError,
     NotNefError,
+    Polytope,
     ToricSurface,
     basis_divisor,
 )
+from syzstab.files import divisor_to_jsonable
 
 from conftest import BL2P2_ABSTRACT, ample_on
 
@@ -182,6 +184,33 @@ class TestEffectivity:
     def test_zero_effective(self, f1):
         assert f1.is_effective(Divisor([0, 0, 0, 0]))
 
+    def test_nonnegative_integral_needs_no_count(self, surfaces, monkeypatch):
+        calls = []
+        count = Polytope.lattice_point_count
+
+        def counted(poly):
+            calls.append(poly)
+            return count(poly)
+
+        monkeypatch.setattr(Polytope, "lattice_point_count", counted)
+        for X in surfaces.values():
+            for S in ([0] * X.n, [1] + [0] * (X.n - 1), [2] * X.n):
+                assert X.is_effective(Divisor(S))
+        assert calls == []
+
+    def test_fractional_rejected(self, f1):
+        with pytest.raises(NonIntegralDivisorError):
+            f1.is_effective(Divisor([Fraction(1, 2), 0, 0, 0]))
+
+    def test_wrong_length_rejected(self, f1):
+        with pytest.raises(DimensionMismatchError):
+            f1.is_effective(Divisor([1, 0, 0]))
+
+    def test_negative_coefficient_counted(self, p2):
+        # H_0 - H_1 is the divisor of a character, so linearly equivalent to 0
+        assert p2.is_effective(Divisor([1, -1, 0]))
+        assert not p2.is_effective(Divisor([0, -1, 0]))
+
 
 class TestNefThreshold:
     def test_blown_up_plane_values(self, f1):
@@ -213,6 +242,28 @@ class TestMonotonicity:
                 smaller = D - X.generator(i)
                 if X.is_nef(smaller):
                     assert X.h0(D) >= X.h0(smaller)
+
+
+class TestNormalisation:
+    def test_integral_coefficients_are_ints(self):
+        D = Divisor([Fraction(2), 3])
+        assert D.coeffs == (2, 3)
+        assert [type(c) for c in D.coeffs] == [int, int]
+        assert D == Divisor([2, 3])
+        assert hash(D) == hash(Divisor([2, 3]))
+
+    def test_fractional_coefficient_kept(self):
+        assert type(Divisor([Fraction(1, 2)]).coeffs[0]) is Fraction
+
+    def test_both_kinds_agree(self):
+        for kind in (int, Fraction):
+            D = Divisor([kind(4), kind(-6), kind(0)])
+            assert D.scaled_primitive() == Divisor([2, -3, 0])
+            assert D.int_coeffs() == (4, -6, 0)
+            assert divisor_to_jsonable(D) == [4, -6, 0]
+        half = Divisor([Fraction(1, 2), 1])
+        assert half.scaled_primitive() == Divisor([1, 2])
+        assert divisor_to_jsonable(half) == ["1/2", 1]
 
 
 class TestScaledPrimitive:

@@ -1,0 +1,160 @@
+"""Every number the surface core hands out is an int or a Fraction.
+
+The source scan in the acceptance tests catches float literals and
+``float()`` calls, but not an ``int / int`` quotient, which Python turns
+into a float.  These tests run the drivers, the asymptotic scan, the
+fixed-exponent search and Hirzebruch region rows, record what the
+pairing, chi, nef thresholds, alpha/beta, slopes and thresholds return
+along the way, and reject any value that is neither an int nor a
+Fraction.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from syzstab import AbstractSurface, Divisor, stability
+from syzstab.divisors import SurfaceModel, ToricSurface
+
+from conftest import BL2P2_ABSTRACT, ample_on
+
+# the plane blown up in two points, and the same matrix with a rational
+# self-intersection, where only the driver's divisors have an integral chi
+ABSTRACT = {
+    "bl2p2": BL2P2_ABSTRACT,
+    "half": {
+        **BL2P2_ABSTRACT,
+        "pairing": [[Fraction(-1, 2), 0, 1], [0, -1, 1], [1, 1, -1]],
+    },
+}
+
+RECORDED = [
+    (SurfaceModel, "pair"),
+    (SurfaceModel, "chi"),
+    (SurfaceModel, "nef_threshold"),
+    (ToricSurface, "pair_generator"),
+    (ToricSurface, "to_section_fiber"),
+    (AbstractSurface, "pair_generator"),
+    (stability, "syzygy_slope"),
+    (stability, "alpha_beta"),
+    (stability, "d_threshold"),
+    (stability, "find_destabilizer"),
+    (stability, "construct_polarization"),
+]
+
+
+def inexact(value, where):
+    """Descriptions of every number inside value that is not an int or a
+    Fraction (bools, strings and None are not numbers here)."""
+    if value is None or isinstance(value, (bool, str)):
+        return []
+    if type(value) is int or isinstance(value, Fraction):
+        return []
+    if isinstance(value, Divisor):
+        return inexact(value.coeffs, where)
+    if dataclasses.is_dataclass(value):
+        return [
+            bad
+            for f in dataclasses.fields(value)
+            for bad in inexact(getattr(value, f.name), f"{where}.{f.name}")
+        ]
+    if isinstance(value, (tuple, list)):
+        return [
+            bad for i, v in enumerate(value) for bad in inexact(v, f"{where}[{i}]")
+        ]
+    return [f"{where} = {value!r} ({type(value).__name__})"]
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    """Wraps every entry of RECORDED; maps its name to the values returned."""
+    seen = {name: [] for _, name in RECORDED}
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen[name].append(result)
+            return result
+
+        return wrapper
+
+    for owner, name in RECORDED:
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    return seen
+
+
+def check(seen, reports):
+    bad = [
+        b
+        for name, values in seen.items()
+        for v in values
+        for b in inexact(v, name)
+    ]
+    bad += [b for i, r in enumerate(reports) for b in inexact(r, f"report[{i}]")]
+    assert not bad, "\n".join(bad[:20])
+
+
+def analyses(X, D, A):
+    """Scan and fixed-exponent reports for (X, D, A)."""
+    out = [stability.scan_candidates(X, D, A)]
+    out += [stability.find_destabilizer(X, D, A, d) for d in (1, 2)]
+    return out
+
+
+def test_toric_corpus(surfaces, recorder):
+    reports = []
+    for name, X in surfaces.items():
+        D = ample_on(name, X)
+        if name in ("p2", "f0"):
+            A = D + X.generator(0)
+        else:
+            driver = stability.toric_driver(X, D)
+            reports.append(driver)
+            A = driver.certificate.polarization
+        assert X.is_ample(A), name
+        reports += analyses(X, D, A)
+    check(recorder, reports)
+    for _, name in RECORDED:
+        if name != "chi":  # toric h0 is a lattice count, never chi
+            assert recorder[name], f"{name} was never called"
+
+
+@pytest.mark.parametrize("name", sorted(ABSTRACT))
+def test_abstract_surfaces(name, recorder):
+    data = ABSTRACT[name]
+    X = AbstractSurface(
+        data["labels"],
+        data["pairing"],
+        data["canonical"],
+        data["effective_generators"],
+    )
+    D = Divisor([2, 2, 3])
+    reports = [stability.abstract_driver(X, D)]
+    if name == "bl2p2":
+        reports += analyses(X, D, reports[0].certificate.polarization)
+    check(recorder, reports)
+    for key in ("pair", "chi", "nef_threshold", "syzygy_slope", "d_threshold"):
+        assert recorder[key], f"{key} was never called"
+
+
+def test_hirzebruch_region_rows(surfaces, recorder):
+    """The rows of ``sweep``: region verdict, alpha/beta and, in the
+    instability region, the threshold."""
+    rows = 0
+    for ell in (1, 2, 3):
+        X = surfaces[f"f{ell}"]
+        _, s_idx, _ = X.hirzebruch_presentation()
+        S = X.generator(s_idx)
+        grid = [ell + Fraction(k, 3) for k in range(1, 10)]
+        for a in grid:
+            for b in grid:
+                verdict = stability.hirzebruch_region(ell, a, b)
+                D = X.from_section_fiber(b.denominator, b.numerator)
+                A = X.from_section_fiber(a.denominator, a.numerator)
+                stability.alpha_beta(X, D, S, A)
+                if verdict == stability.UNSTABLE_FOR_LARGE_D:
+                    stability.d_threshold(X, D, S, A)
+                    rows += 1
+    assert rows
+    check(recorder, [])
