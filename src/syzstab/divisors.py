@@ -252,8 +252,8 @@ class SurfaceModel:
                 f"divisor has {len(D)} coefficients, surface has {self.n} curves"
             )
 
-    def pair(self, D1: Divisor, D2: Divisor) -> Rat:
-        """Bilinear intersection product: an int for integral divisors."""
+    def pair(self, D1: Divisor, D2: Divisor) -> int | Fraction:
+        """Bilinear intersection product, int | Fraction (int if integral)."""
         self._check(D1)
         self._check(D2)
         return sum(
@@ -272,8 +272,9 @@ class SurfaceModel:
             self.pair_generator(D, i) > 0 for i in self.effective_generators
         )
 
-    def chi(self, D: Divisor) -> Rat:
-        """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch."""
+    def chi(self, D: Divisor) -> int | Fraction:
+        """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch, as an
+        int | Fraction (an int when integral)."""
         return _exact(
             1 + Fraction(self.pair(D, D) - self.pair(D, self.canonical), 2)
         )
@@ -332,9 +333,9 @@ class ToricSurface(SurfaceModel):
     def picard_rank(self) -> int:
         return self.n - 2
 
-    def pair_generator(self, D: Divisor, i: int) -> Rat:
-        """Intersection number of D with the i-th prime curve: three
-        terms by the wall relation, an int for integral D."""
+    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
+        """Intersection number of D with the i-th prime curve, three
+        terms by the wall relation: int | Fraction, an int for integral D."""
         self._check(D)
         a = D.coeffs
         return (
@@ -518,7 +519,7 @@ class AbstractSurface(SurfaceModel):
             )
         return self._rank
 
-    def pair_generator(self, D: Divisor, i: int) -> Rat:
+    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
         self._check(D)
         return sum(
             a * self.matrix[i][j] for j, a in enumerate(D.coeffs) if a
