@@ -72,14 +72,12 @@ from .stability import (
 
 def _surface_from_args(args):
     """The surface model named by --fan or --surface."""
-    fan_path = getattr(args, "fan", None)
-    surface_path = getattr(args, "surface", None)
-    if fan_path and surface_path:
+    if args.fan and args.surface:
         raise InputError("give either --fan or --surface, not both")
-    if fan_path:
-        return ToricSurface(load_fan(fan_path))
-    if surface_path:
-        return load_abstract_surface(surface_path)
+    if args.fan:
+        return ToricSurface(load_fan(args.fan))
+    if args.surface:
+        return load_abstract_surface(args.surface)
     raise InputError("a surface is required: pass --fan FILE or --surface FILE")
 
 
@@ -97,17 +95,15 @@ def _divisor_in_ambient(X, text: str, args, role: str):
     Returns (divisor, basis_tag); basis_tag records how the user wrote it.
     """
     D = parse_divisor_arg(text)
-    use_sf = bool(getattr(args, "sf", False))
-    use_he = bool(getattr(args, "he", False))
     if isinstance(X, AbstractSurface):
-        if use_sf or use_he:
+        if args.sf or args.he:
             raise InputError("--sf/--he apply only to toric Hirzebruch fans")
         if len(D) != X.n:
             raise InputError(
                 f"{role} needs {X.n} coefficients for this surface, got {len(D)}"
             )
         return D, "labels"
-    if use_he:
+    if args.he:
         ell, _, _ = X.hirzebruch_presentation()
         if ell != 1:
             raise InputError(
@@ -123,7 +119,7 @@ def _divisor_in_ambient(X, text: str, args, role: str):
         and X.fan.surface_type().kind == HIRZEBRUCH
         and X.fan.surface_type().ell >= 1
     )
-    if use_sf or auto_sf:
+    if args.sf or auto_sf:
         if len(D) != 2:
             raise InputError(f"--sf takes 2 coefficients for {role}")
         s, f = D.coeffs
@@ -155,7 +151,7 @@ def _pretty_divisor(X, D: Divisor) -> str:
 
 def _emit(args, text: str, payload: dict) -> None:
     out = dumps_canonical(payload) if args.json else text + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
@@ -242,9 +238,11 @@ def _cmd_verify(args) -> int:
     same_verdict = fresh["verdict"] == verdict
     same_cert = fresh["certificate"] == cert
 
-    # independent slope re-check of the stored certificate
+    # A stored certificate equal to the recomputed one is already verified:
+    # d_threshold (or find_destabilizer at a fixed exponent) compared these
+    # exact slopes at this d0.  One that differs is compared on its own.
     cert_ok = True
-    if cert is not None:
+    if cert is not None and not (same_verdict and same_cert):
         A = divisor_from_jsonable(_field(cert, "A", list, "certificate"))
         S = divisor_from_jsonable(_field(cert, "S", list, "certificate"))
         d0 = _field(cert, "d0", int, "certificate")
@@ -488,23 +486,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, surface=True, divisor=True, basis=True):
-        if surface:
-            p.add_argument("--fan", help="fan JSON file")
-            p.add_argument("--surface", help="abstract surface JSON file")
-        if divisor:
-            p.add_argument("--D", help="divisor coefficients, comma separated")
-        if basis:
-            p.add_argument(
-                "--sf",
-                action="store_true",
-                help="divisors given in section/fiber class coordinates",
-            )
-            p.add_argument(
-                "--he",
-                action="store_true",
-                help="divisors given in hyperplane/exceptional coordinates",
-            )
+    def add_common(p):
+        p.add_argument("--fan", help="fan JSON file")
+        p.add_argument("--surface", help="abstract surface JSON file")
+        p.add_argument("--D", help="divisor coefficients, comma separated")
+        p.add_argument(
+            "--sf",
+            action="store_true",
+            help="divisors given in section/fiber class coordinates",
+        )
+        p.add_argument(
+            "--he",
+            action="store_true",
+            help="divisors given in hyperplane/exceptional coordinates",
+        )
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to a file")
 

@@ -8,7 +8,9 @@ to a prime torus-invariant curve on the surface, and the wall relation
 
     u[i-1] + u[i+1] == c[i] * u[i]
 
-defines integers ``c[i]`` with curve self-intersections ``-c[i]``.
+defines integers ``c[i]`` with curve self-intersections ``-c[i]``.  Since
+``det(u[i-1], u[i]) == 1``, taking determinants with ``u[i-1]`` gives
+``c[i] == det(u[i-1], u[i+1])``.
 
 Rays may be supplied in any order; the constructor sorts them by angle
 using quadrant plus cross-product comparisons, so no floating point enters
@@ -100,7 +102,7 @@ class Fan:
     offending index in the original input order.
     """
 
-    __slots__ = ("rays", "input_positions", "_walls")
+    __slots__ = ("rays", "_walls")
 
     def __init__(self, rays):
         given = [tuple(int(x) for x in r) for r in rays]
@@ -151,7 +153,6 @@ class Fan:
                 )
 
         object.__setattr__(self, "rays", sorted_rays)
-        object.__setattr__(self, "input_positions", tuple(order))
         object.__setattr__(self, "_walls", None)
 
     def __setattr__(self, name, value):
@@ -174,28 +175,10 @@ class Fan:
 
     def wall_coefficients(self) -> tuple[int, ...]:
         """The integers c[i] with u[i-1] + u[i+1] == c[i]*u[i]."""
-        if self._walls is not None:
-            return self._walls
-        n = self.n
-        cs = []
-        for i in range(n):
-            u = self.rays[i]
-            w = (
-                self.rays[(i - 1) % n][0] + self.rays[(i + 1) % n][0],
-                self.rays[(i - 1) % n][1] + self.rays[(i + 1) % n][1],
-            )
-            if u[0] != 0:
-                c, rem = divmod(w[0], u[0])
-                ok = rem == 0 and c * u[1] == w[1]
-            else:
-                c, rem = divmod(w[1], u[1])
-                ok = rem == 0 and c * u[0] == w[0]
-            if not ok:
-                raise InternalError(
-                    f"wall relation failed at ray {i}: {w} not a multiple of {u}"
-                )
-            cs.append(c)
-        object.__setattr__(self, "_walls", tuple(cs))
+        if self._walls is None:
+            r, n = self.rays, self.n
+            walls = tuple(det(r[i - 1], r[(i + 1) % n]) for i in range(n))
+            object.__setattr__(self, "_walls", walls)
         return self._walls
 
     def self_intersections(self) -> tuple[int, ...]:

@@ -4,9 +4,16 @@ import json
 
 import pytest
 
+from syzstab import Polytope
 from syzstab.cli import main
 
-from conftest import BL2P2_ABSTRACT, BL2P2_RAYS, P2_RAYS, hirzebruch_rays
+from conftest import (
+    BL2P2_ABSTRACT,
+    BL2P2_RAYS,
+    P2_RAYS,
+    RANK6_RAYS,
+    hirzebruch_rays,
+)
 
 
 @pytest.fixture()
@@ -208,6 +215,39 @@ class TestVerifyRoundTrip:
         rc = main(["analyze", "--verify", str(report)])
         assert rc == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_stored_certificate_checked_only_when_it_differs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        fan = tmp_path / "rank6.json"
+        fan.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
+        report = tmp_path / "report.json"
+        calls = []
+        count = Polytope.lattice_point_count
+
+        def counted(poly):
+            calls.append(poly)
+            return count(poly)
+
+        monkeypatch.setattr(Polytope, "lattice_point_count", counted)
+        argv = ["analyze", "--fan", str(fan), "--D", "3,4,2,4,3,3,3,3"]
+        assert main(argv + ["--json", "--out", str(report)]) == 0
+        analysis = len(calls)
+        assert main(["analyze", "--verify", str(report)]) == 0
+        # the recomputation verified this certificate; no second count
+        assert 0 < len(calls) - analysis <= analysis
+
+        data = json.loads(report.read_text())
+        d0 = data["certificate"]["d0"]
+        capsys.readouterr()
+        # past d0 the violation still holds; below it, it does not
+        for shift, slopes_hold in ((1, True), (-1, False)):
+            data["certificate"]["d0"] = d0 + shift
+            report.write_text(json.dumps(data))
+            assert main(["analyze", "--verify", str(report), "--json"]) == 1
+            result = json.loads(capsys.readouterr().out)
+            assert result["certificate_matches"] is False
+            assert result["certificate_slopes_check"] is slopes_hold
 
     @pytest.mark.parametrize(
         "tamper",

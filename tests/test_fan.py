@@ -1,5 +1,7 @@
 """Fan validation, intersection data and classification."""
 
+import random
+
 import pytest
 
 from syzstab import (
@@ -14,6 +16,20 @@ from syzstab import (
 )
 
 from conftest import CORPUS_RAYS, P2_RAYS, BL2P2_RAYS, hirzebruch_rays
+
+
+def blowup_chain(seed, size):
+    """A smooth complete fan of ``size`` rays: P2 or a Hirzebruch fan,
+    blown up at seeded random cones (each new ray is the sum of its two
+    neighbours)."""
+    rng = random.Random(seed)
+    start = P2_RAYS if seed % 4 == 0 else hirzebruch_rays(rng.randrange(5))
+    rays = list(Fan(start).rays)
+    while len(rays) < size:
+        i = rng.randrange(len(rays))
+        u, v = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+    return Fan(rays)
 
 
 class TestValidation:
@@ -84,8 +100,9 @@ class TestIntersectionData:
         assert fan.self_intersections()[1] == -ell
 
     def test_wall_relation_holds_exactly(self):
-        for rays in CORPUS_RAYS.values():
-            fan = Fan(rays)
+        fans = [Fan(rays) for rays in CORPUS_RAYS.values()]
+        fans += [blowup_chain(seed, 5 + seed % 60) for seed in range(120)]
+        for fan in fans:
             c = fan.wall_coefficients()
             n = fan.n
             for i in range(n):

@@ -158,6 +158,12 @@ class TestThreshold:
         assert th.d0 == 1
         assert th.strict
 
+    def test_divisor_must_be_ample(self, f1):
+        # the gate runs before the first nef multiple divides by D.C
+        for D in (sf(f1, 1, 1), sf(f1, 1, 0)):
+            with pytest.raises(NotAmpleError):
+                d_threshold(f1, D, f1.generator(1), sf(f1, 2, 3))
+
     def test_stable_possible_is_precondition_error(self, p2):
         H = Divisor([1, 0, 0])
         with pytest.raises(PreconditionError):
@@ -243,6 +249,9 @@ class TestConstructPolarization:
         assert pol.epsilon == Fraction(1, 8)
         assert pol.alpha == Fraction(-7, 8)
         assert pol.polarization_integral == Divisor([8, 1, 8, 8, 8])
+        D, A, E = -1 * X.canonical, pol.polarization, pol.generator
+        alpha = 2 * X.pair(D, A) * X.pair(D, E) - X.pair(E, A) * X.pair(D, D)
+        assert pol.alpha == alpha
         # the witness re-checks through the asymptotic classifier
         verdict = asymptotic_condition(
             X, -1 * X.canonical, pol.generator, pol.polarization_integral
@@ -307,6 +316,19 @@ class TestToricDriver:
         with pytest.raises(NotAmpleError):
             toric_driver(f1, sf(f1, 1, 0))
 
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
+    def test_hirzebruch_polarization_in_region(self, surfaces, name):
+        # the driver picks a = A2/A1 past the region bound and does not run
+        # the region test on it; D ample gives b > ell, so a lies inside
+        X = surfaces[name]
+        ell = X.fan.surface_type().ell
+        for b1 in range(1, 4):
+            for b2 in range(ell * b1 + 1, ell * b1 + 7):
+                cert = toric_driver(X, sf(X, b1, b2)).certificate
+                a1, a2 = X.to_section_fiber(cert.polarization)
+                a, b = Fraction(a2, a1), Fraction(b2, b1)
+                assert hirzebruch_region(ell, a, b) == UNSTABLE_FOR_LARGE_D, b
+
 
 class TestAbstractDriver:
     def test_bl2p2_model(self):
@@ -331,6 +353,22 @@ class TestAbstractDriver:
         )
         with pytest.raises(HypothesesViolatedError):
             abstract_driver(X, Divisor([1, 2]))
+        # the low-rank waiver covers the rank and the generator count only,
+        # whatever the labels say
+        D = Divisor([2, 2, 3])
+        X = AbstractSurface(
+            ["E1", "E2", "frank"],
+            [[-1, 0, 1], [0, -1, 1], [1, 1, 0]],
+            [-2, -2, -3],
+            [0, 1, 2],
+        )
+        with pytest.raises(HypothesesViolatedError, match="frank"):
+            construct_polarization(X, D, allow_low_rank=True)
+        X = AbstractSurface(
+            ["E1", "E2", "rank"], BL2P2_ABSTRACT["pairing"], [-2, -2, -3], [0, 2]
+        )
+        pol = construct_polarization(X, D, allow_low_rank=True)
+        assert pol.notes == (LOW_RANK_NOTE,)
 
 
 class TestScanCandidates:
