@@ -1,4 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: it parses input and prints results only.
+
+Verdicts, certificates and assumptions come from ``stability.analyze``;
+``--verify`` re-checks a differing certificate with
+``stability.certificate_holds``.
 
 Commands
 --------
@@ -32,7 +36,7 @@ from fractions import Fraction
 
 from . import __version__
 from .divisors import AbstractSurface, Divisor, ToricSurface
-from .errors import InputError, InternalError, SyzstabError
+from .errors import EmptyGridError, InputError, InternalError, SyzstabError
 from .fan import HIRZEBRUCH, Fan, reduce_to_minimal
 from .files import (
     divisor_from_jsonable,
@@ -48,25 +52,14 @@ from .files import (
     surface_to_jsonable,
 )
 from .stability import (
-    CHI_ASSUMPTION,
-    EQUAL,
-    GREATER,
-    NOT_SEMISTABLE,
-    NOT_STABLE,
-    NO_DESTABILIZER,
     UNSTABLE_FOR_LARGE_D,
-    Certificate,
     StabilityReport,
-    abstract_driver,
     alpha_beta,
+    analyze,
+    certificate_holds,
     construct_polarization,
     d_threshold,
-    find_destabilizer,
     hirzebruch_region,
-    scan_candidates,
-    slope_compare,
-    syzygy_slope,
-    toric_driver,
 )
 
 
@@ -195,30 +188,6 @@ def _render_report(X, report: StabilityReport) -> str:
     return "\n".join(lines)
 
 
-def _analysis_at_d(X, D, A, d) -> StabilityReport:
-    assumptions = [CHI_ASSUMPTION] if X.uses_chi_for_h0 else []
-    found = find_destabilizer(X, D, A, d)
-    if found is None:
-        return StabilityReport(NO_DESTABILIZER, None, tuple(assumptions))
-    verdict = NOT_SEMISTABLE if found.strict else NOT_STABLE
-    cert = Certificate(
-        A, found.shift, d, found.subbundle_slope, found.ambient_slope
-    )
-    return StabilityReport(verdict, cert, tuple(assumptions))
-
-
-def _analysis(X, D, A, d) -> StabilityReport:
-    """Certificate construction (no A), asymptotic candidate scan (A) or
-    fixed-exponent destabilizer search (A and d)."""
-    if A is None:
-        if isinstance(X, ToricSurface):
-            return toric_driver(X, D)
-        return abstract_driver(X, D)
-    if d is None:
-        return scan_candidates(X, D, A)
-    return _analysis_at_d(X, D, A, d)
-
-
 def _cmd_verify(args) -> int:
     data = read_json(args.verify)
     echo = _field(data, "echo", dict, args.verify)
@@ -233,7 +202,7 @@ def _cmd_verify(args) -> int:
         A = divisor_from_jsonable(_field(echo, "A", list, "report echo"))
     if mode == "fixed-exponent":
         d = _field(echo, "d", int, "report echo")
-    fresh = _report_jsonable(_analysis(X, D, A, d), echo)
+    fresh = _report_jsonable(analyze(X, D, A, d), echo)
     cert = data.get("certificate")
     same_verdict = fresh["verdict"] == verdict
     same_cert = fresh["certificate"] == cert
@@ -243,12 +212,14 @@ def _cmd_verify(args) -> int:
     # exact slopes at this d0.  One that differs is compared on its own.
     cert_ok = True
     if cert is not None and not (same_verdict and same_cert):
-        A = divisor_from_jsonable(_field(cert, "A", list, "certificate"))
-        S = divisor_from_jsonable(_field(cert, "S", list, "certificate"))
-        d0 = _field(cert, "d0", int, "certificate")
-        order = slope_compare(X, D, S, A, d0)
-        expected = GREATER if verdict == NOT_SEMISTABLE else EQUAL
-        cert_ok = order == expected
+        cert_ok = certificate_holds(
+            X,
+            D,
+            verdict,
+            divisor_from_jsonable(_field(cert, "A", list, "certificate")),
+            divisor_from_jsonable(_field(cert, "S", list, "certificate")),
+            _field(cert, "d0", int, "certificate"),
+        )
 
     ok = same_verdict and same_cert and cert_ok
     status = "verified" if ok else "MISMATCH"
@@ -284,8 +255,6 @@ def _cmd_analyze(args) -> int:
     }
     A = None
     if args.A is None:
-        if args.d is not None:
-            raise InputError("--d needs --A as well")
         echo["mode"] = "driver"
     else:
         A, _ = _divisor_in_ambient(X, args.A, args, "--A")
@@ -296,7 +265,7 @@ def _cmd_analyze(args) -> int:
         if args.d is not None:
             echo["mode"] = "fixed-exponent"
             echo["d"] = args.d
-    report = _analysis(X, D, A, args.d)
+    report = analyze(X, D, A, args.d)
     _emit(args, _render_report(X, report), _report_jsonable(report, echo))
     return 0
 
@@ -407,8 +376,6 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction):
 
 
 def _cmd_sweep(args) -> int:
-    from .errors import EmptyGridError
-
     try:
         ells = [int(x) for x in args.ell.split(",")]
     except ValueError as exc:
@@ -560,24 +527,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
-
-
-def main(argv=None) -> int:
     try:
-        return run(argv)
+        return args.func(args)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SyzstabError as exc:

@@ -40,11 +40,15 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Lowest terms, positive denominator; integers without the '/1'."""
+    """Lowest terms, positive denominator; integers without the '/1'.
+    Raises InputError past ``sys.get_int_max_str_digits()`` digits."""
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise InputError(f"result too large to print: {exc}") from exc
 
 
 def rational_to_jsonable(value: Fraction) -> int | str:
@@ -87,7 +91,8 @@ def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: malformed JSON, non-UTF-8 bytes, over-long integers
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -66,6 +66,10 @@ NOT_SEMISTABLE = "NotSemistable"
 NOT_STABLE = "NotStable"
 NO_DESTABILIZER = "NoDestabilizerFound"
 
+# verdict of a verified strict violation or tie; subbundle slope order promised
+_VERDICT = {True: NOT_SEMISTABLE, False: NOT_STABLE}
+_PROMISED_ORDER = {NOT_SEMISTABLE: GREATER, NOT_STABLE: EQUAL}
+
 CHI_ASSUMPTION = (
     "h0 computed as the Euler characteristic "
     "(vanishing higher cohomology assumed)"
@@ -77,6 +81,8 @@ LOW_RANK_NOTE = (
     "Picard rank below 3: outside the construction's hypotheses, "
     "result is informational"
 )
+# largest denominator of the Hirzebruch driver's polarization slope
+_MAX_DENOMINATOR = 8
 
 def _require_ample(X: SurfaceModel, D: Divisor, what: str) -> None:
     if not X.is_ample(D):
@@ -263,7 +269,7 @@ def d_threshold(
             )
     mu_sub, mu_ambient = _slopes(X, D, S, A, d0)
     order = _order(mu_sub, mu_ambient)
-    expected = GREATER if strict else EQUAL
+    expected = _PROMISED_ORDER[_VERDICT[strict]]
     if order != expected:
         raise InternalError(
             f"sign polynomial predicted {expected} slopes at d = {d0}, "
@@ -324,6 +330,11 @@ def find_destabilizer(
     return tie
 
 
+def _region_bound(ell: int, b: Fraction) -> Fraction:
+    """The region test's bound 2b(b-ell)/ell + ell on the slope a."""
+    return Fraction(2) * b * (b - ell) / ell + ell
+
+
 def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
     """Region test for polarization slope a = A2/A1 and bundle slope
     b = B2/B1 on the ell-th Hirzebruch surface, ell >= 1.
@@ -342,7 +353,7 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
         raise NotAmpleError(
             f"ampleness needs a > {ell} and b > {ell}, got a={a}, b={b}"
         )
-    bound = Fraction(2) * b * (b - ell) / ell + ell
+    bound = _region_bound(ell, b)
     if a > bound:
         return UNSTABLE_FOR_LARGE_D
     if a == bound:
@@ -461,23 +472,26 @@ class StabilityReport:
     assumptions: tuple[str, ...] = ()
 
 
-def _certified_report(
+def _report(
     X: SurfaceModel,
-    D: Divisor,
-    S: Divisor,
-    A: Divisor,
     assumptions: list[str],
+    certificate: Optional[Certificate] = None,
+    strict: bool = True,
+) -> StabilityReport:
+    """The report on a verified certificate, or NoDestabilizerFound."""
+    verdict = NO_DESTABILIZER if certificate is None else _VERDICT[strict]
+    if X.uses_chi_for_h0:
+        assumptions = assumptions + [CHI_ASSUMPTION]
+    return StabilityReport(verdict, certificate, tuple(assumptions))
+
+
+def _certified_report(
+    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, assumptions: list[str]
 ) -> StabilityReport:
     # d_threshold raises unless the exact slopes at d0 confirm the verdict
     th = d_threshold(X, D, S, A)
-    verdict = NOT_SEMISTABLE if th.strict else NOT_STABLE
-    if X.uses_chi_for_h0:
-        assumptions = assumptions + [CHI_ASSUMPTION]
-    return StabilityReport(
-        verdict,
-        Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope),
-        tuple(assumptions),
-    )
+    cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
+    return _report(X, assumptions, cert, th.strict)
 
 
 def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
@@ -494,23 +508,17 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     for S in _candidate_shifts(X):
         if asymptotic_condition(X, D, S, A).unstable:
             return _certified_report(X, D, S, A, [])
-    assumptions = [
-        "every scanned candidate shift admits stability asymptotically"
-    ]
-    if X.uses_chi_for_h0:
-        assumptions.append(CHI_ASSUMPTION)
-    return StabilityReport(NO_DESTABILIZER, None, tuple(assumptions))
+    return _report(
+        X, ["every scanned candidate shift admits stability asymptotically"]
+    )
 
 
-def _smallest_exceeding_rational(bound: Fraction, max_denominator: int) -> Fraction:
-    """Smallest p/q > bound with 1 <= q <= max_denominator."""
-    best = None
-    for q in range(1, max_denominator + 1):
-        p = (bound.numerator * q) // bound.denominator + 1
-        cand = Fraction(p, q)
-        if best is None or cand < best:
-            best = cand
-    return best
+def _smallest_exceeding_rational(bound: Fraction) -> Fraction:
+    """Smallest p/q > bound with 1 <= q <= _MAX_DENOMINATOR."""
+    return min(
+        Fraction((bound.numerator * q) // bound.denominator + 1, q)
+        for q in range(1, _MAX_DENOMINATOR + 1)
+    )
 
 
 def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityReport:
@@ -520,8 +528,8 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
     Hirzebruch surfaces get the polarization S + a*F with a the smallest
     rational of denominator at most 8 beyond the region bound, scaled to
     a primitive integral divisor; higher Picard rank delegates to
-    :func:`construct_polarization`.  The certificate is re-verified by
-    exact slope comparison before it is returned.
+    :func:`abstract_driver`.  The certificate is re-verified by exact
+    slope comparison before it is returned.
     """
     X = (
         fan_or_surface
@@ -534,36 +542,58 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
             f"no destabilizing polarization is constructed for {st}"
         )
     _require_ample(X, D, "divisor D")
-    assumptions: list[str] = []
-
-    if st.kind == HIRZEBRUCH:
-        ell, s_idx, f_idx = X.hirzebruch_presentation()
-        b1, b2 = X.to_section_fiber(D)
-        b = Fraction(b2, b1)
-        bound = Fraction(2) * b * (b - ell) / ell + ell
-        a = _smallest_exceeding_rational(bound, 8)
-        A = X.from_section_fiber(a.denominator, a.numerator)
-        S = X.generator(s_idx)
-        assumptions.append(
-            f"polarization slope a = {a} chosen with denominator <= 8 "
-            f"just beyond the region bound {bound}"
-        )
-    else:
-        pol = construct_polarization(X, D)
-        A = pol.polarization_integral
-        S = pol.generator
-        assumptions.extend(pol.notes)
-    return _certified_report(X, D, S, A, assumptions)
+    if st.kind != HIRZEBRUCH:
+        return abstract_driver(X, D)
+    ell, s_idx, _ = X.hirzebruch_presentation()
+    b1, b2 = X.to_section_fiber(D)
+    bound = _region_bound(ell, Fraction(b2, b1))
+    a = _smallest_exceeding_rational(bound)
+    A = X.from_section_fiber(a.denominator, a.numerator)
+    note = (
+        f"polarization slope a = {a} chosen with denominator <= "
+        f"{_MAX_DENOMINATOR} just beyond the region bound {bound}"
+    )
+    return _certified_report(X, D, X.generator(s_idx), A, [note])
 
 
-def abstract_driver(X: AbstractSurface, D: Divisor) -> StabilityReport:
-    """Instability certificate on an abstract surface model.
+def abstract_driver(X: SurfaceModel, D: Divisor) -> StabilityReport:
+    """Instability certificate from :func:`construct_polarization`, on an
+    abstract surface model or a toric surface of Picard rank >= 3.
 
-    Delegates to :func:`construct_polarization`; the slope comparisons
-    behind the certificate use the Euler characteristic for section
-    counts, and the report records that assumption.
+    On an abstract surface, section counts are Euler characteristics and
+    the report records that assumption.
     """
     pol = construct_polarization(X, D)
     return _certified_report(
         X, D, pol.generator, pol.polarization_integral, list(pol.notes)
     )
+
+
+def analyze(
+    X: SurfaceModel, D: Divisor, A: Optional[Divisor] = None, d: Optional[int] = None
+) -> StabilityReport:
+    """Stability report for the ample divisor D: the surface's driver
+    without A, :func:`scan_candidates` with A, and with A and d the
+    :func:`find_destabilizer` search at the fixed exponent d."""
+    if A is None:
+        if d is not None:
+            raise PreconditionError("a fixed exponent d needs a polarization A")
+        if isinstance(X, ToricSurface):
+            return toric_driver(X, D)
+        return abstract_driver(X, D)
+    if d is None:
+        return scan_candidates(X, D, A)
+    found = find_destabilizer(X, D, A, d)
+    if found is None:
+        return _report(X, [])
+    cert = Certificate(A, found.shift, d, found.subbundle_slope, found.ambient_slope)
+    return _report(X, [], cert, found.strict)
+
+
+def certificate_holds(
+    X: SurfaceModel, D: Divisor, verdict: str, A: Divisor, S: Divisor, d0: int
+) -> bool:
+    """Whether the exact slopes at d0 of the subbundle from d0*D - S and
+    the ambient bundle, against A, are in the order the verdict promises:
+    greater for NotSemistable, equal for NotStable."""
+    return slope_compare(X, D, S, A, d0) == _PROMISED_ORDER.get(verdict)

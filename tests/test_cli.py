@@ -1,6 +1,7 @@
 """Command-line behaviour: parsing, verdicts, exit codes, round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -163,6 +164,26 @@ class TestAnalyze:
         bad.write_text(json.dumps({**BL2P2_ABSTRACT, **change}))
         assert main(["analyze", "--surface", str(bad), "--D", "2,2,3"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--fan", "--surface", "--verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"rays": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b"[1" + b"0" * sys.get_int_max_str_digits() + b"]",
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_hostile_json_is_input_error(self, tmp_path, capsys, flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = ["analyze", flag, str(bad)]
+        if flag != "--verify":
+            argv += ["--D", "1,1,1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyRoundTrip:
     def run_and_verify(self, argv, tmp_path, capsys):
@@ -243,6 +264,22 @@ class TestVerifyRoundTrip:
         # past d0 the violation still holds; below it, it does not
         for shift, slopes_hold in ((1, True), (-1, False)):
             data["certificate"]["d0"] = d0 + shift
+            report.write_text(json.dumps(data))
+            assert main(["analyze", "--verify", str(report), "--json"]) == 1
+            result = json.loads(capsys.readouterr().out)
+            assert result["certificate_matches"] is False
+            assert result["certificate_slopes_check"] is slopes_hold
+
+    def test_differing_abstract_certificate(self, abstract_path, tmp_path, capsys):
+        # a stored certificate that differs is checked on the Euler
+        # characteristic route of the abstract surface
+        report = tmp_path / "report.json"
+        argv = ["analyze", "--surface", abstract_path, "--D", "3,3,5", "--json"]
+        assert main(argv + ["--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["certificate"]["d0"] == 6
+        for d0, slopes_hold in ((7, True), (5, False)):
+            data["certificate"]["d0"] = d0
             report.write_text(json.dumps(data))
             assert main(["analyze", "--verify", str(report), "--json"]) == 1
             result = json.loads(capsys.readouterr().out)
@@ -380,6 +417,13 @@ class TestSmallCommands:
         rc = main(["hirzebruch", "--ell", "1", "--a", "3/2", "--b", "9/8"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "UnstableForLargeD"
+
+    @pytest.mark.parametrize("command", ["hirzebruch", "sweep"])
+    def test_unprintable_result_is_input_error(self, command, capsys):
+        # a 5001-digit slope is past the interpreter's str() digit limit
+        assert main([command, "--ell", "1", "--a", "1e5000", "--b", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_hirzebruch_not_ample(self, capsys):
         rc = main(["hirzebruch", "--ell", "2", "--a", "1", "--b", "3"])

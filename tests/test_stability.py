@@ -11,23 +11,29 @@ from syzstab import (
     LESS,
     NOT_COVERED,
     NOT_SEMISTABLE,
+    NOT_STABLE,
     NO_DESTABILIZER,
     STABLE_POSSIBLE,
     UNSTABLE_EVENTUALLY,
     UNSTABLE_FOR_LARGE_D,
     AbstractSurface,
+    Certificate,
     DegenerateBundleError,
     Divisor,
     Fan,
     HypothesesViolatedError,
+    InputError,
     NotAmpleError,
     NotNefError,
     OutOfTheoremScopeError,
     PreconditionError,
+    StabilityReport,
     ToricSurface,
     abstract_driver,
     alpha_beta,
+    analyze,
     asymptotic_condition,
+    certificate_holds,
     construct_polarization,
     d_threshold,
     find_destabilizer,
@@ -383,6 +389,76 @@ class TestScanCandidates:
         report = scan_candidates(p2, H, H)
         assert report.verdict == NO_DESTABILIZER
         assert report.certificate is None
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the input error it raises."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def fixed_exponent_report(X, D, A, d):
+    """The fixed-exponent report, built here from find_destabilizer."""
+    found = find_destabilizer(X, D, A, d)
+    notes = (CHI_ASSUMPTION,) if X.uses_chi_for_h0 else ()
+    if found is None:
+        return StabilityReport(NO_DESTABILIZER, None, notes)
+    verdict = NOT_SEMISTABLE if found.strict else NOT_STABLE
+    cert = Certificate(A, found.shift, d, found.subbundle_slope, found.ambient_slope)
+    return StabilityReport(verdict, cert, notes)
+
+
+class TestAnalyze:
+    def test_matches_entry_points(self, surfaces):
+        """Every mode of analyze returns what its entry point returns, and
+        certificate_holds accepts every certificate among them."""
+        cases = [
+            (name, X, ample_on(name, X))
+            for name, X in surfaces.items()
+            if X.picard_rank >= 2
+        ]
+        # 5S + 6F on the blown-up plane ties at the d0 - 1 = 17 of its scan
+        cases.append(("f1 power family", surfaces["f1"], sf(surfaces["f1"], 5, 6)))
+        cases.append(
+            ("bl2p2 abstract", AbstractSurface(**BL2P2_ABSTRACT), Divisor([2, 2, 3]))
+        )
+        kinds = set()
+        for name, X, D in cases:
+            toric = isinstance(X, ToricSurface)
+            driver = outcome(toric_driver if toric else abstract_driver, X, D)
+            assert outcome(analyze, X, D) == driver, name
+            if isinstance(driver, StabilityReport):
+                A = driver.certificate.polarization
+            else:  # the quadric: no polarization is constructed
+                assert driver[0] is OutOfTheoremScopeError, name
+                A = D + X.generator(0)
+            scan = analyze(X, D, A)
+            assert scan == scan_candidates(X, D, A), name
+            reports = [driver, scan]
+            exponents = {1, 2}
+            if scan.certificate is not None:
+                d0 = scan.certificate.d0
+                exponents |= {max(d0 - 1, 1), d0}
+            for d in sorted(exponents):
+                report = analyze(X, D, A, d)
+                assert report == fixed_exponent_report(X, D, A, d), (name, d)
+                reports.append(report)
+            for report in reports:
+                if not isinstance(report, StabilityReport):
+                    continue
+                kinds.add(report.verdict)
+                c = report.certificate
+                if c is not None:
+                    args = (c.polarization, c.shift, c.d0)
+                    assert certificate_holds(X, D, report.verdict, *args), name
+                    assert not certificate_holds(X, D, NO_DESTABILIZER, *args)
+        assert kinds == {NOT_SEMISTABLE, NOT_STABLE, NO_DESTABILIZER}
+
+    def test_exponent_needs_polarization(self, f1):
+        with pytest.raises(PreconditionError):
+            analyze(f1, sf(f1, 5, 6), None, 18)
 
 
 def assert_threshold_minimal(X, D, S, A):
