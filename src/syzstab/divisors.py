@@ -3,7 +3,8 @@
 Two surface models share the intersection theory of one base class,
 :class:`SurfaceModel`.  :class:`ToricSurface` is built from a
 :class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
-count in the section polygon, and the Euler characteristic from
+count in the section polygon (whose vertices, for nef D, are the integral
+corners of the fan's cones), and the Euler characteristic from
 Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
 a canonical class and a declared list of effective-cone generators; there
@@ -129,6 +130,11 @@ def basis_divisor(n: int, i: int, value: Rat = 1) -> Divisor:
     return Divisor(coeffs)
 
 
+def _solve_cone(u, v, r0: int, r1: int) -> tuple[int, int]:
+    """The m with <m, u> = r0 and <m, v> = r1: integral, as det(u, v) == 1."""
+    return (v[1] * r0 - u[1] * r1, u[0] * r1 - v[0] * r0)
+
+
 def _ceil_div(p: int, q: int) -> int:
     # q > 0
     return -((-p) // q)
@@ -138,16 +144,21 @@ class Polytope:
     """Intersection of closed half-planes ``ux*x + uy*y >= rhs`` in the plane.
 
     Built from the section constraints of a divisor on a complete fan, so
-    the region is always bounded.  Vertices are computed exactly by
-    pairwise line intersection; lattice points are counted one integral
-    row at a time with integer floor/ceil arithmetic.
+    the region is always bounded.  Vertices are either given (the integer
+    cone corners of a nef divisor, sorted) or found exactly by pairwise
+    line intersection; lattice points are counted one integral row at a
+    time with integer floor/ceil arithmetic.
     """
 
     __slots__ = ("halfplanes", "_vertices")
 
-    def __init__(self, halfplanes: Sequence[tuple[int, int, int]]):
+    def __init__(
+        self,
+        halfplanes: Sequence[tuple[int, int, int]],
+        vertices: tuple[tuple[int, int], ...] | None = None,
+    ):
         object.__setattr__(self, "halfplanes", tuple(halfplanes))
-        object.__setattr__(self, "_vertices", None)
+        object.__setattr__(self, "_vertices", vertices)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -156,8 +167,9 @@ class Polytope:
         return all(ux * x + uy * y >= rhs for ux, uy, rhs in self.halfplanes)
 
     @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """All extreme points, sorted lexicographically."""
+    def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
+        """All extreme points, sorted lexicographically: the given int
+        corners, or Fractions from the O(n^3) pairwise search."""
         if self._vertices is not None:
             return self._vertices
         hps = self.halfplanes
@@ -345,12 +357,22 @@ class ToricSurface(SurfaceModel):
         )
 
     def polytope(self, D: Divisor) -> Polytope:
-        """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor."""
+        """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor.
+
+        For nef D the vertices are the integer corners m of the cones
+        (u_i, u_{i+1}), with <m, u_i> = -a_i and <m, u_{i+1}> = -a_{i+1}.
+        """
         self._check(D)
         a = D.int_coeffs()
-        return Polytope(
-            [(u[0], u[1], -a[i]) for i, u in enumerate(self.fan.rays)]
-        )
+        rays = self.fan.rays
+        halfplanes = [(u[0], u[1], -a[i]) for i, u in enumerate(rays)]
+        if not self.is_nef(D):
+            return Polytope(halfplanes)
+        corners = {
+            _solve_cone(rays[i - 1], u, -a[i - 1], -a[i])
+            for i, u in enumerate(rays)
+        }
+        return Polytope(halfplanes, tuple(sorted(corners)))
 
     def h0(self, D: Divisor) -> int:
         """Dimension of the space of sections: an exact lattice-point count.
@@ -372,13 +394,8 @@ class ToricSurface(SurfaceModel):
         self._check(D1)
         self._check(D2)
         e = (D1 - D2).int_coeffs()
-        u0, u1 = self.fan.rays[0], self.fan.rays[1]
-        # det(u0, u1) == 1, so the first two equations <m, u_i> = e_i have
-        # the unique integer solution below; the rest must then agree.
-        m = (
-            e[0] * u1[1] - e[1] * u0[1],
-            -e[0] * u1[0] + e[1] * u0[0],
-        )
+        # the first two equations <m, u_i> = e_i fix m; the rest must agree
+        m = _solve_cone(self.fan.rays[0], self.fan.rays[1], e[0], e[1])
         return all(
             m[0] * u[0] + m[1] * u[1] == e[i]
             for i, u in enumerate(self.fan.rays)

@@ -595,5 +595,11 @@ def certificate_holds(
 ) -> bool:
     """Whether the exact slopes at d0 of the subbundle from d0*D - S and
     the ambient bundle, against A, are in the order the verdict promises:
-    greater for NotSemistable, equal for NotStable."""
-    return slope_compare(X, D, S, A, d0) == _PROMISED_ORDER.get(verdict)
+    greater for NotSemistable, equal for NotStable.  False when a slope
+    does not exist: A not ample, S not effective, d0*D - S not nef, or a
+    bundle with at most one section."""
+    try:
+        order = slope_compare(X, D, S, A, d0)
+    except (NotAmpleError, NotEffectiveError, NotNefError, DegenerateBundleError):
+        return False
+    return order == _PROMISED_ORDER.get(verdict)

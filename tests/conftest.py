@@ -1,5 +1,8 @@
 """Shared corpus of fans and ample divisors used across the test suite."""
 
+import random
+from itertools import product
+
 import pytest
 
 from syzstab import Divisor, Fan, ToricSurface
@@ -36,6 +39,42 @@ CORPUS_RAYS = {
     "rank5": RANK5_RAYS,
     "rank6": RANK6_RAYS,
 }
+
+
+def blowup_chain(seed, size):
+    """A smooth complete fan of ``size`` rays: P2 or a Hirzebruch fan,
+    blown up at seeded random cones (each new ray is the sum of its two
+    neighbours)."""
+    return blowup_chain_divisors(seed, size)[0]
+
+
+def blowup_chain_divisors(seed, size):
+    """``blowup_chain(seed, size)`` with two divisors carried along from
+    the first ample divisor with coefficients in [1, 6] on the starting
+    fan.  The pullback gives each new ray a_i + a_{i+1}, so it is nef with
+    a zero-length edge for every exceptional curve.  The ample one is
+    doubled at each blow-up and gives the new ray 2(a_i + a_{i+1}) - 1.
+    Returns (fan, pullback, ample)."""
+    rng = random.Random(seed)
+    start = P2_RAYS if seed % 4 == 0 else hirzebruch_rays(rng.randrange(5))
+    X0 = ToricSurface(Fan(start))
+    rays = list(X0.fan.rays)
+    pulled = next(
+        list(c) for c in product(range(1, 7), repeat=X0.n)
+        if X0.is_ample(Divisor(c))
+    )
+    ample = list(pulled)
+    while len(rays) < size:
+        i = rng.randrange(len(rays))
+        j = (i + 1) % len(rays)
+        u, v = rays[i], rays[j]
+        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+        pulled.insert(i + 1, pulled[i] + pulled[j])
+        new = 2 * (ample[i] + ample[j]) - 1
+        ample = [2 * a for a in ample]
+        ample.insert(i + 1, new)
+    return Fan(rays), Divisor(pulled), Divisor(ample)
+
 
 # One fixed ample divisor per fan of Picard rank >= 3: the anticanonical
 # class where it is ample (the del Pezzo cases), hand-picked coefficients

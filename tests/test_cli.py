@@ -270,6 +270,46 @@ class TestVerifyRoundTrip:
             assert result["certificate_matches"] is False
             assert result["certificate_slopes_check"] is slopes_hold
 
+    def rank6_report(self, tmp_path):
+        fan = tmp_path / "rank6.json"
+        fan.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
+        report = tmp_path / "report.json"
+        argv = ["analyze", "--fan", str(fan), "--D", "3,4,2,4,3,3,3,3"]
+        assert main(argv + ["--json", "--out", str(report)]) == 0
+        return report
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"A": [1, 0, 0, 0, 0, 0, 0, 0]},
+            {"S": [-1, 0, 0, 0, 0, 0, 0, 0]},
+            {"S": [9, 0, 0, 0, 0, 0, 0, 0], "d0": 1},
+            {"d0": 0},
+        ],
+        ids=["not-ample", "not-effective", "not-nef", "one-section"],
+    )
+    def test_certificate_without_slopes_is_mismatch(
+        self, tmp_path, capsys, changes
+    ):
+        report = self.rank6_report(tmp_path)
+        data = json.loads(report.read_text())
+        data["certificate"].update(changes)
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["analyze", "--verify", str(report), "--json"]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["verified"] is False
+        assert result["certificate_slopes_check"] is False
+        assert main(["analyze", "--verify", str(report)]) == 1
+        assert capsys.readouterr().out.startswith("MISMATCH")
+
+    def test_wrong_length_shift_is_input_error(self, tmp_path):
+        report = self.rank6_report(tmp_path)
+        data = json.loads(report.read_text())
+        data["certificate"]["S"] = [1, 0, 0]
+        report.write_text(json.dumps(data))
+        assert main(["analyze", "--verify", str(report)]) == 2
+
     def test_differing_abstract_certificate(self, abstract_path, tmp_path, capsys):
         # a stored certificate that differs is checked on the Euler
         # characteristic route of the abstract surface

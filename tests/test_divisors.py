@@ -1,6 +1,7 @@
 """Pairing, linear equivalence, positivity tests and the two section counts."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,10 +16,16 @@ from syzstab import (
     Polytope,
     ToricSurface,
     basis_divisor,
+    toric_driver,
 )
 from syzstab.files import divisor_to_jsonable
 
-from conftest import BL2P2_ABSTRACT, ample_on
+from conftest import (
+    BL2P2_ABSTRACT,
+    ample_on,
+    blowup_chain_divisors,
+    driver_divisor,
+)
 
 
 def sf(X, s, f):
@@ -151,6 +158,67 @@ class TestPolytopeAndSections:
     def test_h0_rejects_fractional(self, f1):
         with pytest.raises(NonIntegralDivisorError):
             f1.h0(Divisor([Fraction(1, 2), 0, 0, 0]))
+
+
+def _searched(poly):
+    """The same polygon with its vertices found by the pairwise search."""
+    return Polytope(poly.halfplanes)
+
+
+class TestConeCorners:
+    """For nef D the polygon's vertices are the integer cone corners; the
+    pairwise line-intersection search is the oracle."""
+
+    def test_corpus_nef_divisors(self, surfaces):
+        for name, X in surfaces.items():
+            nef = [ample_on(name, X), 3 * ample_on(name, X)]
+            # every nef 0/1 vector: the zero divisor and the nef but not
+            # ample ones, for example the fiber F on f1-f4
+            nef += [
+                D for D in map(Divisor, product((0, 1), repeat=X.n))
+                if X.is_nef(D)
+            ]
+            if name != "p2":  # there every nonzero nef divisor is ample
+                assert any(not X.is_ample(D) and not D.is_zero for D in nef)
+            for D in nef:
+                poly = X.polytope(D)
+                oracle = _searched(poly)
+                assert set(poly.vertices) == set(oracle.vertices), (name, D)
+                assert all(type(c) is int for v in poly.vertices for c in v)
+                assert poly.lattice_point_count() == oracle.lattice_point_count()
+
+    def test_blowup_chains(self):
+        for seed in range(120):
+            fan, pulled, ample = blowup_chain_divisors(seed, 5 + seed % 60)
+            X = ToricSurface(fan)
+            assert X.is_ample(ample) and X.is_nef(pulled)
+            assert not X.is_ample(pulled)
+            # the pullback's polygon is that of the starting fan, so its
+            # count is cheap; the ample one doubles at each blow-up, so it
+            # is counted only on short chains
+            for D in (pulled, ample):
+                poly = X.polytope(D)
+                oracle = _searched(poly)
+                assert set(poly.vertices) == set(oracle.vertices), (seed, D)
+                if D is pulled or X.n <= 12:
+                    assert poly.lattice_point_count() == (
+                        oracle.lattice_point_count()
+                    )
+
+    def test_rank6_driver_runs_no_pairwise_search(self, surfaces, monkeypatch):
+        searches = []
+        vertices = Polytope.__dict__["vertices"].fget
+
+        def counted(poly):
+            if poly._vertices is None:
+                searches.append(poly.halfplanes)
+            return vertices(poly)
+
+        monkeypatch.setattr(Polytope, "vertices", property(counted))
+        X = surfaces["rank6"]
+        report = toric_driver(X, driver_divisor("rank6", X))
+        assert report.certificate.d0 == 60
+        assert searches == []
 
 
 class TestEulerCharacteristic:

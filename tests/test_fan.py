@@ -1,7 +1,5 @@
 """Fan validation, intersection data and classification."""
 
-import random
-
 import pytest
 
 from syzstab import (
@@ -15,21 +13,13 @@ from syzstab import (
     reduce_to_minimal,
 )
 
-from conftest import CORPUS_RAYS, P2_RAYS, BL2P2_RAYS, hirzebruch_rays
-
-
-def blowup_chain(seed, size):
-    """A smooth complete fan of ``size`` rays: P2 or a Hirzebruch fan,
-    blown up at seeded random cones (each new ray is the sum of its two
-    neighbours)."""
-    rng = random.Random(seed)
-    start = P2_RAYS if seed % 4 == 0 else hirzebruch_rays(rng.randrange(5))
-    rays = list(Fan(start).rays)
-    while len(rays) < size:
-        i = rng.randrange(len(rays))
-        u, v = rays[i], rays[(i + 1) % len(rays)]
-        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
-    return Fan(rays)
+from conftest import (
+    BL2P2_RAYS,
+    CORPUS_RAYS,
+    P2_RAYS,
+    blowup_chain,
+    hirzebruch_rays,
+)
 
 
 class TestValidation:
