@@ -323,7 +323,8 @@ def _cmd_h0(args) -> int:
         raise InputError("h0 by lattice count needs a toric surface (--fan)")
     D, _ = _divisor_in_ambient(X, args.D, args, "--D")
     value = X.h0(D)
-    _emit(args, str(value), {"h0": value, "D": divisor_to_jsonable(D)})
+    text = format_rational(value)  # refuses a count too long to print
+    _emit(args, text, {"h0": value, "D": divisor_to_jsonable(D)})
     return 0
 
 

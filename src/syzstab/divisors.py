@@ -3,9 +3,10 @@
 Two surface models share the intersection theory of one base class,
 :class:`SurfaceModel`.  :class:`ToricSurface` is built from a
 :class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
-count in the section polygon (whose vertices, for nef D, are the integral
-corners of the fan's cones), and the Euler characteristic from
-Riemann-Roch acts as an independent cross-check (they agree on nef
+count in the section polygon: for nef D by Pick's theorem over the
+integral corners of the fan's cones, in O(n), and for any other D row by
+row, in time linear in the polygon's height.  The Euler characteristic
+from Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
 a canonical class and a declared list of effective-cone generators; there
 ``h0`` falls back to the Euler characteristic and callers must surface
@@ -56,7 +57,10 @@ class Divisor:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat]):
-        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
+        # Kept tuples are built from lists (here, below and in fan.py):
+        # tuple() of a generator or map sizes for 10 and resizes, so it never
+        # reuses CPython's tuple free lists but refills them when freed.
+        object.__setattr__(self, "coeffs", tuple(list(map(_exact, coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Divisor is immutable")
@@ -80,7 +84,7 @@ class Divisor:
             raise NonIntegralDivisorError(
                 f"divisor {self} has fractional coefficients"
             )
-        return tuple(int(c) for c in self.coeffs)
+        return tuple([int(c) for c in self.coeffs])
 
     def _check_len(self, other: "Divisor") -> None:
         if len(self) != len(other):
@@ -144,13 +148,14 @@ class Polytope:
     """Intersection of closed half-planes ``ux*x + uy*y >= rhs`` in the plane.
 
     Built from the section constraints of a divisor on a complete fan, so
-    the region is always bounded.  Vertices are either given (the integer
-    cone corners of a nef divisor, sorted) or found exactly by pairwise
-    line intersection; lattice points are counted one integral row at a
-    time with integer floor/ceil arithmetic.
+    the region is always bounded.  A nef divisor's polygon is given its
+    integer cone corners in fan order, repeats kept, which walk the
+    boundary once, and is counted by Pick's theorem in O(n).  Any other
+    polygon finds its vertices by exact pairwise line intersection and is
+    counted one integral row at a time with integer floor/ceil arithmetic.
     """
 
-    __slots__ = ("halfplanes", "_vertices")
+    __slots__ = ("halfplanes", "_vertices", "_searched")
 
     def __init__(
         self,
@@ -159,6 +164,7 @@ class Polytope:
     ):
         object.__setattr__(self, "halfplanes", tuple(halfplanes))
         object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_searched", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
@@ -168,10 +174,12 @@ class Polytope:
 
     @property
     def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
-        """All extreme points, sorted lexicographically: the given int
-        corners, or Fractions from the O(n^3) pairwise search."""
+        """All extreme points: the given int corners in boundary order,
+        repeats kept, or Fractions from the O(n^3) pairwise search, sorted."""
         if self._vertices is not None:
             return self._vertices
+        if self._searched is not None:
+            return self._searched
         hps = self.halfplanes
         found = set()
         for i in range(len(hps)):
@@ -186,7 +194,7 @@ class Polytope:
                 if self.contains(x, y):
                     found.add((x, y))
         verts = tuple(sorted(found))
-        object.__setattr__(self, "_vertices", verts)
+        object.__setattr__(self, "_searched", verts)
         return verts
 
     @property
@@ -194,8 +202,18 @@ class Polytope:
         return not self.vertices
 
     def lattice_point_count(self) -> int:
-        """Number of integer points, counted row by row."""
+        """Integer points: by Pick over given corners, else row by row."""
         verts = self.vertices
+        if self._vertices is not None:
+            # |2A| + B = 2I + 2B - 2 for a lattice polygon; zero-length
+            # edges add nothing, and a segment or a point counts too
+            twice_area = boundary = 0
+            x0, y0 = verts[-1]
+            for x1, y1 in verts:
+                twice_area += x0 * y1 - x1 * y0
+                boundary += math.gcd(x1 - x0, y1 - y0)
+                x0, y0 = x1, y1
+            return (abs(twice_area) + boundary) // 2 + 1
         if not verts:
             return 0
         ymin = math.ceil(min(v[1] for v in verts))
@@ -317,11 +335,11 @@ class SurfaceModel:
 
     def negative_generator_indices(self) -> tuple[int, ...]:
         """Effective generators of negative self-intersection."""
-        return tuple(
+        return tuple([
             i
             for i in self.effective_generators
             if self.pair_generator(self.generator(i), i) < 0
-        )
+        ])
 
 
 class ToricSurface(SurfaceModel):
@@ -368,11 +386,11 @@ class ToricSurface(SurfaceModel):
         halfplanes = [(u[0], u[1], -a[i]) for i, u in enumerate(rays)]
         if not self.is_nef(D):
             return Polytope(halfplanes)
-        corners = {
+        corners = [
             _solve_cone(rays[i - 1], u, -a[i - 1], -a[i])
             for i, u in enumerate(rays)
-        }
-        return Polytope(halfplanes, tuple(sorted(corners)))
+        ]
+        return Polytope(halfplanes, tuple(corners))
 
     def h0(self, D: Divisor) -> int:
         """Dimension of the space of sections: an exact lattice-point count.
@@ -494,7 +512,7 @@ class AbstractSurface(SurfaceModel):
         n = len(labels)
         if n == 0:
             raise InputError("abstract surface needs at least one label")
-        matrix = tuple(tuple(map(_exact, row)) for row in pairing)
+        matrix = tuple([tuple(list(map(_exact, row))) for row in pairing])
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DimensionMismatchError(
                 f"pairing must be a {n}x{n} matrix"
@@ -510,14 +528,14 @@ class AbstractSurface(SurfaceModel):
             raise DimensionMismatchError(
                 "canonical class length does not match labels"
             )
-        gens = tuple(int(i) for i in effective_generators)
+        gens = tuple([int(i) for i in effective_generators])
         if not gens:
             raise InputError("declare at least one effective generator")
         if any(i < 0 or i >= n for i in gens):
             raise InputError("effective generator index out of range")
         if len(set(gens)) != len(gens):
             raise InputError("effective generator indices repeat")
-        object.__setattr__(self, "labels", tuple(str(s) for s in labels))
+        object.__setattr__(self, "labels", tuple([str(s) for s in labels]))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "canonical", K)

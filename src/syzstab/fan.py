@@ -105,7 +105,7 @@ class Fan:
     __slots__ = ("rays", "_walls")
 
     def __init__(self, rays):
-        given = [tuple(int(x) for x in r) for r in rays]
+        given = [tuple([int(x) for x in r]) for r in rays]
         for idx, r in enumerate(given):
             if len(r) != 2:
                 raise NonPrimitiveRayError(
@@ -133,7 +133,7 @@ class Fan:
                 lambda i, j: _angle_cmp(given[i], given[j])
             ),
         )
-        sorted_rays = tuple(given[i] for i in order)
+        sorted_rays = tuple([given[i] for i in order])
         n = len(sorted_rays)
         for i in range(n):
             u, v = sorted_rays[i], sorted_rays[(i + 1) % n]
@@ -177,13 +177,13 @@ class Fan:
         """The integers c[i] with u[i-1] + u[i+1] == c[i]*u[i]."""
         if self._walls is None:
             r, n = self.rays, self.n
-            walls = tuple(det(r[i - 1], r[(i + 1) % n]) for i in range(n))
+            walls = tuple([det(r[i - 1], r[(i + 1) % n]) for i in range(n)])
             object.__setattr__(self, "_walls", walls)
         return self._walls
 
     def self_intersections(self) -> tuple[int, ...]:
         """Self-intersection numbers of the prime curves, D_i^2 = -c[i]."""
-        return tuple(-c for c in self.wall_coefficients())
+        return tuple([-c for c in self.wall_coefficients()])
 
     def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Symmetric matrix of products D_i . D_j.

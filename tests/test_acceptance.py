@@ -310,3 +310,21 @@ def test_acceptance_7_property_suite(corpus, surfaces, tmp_path):
         f"ACCEPTANCE 7: PASS (thresholds exact, reductions terminate, "
         f"entries in {{0,1}}, CLI round-trip, no floats; {t.elapsed:.2f}s)"
     )
+
+
+# A nine-ray fan and an ample D whose driver threshold is large
+LARGE_THRESHOLD_FAN = [
+    (1, 0), (4, 1), (3, 1), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (0, -1)
+]
+LARGE_THRESHOLD_D = (32, 137, 106, 76, 48, 32, 56, 32, 32)
+
+
+def test_acceptance_8_large_threshold_driver():
+    """The driver's counts at d0 = 184,261 take time in n, not in d0."""
+    with timed(1.0) as t:
+        report = toric_driver(
+            Fan(LARGE_THRESHOLD_FAN), Divisor(LARGE_THRESHOLD_D)
+        )
+        assert report.verdict == NOT_SEMISTABLE
+        assert report.certificate.d0 == 184261
+    print(f"ACCEPTANCE 8: PASS (d0 = 184261; {t.elapsed:.3f}s)")

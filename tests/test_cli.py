@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -303,6 +304,21 @@ class TestVerifyRoundTrip:
         assert main(["analyze", "--verify", str(report)]) == 1
         assert capsys.readouterr().out.startswith("MISMATCH")
 
+    def test_huge_stored_threshold_is_checked_quickly(self, tmp_path, capsys):
+        # the slopes at a stored d0 are compared from counts whose cost
+        # does not grow with d0
+        report = self.rank6_report(tmp_path)
+        data = json.loads(report.read_text())
+        data["certificate"]["d0"] = 10**9
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["analyze", "--verify", str(report), "--json"]) == 1
+        assert time.monotonic() - start < 1.0
+        result = json.loads(capsys.readouterr().out)
+        assert result["certificate_matches"] is False
+        assert result["certificate_slopes_check"] is True
+
     def test_wrong_length_shift_is_input_error(self, tmp_path):
         report = self.rank6_report(tmp_path)
         data = json.loads(report.read_text())
@@ -464,6 +480,15 @@ class TestSmallCommands:
         assert main([command, "--ell", "1", "--a", "1e5000", "--b", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_h0_too_large_to_print(self, p2_path, capsys, fmt):
+        # h0 = (d + 1)(d + 2)/2 has 4,400 digits for d = 10^2200
+        argv = ["h0", "--fan", p2_path, "--D", "1e2200,0,0"]
+        assert main(argv + fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result too large to print")
 
     def test_hirzebruch_not_ample(self, capsys):
         rc = main(["hirzebruch", "--ell", "2", "--a", "1", "--b", "3"])

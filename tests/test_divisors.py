@@ -1,5 +1,7 @@
 """Pairing, linear equivalence, positivity tests and the two section counts."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -16,6 +18,7 @@ from syzstab import (
     Polytope,
     ToricSurface,
     basis_divisor,
+    reduce_to_minimal,
     toric_driver,
 )
 from syzstab.files import divisor_to_jsonable
@@ -219,6 +222,65 @@ class TestConeCorners:
         report = toric_driver(X, driver_divisor("rank6", X))
         assert report.certificate.d0 == 60
         assert searches == []
+
+
+class TestPickCount:
+    """The Pick count over the cone corners against the row count of the
+    same half-planes, at multiples where the polygon is large."""
+
+    @staticmethod
+    def assert_counts_agree(X, D):
+        poly = X.polytope(D)
+        assert poly.lattice_point_count() == (
+            Polytope(poly.halfplanes).lattice_point_count()
+        ), D
+
+    def test_corpus_multiples(self, surfaces):
+        for name, X in surfaces.items():
+            for d in (1, 2, 10**2, 10**3, 10**4):
+                self.assert_counts_agree(X, d * ample_on(name, X))
+
+    def test_blowup_chain_multiples(self):
+        # the row count's pairwise vertex search is O(n^3) in Fractions,
+        # so multiples are taken on the 40 chains of at most 24 rays
+        for seed in range(120):
+            if 5 + seed % 60 > 24:
+                continue
+            fan, pulled, ample = blowup_chain_divisors(seed, 5 + seed % 60)
+            X = ToricSurface(fan)
+            for d in (1, 2, 10**2, 10**3):
+                self.assert_counts_agree(X, d * pulled)
+                if X.n <= 8:  # the ample one doubles at each blow-up
+                    self.assert_counts_agree(X, d * ample)
+
+
+class TestTupleMemory:
+    def test_repeated_passes_do_not_grow_traced_memory(self):
+        # a tuple built by tuple() from a generator or map is freed onto
+        # CPython's tuple free lists without being taken from them, so
+        # repeated work fills them: about 550 KB over these passes
+        chains = [blowup_chain_divisors(s, 5 + s % 16) for s in range(48)]
+
+        def one_pass():
+            for fan, _, ample in chains:
+                X = ToricSurface(fan)
+                reduce_to_minimal(fan)
+                for k in (1, 2, 3):
+                    X.is_nef(k * ample)
+                    if fan.n <= 8:
+                        X.h0(k * ample)
+
+        gc.collect()  # a full collection empties the free lists
+        tracemalloc.start()
+        try:
+            one_pass()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                one_pass()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
 
 
 class TestEulerCharacteristic:
