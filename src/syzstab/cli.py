@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import __version__
 from .divisors import AbstractSurface, Divisor, ToricSurface
-from .errors import EmptyGridError, InputError, InternalError, SyzstabError
+from .errors import EmptyGridError, InputError, InternalError
 from .fan import HIRZEBRUCH, Fan, reduce_to_minimal
 from .files import (
     divisor_from_jsonable,
@@ -541,9 +541,6 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SyzstabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

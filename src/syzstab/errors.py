@@ -107,8 +107,9 @@ class HypothesesViolatedError(InputError):
         self.diagnostics = tuple(diagnostics)
 
 
-class ConstructionFailedError(SyzstabError):
-    """No epsilon in the perturbation ladder produced a valid polarization."""
+class ConstructionFailedError(InputError):
+    """The surface and divisor admit no boundary-plus-epsilon polarization:
+    no negative generator, or no power-of-two epsilon on its interval."""
 
 
 class OutOfTheoremScopeError(InputError):

@@ -372,7 +372,7 @@ class Polarization:
     polarization_integral: Divisor  # same ray, primitive integral
     generator_index: int
     generator: Divisor
-    epsilon: Fraction
+    epsilon: Fraction  # largest power of two <= 1 keeping A ample, alpha < 0
     threshold: Fraction  # nef threshold t of D against E
     alpha: Fraction  # alpha for (D, S=E, A): negative by construction
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -384,9 +384,10 @@ def construct_polarization(
     """Build a polarization destabilizing the syzygy bundles of powers of D.
 
     Picks the negative generator E minimizing D.E (ties to the lowest
-    index), moves D to the nef boundary along E and perturbs back inside
-    by the largest epsilon in 1, 1/2, 1/4, ... that keeps the result
-    ample with alpha < 0, all verified exactly.
+    index) and moves D to the nef boundary D_t = D - t*E.  A = D_t + eps*E
+    pairs with each generator C affinely in eps, and so does alpha, so the
+    eps keeping A ample with alpha < 0 form an open interval; eps is its
+    largest power of two at most 1, in closed form, all exact.
 
     Requires Picard rank >= 3 (abstract surfaces must also pass
     ``check_hypotheses``).  ``allow_low_rank`` skips the rank gate for
@@ -422,33 +423,30 @@ def construct_polarization(
     e_idx = min(negatives, key=lambda i: (X.pair_generator(D, i), i))
     E = X.generator(e_idx)
     t = X.nef_threshold(D, E)
-    d_dot_e = X.pair_generator(D, e_idx)
-    if not allow_low_rank and t < d_dot_e:
-        raise InternalError(
-            f"nef threshold {t} fell below D.E = {d_dot_e}; the "
-            "generator hypotheses cannot all hold"
+    D_t = D - t * E
+    # A = D_t + eps*E is ample with alpha < 0 exactly when p + q*eps > 0 for
+    # every pair: (D_t.C, E.C) for each generator C, and the negated alphas
+    # of D_t and E, since alpha is linear in A
+    alpha_t = alpha_beta(X, D, E, D_t).alpha
+    alpha_e = alpha_beta(X, D, E, E).alpha
+    pairs = [
+        (X.pair_generator(D_t, i), X.pair_generator(E, i))
+        for i in X.effective_generators
+    ]
+    pairs.append((-alpha_t, -alpha_e))
+    h = min((Fraction(p, -q) for p, q in pairs if q < 0), default=Fraction(2))
+    if h > 0:
+        # the largest power of two below h, at most 1
+        eps = Fraction(1, 1 << (h.denominator // h.numerator).bit_length())
+    if h <= 0 or any(p + q * eps <= 0 for p, q in pairs):
+        raise ConstructionFailedError(
+            f"no epsilon 2^-k <= 1 makes D - (t - epsilon)*E ample with "
+            f"alpha < 0 for the generator E of index {e_idx}"
         )
-
-    eps = Fraction(1)
-    for _ in range(21):
-        A = D - (t - eps) * E
-        if X.is_ample(A):
-            alpha = alpha_beta(X, D, E, A).alpha
-            if alpha < 0:
-                return Polarization(
-                    A,
-                    A.scaled_primitive(),
-                    e_idx,
-                    E,
-                    eps,
-                    t,
-                    alpha,
-                    tuple(notes),
-                )
-        eps = eps / 2
-    raise ConstructionFailedError(
-        "no epsilon in 1, 1/2, ..., 2^-20 gives an ample polarization "
-        "with alpha < 0"
+    A = D_t + eps * E
+    alpha = alpha_t + eps * alpha_e
+    return Polarization(
+        A, A.scaled_primitive(), e_idx, E, eps, t, alpha, tuple(notes)
     )
 
 

@@ -29,6 +29,7 @@ from syzstab import (
     UNSTABLE_FOR_LARGE_D,
     alpha_beta,
     asymptotic_condition,
+    certificate_holds,
     d_threshold,
     find_destabilizer,
     hirzebruch_region,
@@ -39,7 +40,12 @@ from syzstab import (
 )
 from syzstab.cli import main
 
-from conftest import AMPLE_FOR_DRIVER, CORPUS_RAYS, ample_on
+from conftest import (
+    AMPLE_FOR_DRIVER,
+    CORPUS_RAYS,
+    ample_on,
+    blowup_chain_divisors,
+)
 
 
 def timed(bound_seconds):
@@ -328,3 +334,46 @@ def test_acceptance_8_large_threshold_driver():
         assert report.verdict == NOT_SEMISTABLE
         assert report.certificate.d0 == 184261
     print(f"ACCEPTANCE 8: PASS (d0 = 184261; {t.elapsed:.3f}s)")
+
+
+# An eleven-ray fan and an ample D whose admissible eps along the chosen
+# generator form the open interval (0, 2/2337453), below 2^-20
+NO_EPSILON_FAN = [
+    (1, 0), (1, 1), (1, 2), (0, 1), (-1, -1), (-2, -3), (-1, -2), (-1, -3),
+    (0, -1), (1, -1), (2, -1),
+]
+NO_EPSILON_D = (768, 1264, 1768, 512, 256, 1403, 1148, 2042, 896, 1600, 2336)
+
+
+def test_acceptance_9_tiny_epsilon_certificate(tmp_path, capsys):
+    """polarize, the driver and --verify on a fan whose eps is 2^-21."""
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps({"rays": [list(r) for r in NO_EPSILON_FAN]}))
+    source = ["--fan", str(fan_file), "--D", ",".join(map(str, NO_EPSILON_D))]
+    assert main(["polarize", *source, "--json"]) == 0
+    pol = json.loads(capsys.readouterr().out)
+    assert pol["epsilon"] == "1/2097152"
+    assert pol["generator_index"] == 5
+    report_file = tmp_path / "report.json"
+    with timed(1.0) as t:
+        rc = main(["analyze", *source, "--json", "--out", str(report_file)])
+    assert rc == 0
+    report = json.loads(report_file.read_text())
+    assert report["verdict"] == NOT_SEMISTABLE
+    assert report["certificate"]["d0"] == 5270062
+    assert main(["analyze", "--verify", str(report_file)]) == 0
+    print(f"ACCEPTANCE 9: PASS (eps = 2^-21, d0 = 5270062; {t.elapsed:.3f}s)")
+
+
+def test_acceptance_10_blowup_chain_certificates():
+    """The driver certifies every seeded blow-up chain of 5 to 64 rays."""
+    with timed(10.0) as t:
+        for seed in range(120):
+            fan, _, D = blowup_chain_divisors(seed, 5 + seed % 60)
+            X = ToricSurface(fan)
+            report = toric_driver(X, D)
+            c = report.certificate
+            assert certificate_holds(
+                X, D, report.verdict, c.polarization, c.shift, c.d0
+            ), seed
+    print(f"ACCEPTANCE 10: PASS (120 chains certified; {t.elapsed:.2f}s)")

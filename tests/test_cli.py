@@ -467,6 +467,19 @@ class TestPolarize:
         assert data["epsilon"] == "1"
         assert any("rank" in note for note in data["notes"])
 
+    @pytest.mark.parametrize(
+        "rays, D", [(P2_RAYS, "1,1,1"), (hirzebruch_rays(0), "1,1,1,1")]
+    )
+    def test_no_negative_curve_is_input_error(self, tmp_path, capsys, rays, D):
+        # the plane and the quadric have no curve to move D along, with or
+        # without the rank waiver: the input decides it, so exit 2
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rays": [list(r) for r in rays]}))
+        argv = ["polarize", "--fan", str(path), "--D", D]
+        assert main(argv) == 2
+        assert main(argv + ["--allow-low-rank"]) == 2
+        assert "no effective generator" in capsys.readouterr().err
+
 
 class TestSmallCommands:
     def test_hirzebruch_example(self, capsys):

@@ -1,6 +1,7 @@
 """Slopes, asymptotics, thresholds, destabilizer search and the drivers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from syzstab import (
     UNSTABLE_FOR_LARGE_D,
     AbstractSurface,
     Certificate,
+    ConstructionFailedError,
     DegenerateBundleError,
     Divisor,
     Fan,
@@ -26,6 +28,7 @@ from syzstab import (
     NotAmpleError,
     NotNefError,
     OutOfTheoremScopeError,
+    Polarization,
     PreconditionError,
     StabilityReport,
     ToricSurface,
@@ -43,7 +46,7 @@ from syzstab import (
     syzygy_slope,
     toric_driver,
 )
-from syzstab.stability import LOW_RANK_NOTE
+from syzstab.stability import LOW_RANK_NOTE, NEGATIVE_GENERATOR_NOTE
 
 from conftest import (
     AMPLE_FOR_DRIVER,
@@ -51,6 +54,7 @@ from conftest import (
     BL2P2_RAYS,
     DP6_RAYS,
     ample_on,
+    blowup_chain_divisors,
     driver_divisor,
     hirzebruch_rays,
 )
@@ -276,6 +280,91 @@ class TestConstructPolarization:
         assert pol.polarization == sf(f1, 1, 6)
         assert pol.alpha == -113  # -150 + 37 * eps at eps = 1
         assert LOW_RANK_NOTE in pol.notes
+
+
+def ladder_polarization(X, D):
+    """Reference for construct_polarization: the same generator E and nef
+    threshold t, then eps halved from 1 down to 2^-20 until D - (t - eps)E
+    is ample with alpha < 0.  None when no eps on the ladder works."""
+    e_idx = min(
+        X.negative_generator_indices(), key=lambda i: (X.pair_generator(D, i), i)
+    )
+    E = X.generator(e_idx)
+    t = X.nef_threshold(D, E)
+    notes = () if isinstance(X, AbstractSurface) else (NEGATIVE_GENERATOR_NOTE,)
+    eps = Fraction(1)
+    for _ in range(21):
+        A = D - (t - eps) * E
+        if X.is_ample(A):
+            alpha = alpha_beta(X, D, E, A).alpha
+            if alpha < 0:
+                return Polarization(
+                    A, A.scaled_primitive(), e_idx, E, eps, t, alpha, notes
+                )
+        eps = eps / 2
+    return None
+
+
+def admissible(X, D, pol, eps):
+    """Whether D - (t - eps)E is ample with alpha < 0."""
+    A = D - (pol.threshold - eps) * pol.generator
+    return X.is_ample(A) and alpha_beta(X, D, pol.generator, A).alpha < 0
+
+
+class TestPolarizationAgainstLadder:
+    """The closed-form eps against the halving ladder it replaced."""
+
+    def compare(self, X, D):
+        """"ladder" where the closed form returns the ladder's polarization,
+        "below cut-off" where only the closed form finds an eps, and
+        "none" where neither does."""
+        expected = ladder_polarization(X, D)
+        try:
+            pol = construct_polarization(X, D)
+        except ConstructionFailedError:
+            assert expected is None, D
+            return "none"
+        if expected is not None:
+            assert pol == expected, D
+            return "ladder"
+        # past the ladder's last rung: eps is admissible and 2 eps is not
+        assert pol.epsilon < Fraction(1, 2**20), D
+        assert X.is_ample(pol.polarization) and pol.alpha < 0, D
+        assert alpha_beta(X, D, pol.generator, pol.polarization).alpha == pol.alpha
+        assert admissible(X, D, pol, pol.epsilon), D
+        assert not admissible(X, D, pol, 2 * pol.epsilon), D
+        return "below cut-off"
+
+    def compare_ample(self, X, top):
+        """Outcomes over every ample D with coefficients 1..top."""
+        return [
+            self.compare(X, D)
+            for D in map(Divisor, product(range(1, top + 1), repeat=X.n))
+            if X.is_ample(D)
+        ]
+
+    @pytest.mark.parametrize("name", ["bl2p2", "dp6", "rank5", "rank6"])
+    def test_small_ample_divisors(self, surfaces, name):
+        outcomes = self.compare_ample(surfaces[name], 3)
+        assert outcomes and set(outcomes) == {"ladder"}
+
+    def test_abstract_surfaces(self):
+        X = AbstractSurface(**BL2P2_ABSTRACT)
+        assert set(self.compare_ample(X, 6)) == {"ladder"}
+        # a rational self-intersection, where some D admit no eps at all
+        half = [[Fraction(-1, 2), 0, 1], [0, -1, 1], [1, 1, -1]]
+        X = AbstractSurface(**{**BL2P2_ABSTRACT, "pairing": half})
+        assert set(self.compare_ample(X, 6)) == {"ladder", "none"}
+
+    def test_blowup_chains(self):
+        below_cutoff = []
+        for seed in range(120):
+            fan, _, D = blowup_chain_divisors(seed, 5 + seed % 60)
+            outcome = self.compare(ToricSurface(fan), D)
+            if outcome != "ladder":
+                assert outcome == "below cut-off", seed
+                below_cutoff.append(seed)
+        assert below_cutoff == [20, 42, 69, 107]
 
 
 class TestToricDriver:
