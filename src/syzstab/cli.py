@@ -15,7 +15,8 @@ polarize     boundary polarization construction on rank >= 3 surfaces
 hirzebruch   region test for a tuple (ell, a, b)
 h0           exact section count of a divisor on a toric surface
 classify     surface type of a fan, optionally with a blow-down reduction
-sweep        grid sweep of the Hirzebruch region, CSV or JSON rows
+sweep        grid sweep of the Hirzebruch region, CSV or JSON rows, of
+             at most MAX_GRID_POINTS points
 
 Toric divisors are entered as comma-separated integer coefficients in fan
 ray order.  On Hirzebruch fans ``--sf`` accepts section/fiber class
@@ -61,6 +62,11 @@ from .stability import (
     d_threshold,
     hirzebruch_region,
 )
+
+# Largest sweep grid, counted before any row is built: every point is
+# walked and every row kept (--a 9/8:6 --b 9/8:5 --step 1/32 over three
+# ells is 58,875 points).
+MAX_GRID_POINTS = 10**6
 
 
 def _surface_from_args(args):
@@ -388,6 +394,14 @@ def _cmd_sweep(args) -> int:
     step = parse_rational(args.step)
     if step <= 0:
         raise InputError("--step must be positive")
+    points = (
+        len(ells) * ((a_hi - a_lo) // step + 1) * ((b_hi - b_lo) // step + 1)
+    )
+    if points > MAX_GRID_POINTS:
+        raise InputError(
+            f"the grid has more than {MAX_GRID_POINTS} points; "
+            "use a coarser --step or narrower ranges"
+        )
 
     rows = []
     for ell in ells:

@@ -1,11 +1,17 @@
 """Divisors, intersection pairing and section counts on surface models.
 
 Two surface models share the intersection theory of one base class,
-:class:`SurfaceModel`.  :class:`ToricSurface` is built from a
+:class:`SurfaceModel`, written over one vector per divisor:
+``intersections(D)``, the list of D.C_i over the basis curves, checked
+once for D's length.  A toric surface forms it from the wall relation in
+O(n), an abstract one as a matrix-vector product; the pairing, nefness,
+Riemann-Roch and nef thresholds then read it instead of pairing D with
+each curve anew.  :class:`ToricSurface` is built from a
 :class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
 count in the section polygon: for nef D by Pick's theorem over the
 integral corners of the fan's cones, in O(n), and for any other D row by
-row, in time linear in the polygon's height.  The Euler characteristic
+row, in time linear in the polygon's height, after an O(n^3) integer
+search for the polygon's vertices.  The Euler characteristic
 from Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
 a canonical class and a declared list of effective-cone generators; there
@@ -151,8 +157,9 @@ class Polytope:
     the region is always bounded.  A nef divisor's polygon is given its
     integer cone corners in fan order, repeats kept, which walk the
     boundary once, and is counted by Pick's theorem in O(n).  Any other
-    polygon finds its vertices by exact pairwise line intersection and is
-    counted one integral row at a time with integer floor/ceil arithmetic.
+    polygon finds its vertices by exact pairwise line intersection, tested
+    against every half-plane in integers, and is counted one integral row
+    at a time with integer floor/ceil arithmetic.
     """
 
     __slots__ = ("halfplanes", "_vertices", "_searched")
@@ -189,10 +196,15 @@ class Polytope:
                 d = ai * bj - bi * aj
                 if d == 0:
                     continue
-                x = Fraction(ci * bj - bi * cj, d)
-                y = Fraction(ai * cj - ci * aj, d)
-                if self.contains(x, y):
-                    found.add((x, y))
+                # the crossing is (px/d, py/d); with d > 0 each half-plane
+                # test scales to integers, and only kept points become
+                # Fractions
+                px = ci * bj - bi * cj
+                py = ai * cj - ci * aj
+                if d < 0:
+                    d, px, py = -d, -px, -py
+                if all(ux * px + uy * py >= rhs * d for ux, uy, rhs in hps):
+                    found.add((Fraction(px, d), Fraction(py, d)))
         verts = tuple(sorted(found))
         object.__setattr__(self, "_searched", verts)
         return verts
@@ -264,8 +276,9 @@ class Polytope:
 class SurfaceModel:
     """The pairing, nefness, ampleness, Riemann-Roch and nef thresholds,
     written once over what each subclass provides: ``n``, ``canonical``,
-    ``effective_generators``, ``h0`` and ``pair_generator(D, i)``, the
-    intersection number of D with the i-th basis curve.
+    ``effective_generators``, ``h0``, ``negative_generator_indices`` and
+    ``intersections(D)``, the list of intersection numbers of D with the
+    basis curves, computed once per divisor after one length check.
     """
 
     __slots__ = ()
@@ -282,32 +295,30 @@ class SurfaceModel:
                 f"divisor has {len(D)} coefficients, surface has {self.n} curves"
             )
 
+    def pair_with(self, v: Sequence[Rat], D: Divisor) -> int | Fraction:
+        """D paired with the class whose ``intersections`` are v, as an
+        int | Fraction (int if integral)."""
+        self._check(D)
+        return sum(b * x for b, x in zip(D.coeffs, v) if b)
+
     def pair(self, D1: Divisor, D2: Divisor) -> int | Fraction:
         """Bilinear intersection product, int | Fraction (int if integral)."""
-        self._check(D1)
-        self._check(D2)
-        return sum(
-            b * self.pair_generator(D1, i)
-            for i, b in enumerate(D2.coeffs)
-            if b
-        )
+        return self.pair_with(self.intersections(D1), D2)
 
     def is_nef(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) >= 0 for i in self.effective_generators
-        )
+        v = self.intersections(D)
+        return all(v[i] >= 0 for i in self.effective_generators)
 
     def is_ample(self, D: Divisor) -> bool:
-        return all(
-            self.pair_generator(D, i) > 0 for i in self.effective_generators
-        )
+        v = self.intersections(D)
+        return all(v[i] > 0 for i in self.effective_generators)
 
     def chi(self, D: Divisor) -> int | Fraction:
         """Euler characteristic 1 + (D.D - D.K)/2 from Riemann-Roch, as an
         int | Fraction (an int when integral)."""
-        return _exact(
-            1 + Fraction(self.pair(D, D) - self.pair(D, self.canonical), 2)
-        )
+        v = self.intersections(D)
+        DD, DK = self.pair_with(v, D), self.pair_with(v, self.canonical)
+        return _exact(1 + Fraction(DD - DK, 2))
 
     def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
         """Largest t with D - t*E nef, for nef D.
@@ -316,30 +327,20 @@ class SurfaceModel:
         generators C with E.C > 0.  On a complete surface at least one
         such generator exists whenever E is a prime curve.
         """
-        if not self.is_nef(D):
+        gens = self.effective_generators
+        dv = self.intersections(D)
+        if any(dv[i] < 0 for i in gens):
             raise NotNefError("nef threshold needs a nef divisor")
-        self._check(E)
-        best = None
-        for i in self.effective_generators:
-            ec = self.pair_generator(E, i)
-            if ec > 0:
-                t = Fraction(self.pair_generator(D, i), ec)
-                if best is None or t < best:
-                    best = t
+        ev = self.intersections(E)
+        best = min(
+            [Fraction(dv[i], ev[i]) for i in gens if ev[i] > 0], default=None
+        )
         if best is None:
             raise InternalError(
                 "nef threshold unbounded: E meets no effective generator "
                 "positively (impossible for an effective E with E^2 < 0)"
             )
         return best
-
-    def negative_generator_indices(self) -> tuple[int, ...]:
-        """Effective generators of negative self-intersection."""
-        return tuple([
-            i
-            for i in self.effective_generators
-            if self.pair_generator(self.generator(i), i) < 0
-        ])
 
 
 class ToricSurface(SurfaceModel):
@@ -363,16 +364,24 @@ class ToricSurface(SurfaceModel):
     def picard_rank(self) -> int:
         return self.n - 2
 
-    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
-        """Intersection number of D with the i-th prime curve, three
-        terms by the wall relation: int | Fraction, an int for integral D."""
+    def intersections(self, D: Divisor) -> list[int | Fraction]:
+        """D.C_i for every prime curve C_i, by the wall relation
+        a_{i-1} + a_{i+1} - c_i * a_i over shifted coefficient tuples:
+        ints and Fractions, ints for integral D."""
         self._check(D)
         a = D.coeffs
-        return (
-            a[(i - 1) % self.n]
-            + a[(i + 1) % self.n]
-            - self.walls[i] * a[i]
-        )
+        return [
+            p + q - c * x
+            for p, q, c, x in zip(a[-1:] + a[:-1], a[1:] + a[:1], self.walls, a)
+        ]
+
+    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
+        """Intersection number of D with the i-th prime curve."""
+        return self.intersections(D)[i]
+
+    def negative_generator_indices(self) -> tuple[int, ...]:
+        """Prime curves of negative self-intersection -c_i."""
+        return tuple([i for i, c in enumerate(self.walls) if c > 0])
 
     def polytope(self, D: Divisor) -> Polytope:
         """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor.
@@ -554,11 +563,20 @@ class AbstractSurface(SurfaceModel):
             )
         return self._rank
 
-    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
+    def intersections(self, D: Divisor) -> list[int | Fraction]:
+        """D.C_i for every declared curve C_i: the pairing matrix times D."""
         self._check(D)
-        return sum(
-            a * self.matrix[i][j] for j, a in enumerate(D.coeffs) if a
-        )
+        a = D.coeffs
+        return [sum(x * m for x, m in zip(a, row) if x) for row in self.matrix]
+
+    def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
+        return self.intersections(D)[i]
+
+    def negative_generator_indices(self) -> tuple[int, ...]:
+        """Effective generators of negative self-intersection."""
+        return tuple([
+            i for i in self.effective_generators if self.matrix[i][i] < 0
+        ])
 
     def h0(self, D: Divisor) -> int:
         """Euler characteristic standing in for h0 (vanishing assumed)."""

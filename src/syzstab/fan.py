@@ -17,6 +17,8 @@ using quadrant plus cross-product comparisons, so no floating point enters
 anywhere.  Validation errors report indices into the *original* input
 order.  Fans are immutable after construction and all methods are pure,
 so instances can be shared freely between threads.
+:func:`reduce_to_minimal` blows down to the plane or a Hirzebruch
+surface in one O(n) pass.
 """
 
 from __future__ import annotations
@@ -231,19 +233,45 @@ def reduce_to_minimal(fan: Fan) -> tuple[Fan, list[Vec]]:
     """Blow down (-1)-rays until 3 or 4 rays remain.
 
     Returns the reduced fan together with the list of removed ray vectors
-    in the order of removal.  Every smooth complete fan reduces this way
-    to the fan of the plane or of a Hirzebruch surface.
+    in the order of removal; each step removes the first ray, in the
+    current order, with wall coefficient 1.  Every smooth complete fan
+    reduces this way to the fan of the plane or of a Hirzebruch surface.
+
+    A removal lowers only its two neighbours' wall coefficients, each by
+    1.  So the rays sit in a linked list, the scan resumes at the left
+    neighbour (at the first ray when the first or the last one was
+    removed), and one Fan is built at the end: O(n) in all.
     """
+    rays = fan.rays
+    n = len(rays)
+    if n <= 4:
+        return fan, []
+    walls = list(fan.wall_coefficients())
+    # next and previous live ray; n and -1 mark the two ends
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    first, last = 0, n - 1
     removed: list[Vec] = []
-    current = fan
-    while current.n > 4:
-        c = current.wall_coefficients()
-        try:
-            i = c.index(1)
-        except ValueError:
+    i = 0
+    for _ in range(n - 4):
+        while i != n and walls[i] != 1:
+            i = nxt[i]
+        if i == n:
             raise InternalError(
                 "no (-1)-ray found on a fan with more than 4 rays"
-            ) from None
-        removed.append(current.rays[i])
-        current = current.blow_down(i)
-    return current, removed
+            )
+        removed.append(rays[i])
+        p, q = prv[i], nxt[i]
+        walls[last if p < 0 else p] -= 1
+        walls[first if q == n else q] -= 1
+        if p < 0:
+            first = q
+        else:
+            nxt[p] = q
+        if q == n:
+            last = p
+        else:
+            prv[q] = p
+        i = first if p < 0 or q == n else p
+    gone = set(removed)
+    return Fan([r for r in rays if r not in gone]), removed

@@ -154,12 +154,15 @@ def alpha_beta(
 ) -> AlphaBeta:
     """Degree-2 and degree-1 coefficients of q(d), exact rationals."""
     K = X.canonical
-    DA = X.pair(D, A)
-    DS = X.pair(D, S)
-    SA = X.pair(S, A)
-    D2 = X.pair(D, D)
+    dv = X.intersections(D)
+    sv = X.intersections(S)
+    DA = X.pair_with(dv, A)
+    DS = X.pair_with(dv, S)
+    SA = X.pair_with(sv, A)
+    D2 = X.pair_with(dv, D)
+    DK = X.pair_with(dv, K)
     alpha = 2 * DA * DS - SA * D2
-    beta = -DA * (X.pair(S, S) + X.pair(S, K)) + SA * X.pair(D, K)
+    beta = -DA * (X.pair_with(sv, S) + X.pair_with(sv, K)) + SA * DK
     return AlphaBeta(Fraction(alpha), Fraction(beta))
 
 
@@ -216,12 +219,12 @@ class Threshold:
 
 def _first_nef_multiple(X: SurfaceModel, D: Divisor, S: Divisor) -> int:
     """Smallest d >= 1 with d*D - S nef, for ample D."""
+    dv = X.intersections(D)
+    sv = X.intersections(S)
     d = 1
     for i in X.effective_generators:
-        dc = X.pair_generator(D, i)
-        sc = X.pair_generator(S, i)
         # need d >= (S.C)/(D.C) against every generator C
-        d = max(d, math.ceil(Fraction(sc, dc)))
+        d = max(d, math.ceil(Fraction(sv[i], dv[i])))
     return d
 
 
@@ -420,7 +423,8 @@ def construct_polarization(
         raise ConstructionFailedError(
             "no effective generator of negative self-intersection"
         )
-    e_idx = min(negatives, key=lambda i: (X.pair_generator(D, i), i))
+    dv = X.intersections(D)
+    e_idx = min(negatives, key=lambda i: (dv[i], i))
     E = X.generator(e_idx)
     t = X.nef_threshold(D, E)
     D_t = D - t * E
@@ -429,10 +433,9 @@ def construct_polarization(
     # of D_t and E, since alpha is linear in A
     alpha_t = alpha_beta(X, D, E, D_t).alpha
     alpha_e = alpha_beta(X, D, E, E).alpha
-    pairs = [
-        (X.pair_generator(D_t, i), X.pair_generator(E, i))
-        for i in X.effective_generators
-    ]
+    dtv = X.intersections(D_t)
+    ev = X.intersections(E)
+    pairs = [(dtv[i], ev[i]) for i in X.effective_generators]
     pairs.append((-alpha_t, -alpha_e))
     h = min((Fraction(p, -q) for p, q in pairs if q < 0), default=Fraction(2))
     if h > 0:

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from syzstab import Divisor, Fan, ToricSurface
+from syzstab.fan import det
 
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 BL2P2_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
@@ -41,11 +42,30 @@ CORPUS_RAYS = {
 }
 
 
+def _blowup_sites(seed, size):
+    """The starting fan of ``blowup_chain(seed, size)`` and, for each
+    blow-up in turn, the index i of the cone (i, i + 1) it subdivides."""
+    rng = random.Random(seed)
+    start = P2_RAYS if seed % 4 == 0 else hirzebruch_rays(rng.randrange(5))
+    X0 = ToricSurface(Fan(start))
+    return X0, [rng.randrange(n) for n in range(X0.n, size)]
+
+
+def _blow_up(rays, i):
+    """Insert the sum of rays i and i + 1 between them."""
+    u, v = rays[i], rays[(i + 1) % len(rays)]
+    rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+
+
 def blowup_chain(seed, size):
     """A smooth complete fan of ``size`` rays: P2 or a Hirzebruch fan,
     blown up at seeded random cones (each new ray is the sum of its two
     neighbours)."""
-    return blowup_chain_divisors(seed, size)[0]
+    X0, sites = _blowup_sites(seed, size)
+    rays = list(X0.fan.rays)
+    for i in sites:
+        _blow_up(rays, i)
+    return Fan(rays)
 
 
 def blowup_chain_divisors(seed, size):
@@ -55,25 +75,54 @@ def blowup_chain_divisors(seed, size):
     a zero-length edge for every exceptional curve.  The ample one is
     doubled at each blow-up and gives the new ray 2(a_i + a_{i+1}) - 1.
     Returns (fan, pullback, ample)."""
-    rng = random.Random(seed)
-    start = P2_RAYS if seed % 4 == 0 else hirzebruch_rays(rng.randrange(5))
-    X0 = ToricSurface(Fan(start))
+    X0, sites = _blowup_sites(seed, size)
     rays = list(X0.fan.rays)
     pulled = next(
         list(c) for c in product(range(1, 7), repeat=X0.n)
         if X0.is_ample(Divisor(c))
     )
     ample = list(pulled)
-    while len(rays) < size:
-        i = rng.randrange(len(rays))
+    for i in sites:
         j = (i + 1) % len(rays)
-        u, v = rays[i], rays[j]
-        rays.insert(i + 1, (u[0] + v[0], u[1] + v[1]))
+        _blow_up(rays, i)
         pulled.insert(i + 1, pulled[i] + pulled[j])
         new = 2 * (ample[i] + ample[j]) - 1
         ample = [2 * a for a in ample]
         ample.insert(i + 1, new)
     return Fan(rays), Divisor(pulled), Divisor(ample)
+
+
+def reduce_by_rebuild(fan):
+    """Reference for ``reduce_to_minimal``: blow down the first ray of wall
+    coefficient 1 by building and validating a whole new fan, until 3 or 4
+    rays remain.  Returns (fan, removed rays, number of removals of the
+    first or the last ray)."""
+    removed = []
+    wraps = 0
+    current = fan
+    while current.n > 4:
+        i = current.wall_coefficients().index(1)
+        removed.append(current.rays[i])
+        wraps += i in (0, current.n - 1)
+        current = current.blow_down(i)
+    return current, removed, wraps
+
+
+def reduce_by_deletion(fan):
+    """The same removal order from plain lists, fast enough for 10^4 rays:
+    delete the first ray of wall coefficient 1 and recompute its two
+    neighbours' coefficients from the rays.  Returns (rays, removed)."""
+    rays = list(fan.rays)
+    walls = list(fan.wall_coefficients())
+    removed = []
+    while len(rays) > 4:
+        i = walls.index(1)
+        removed.append(rays.pop(i))
+        del walls[i]
+        n = len(rays)
+        for j in (i - 1, i % n):
+            walls[j] = det(rays[j - 1], rays[(j + 1) % n])
+    return rays, removed
 
 
 # One fixed ample divisor per fan of Picard rank >= 3: the anticanonical

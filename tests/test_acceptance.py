@@ -44,7 +44,9 @@ from conftest import (
     AMPLE_FOR_DRIVER,
     CORPUS_RAYS,
     ample_on,
+    blowup_chain,
     blowup_chain_divisors,
+    reduce_by_deletion,
 )
 
 
@@ -377,3 +379,31 @@ def test_acceptance_10_blowup_chain_certificates():
                 X, D, report.verdict, c.polarization, c.shift, c.d0
             ), seed
     print(f"ACCEPTANCE 10: PASS (120 chains certified; {t.elapsed:.2f}s)")
+
+
+def test_acceptance_11_reduction_of_10000_rays(tmp_path, capsys):
+    """classify --reduction on a 10,000-ray chain, in time linear in n."""
+    fan = blowup_chain(1, 10_000)
+    rays, removed = reduce_by_deletion(fan)
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps({"rays": [list(r) for r in fan.rays]}))
+    with timed(1.0) as t:
+        rc = main(["classify", "--fan", str(fan_file), "--reduction", "--json"])
+    assert rc == 0
+    reduction = json.loads(capsys.readouterr().out)["reduction"]
+    assert reduction["blown_down_rays"] == [list(r) for r in removed]
+    assert reduction["minimal_type"] == str(Fan(rays).surface_type())
+    print(f"ACCEPTANCE 11: PASS (9,996 blow-downs; {t.elapsed:.3f}s)")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_acceptance_12_sweep_grid_bound(fmt, capsys):
+    """A sweep of about 10^19 points per ell exits 2 before any row."""
+    argv = ["sweep", "--ell", "1,2,3", "--a", "9/8:6", "--b", "9/8:5"]
+    with timed(1.0) as t:
+        rc = main(argv + ["--step", "1/1000000000"] + fmt)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the grid has more than")
+    print(f"ACCEPTANCE 12: PASS (exit 2; {t.elapsed:.4f}s)")

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from syzstab import Polytope
+from syzstab import Polytope, cli
 from syzstab.cli import main
 
 from conftest import (
@@ -587,6 +587,17 @@ class TestSweep:
     def test_empty_grid(self, capsys):
         rc = main(["sweep", "--ell", "3", "--a", "1:2", "--b", "1:2"])
         assert rc == 2
+
+    def test_grid_bound_counts_every_point(self, monkeypatch, capsys):
+        # 2 ells times 3 values of a times 3 of b, points below ell included
+        argv = ["sweep", "--ell", "1,2", "--a", "1:2", "--b", "2:3"]
+        argv += ["--step", "1/2"]
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 18)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 17)
+        assert main(argv) == 2
+        assert "more than 17 points" in capsys.readouterr().err
 
     def test_degenerate_range(self, capsys):
         rc = main(["sweep", "--ell", "1", "--a", "3:3", "--b", "3/2:2"])

@@ -22,6 +22,7 @@ from syzstab import (
     toric_driver,
 )
 from syzstab.files import divisor_to_jsonable
+from syzstab.stability import alpha_beta
 
 from conftest import (
     BL2P2_ABSTRACT,
@@ -70,6 +71,92 @@ class TestPairing:
         for ell in range(5):
             X = surfaces[f"f{ell}"]
             assert X.pair(X.canonical, X.canonical) == 8
+
+
+def generator_formula(X, D, i):
+    """D.C_i one curve at a time: the wall relation's three terms on a toric
+    surface, row i of the pairing matrix on an abstract one."""
+    a = D.coeffs
+    if isinstance(X, ToricSurface):
+        c = X.fan.wall_coefficients()
+        return a[i - 1] + a[(i + 1) % X.n] - c[i] * a[i]
+    return sum(a[j] * X.matrix[i][j] for j in range(X.n) if a[j])
+
+
+def abstract_surfaces():
+    half = [[Fraction(-1, 2), 0, 1], [0, -1, 1], [1, 1, -1]]
+    return [
+        AbstractSurface(
+            data["labels"],
+            data["pairing"],
+            data["canonical"],
+            data["effective_generators"],
+        )
+        for data in (BL2P2_ABSTRACT, {**BL2P2_ABSTRACT, "pairing": half})
+    ]
+
+
+class TestIntersections:
+    """One intersection vector per divisor against the per-curve formulas."""
+
+    @staticmethod
+    def assert_matches(X, D):
+        v = X.intersections(D)
+        expected = [generator_formula(X, D, i) for i in range(X.n)]
+        assert v == expected, D
+        assert list(map(type, v)) == list(map(type, expected)), D
+
+    def test_corpus(self, surfaces):
+        for name, X in surfaces.items():
+            n = X.n
+            divisors = [ample_on(name, X), X.canonical]
+            divisors += [X.generator(i) for i in range(n)]
+            divisors += [
+                Divisor(range(-2, n - 2)),
+                Divisor([Fraction(1, 3)] + [Fraction(5, 2)] * (n - 1)),
+            ]
+            for D in divisors:
+                self.assert_matches(X, D)
+
+    def test_blowup_chains(self):
+        for seed in range(120):
+            fan, pulled, ample = blowup_chain_divisors(seed, 5 + seed % 60)
+            X = ToricSurface(fan)
+            for D in (pulled, ample, ample - 3 * pulled, Fraction(1, 7) * ample):
+                self.assert_matches(X, D)
+
+    def test_abstract_surfaces(self):
+        for X in abstract_surfaces():
+            for coeffs in product((0, 1, -2, Fraction(3, 2)), repeat=X.n):
+                self.assert_matches(X, Divisor(coeffs))
+
+    def test_wrong_length_raises_everywhere(self, surfaces):
+        for X in [surfaces["p2"], surfaces["f1"], *abstract_surfaces()]:
+            D = X.canonical
+            wrong = Divisor([1] * (X.n + 1))
+            calls = [
+                lambda: X.intersections(wrong),
+                lambda: X.pair_generator(wrong, 0),
+                lambda: X.pair(wrong, D),
+                lambda: X.pair(D, wrong),
+                lambda: X.pair_with(X.intersections(D), wrong),
+                lambda: X.is_nef(wrong),
+                lambda: X.is_ample(wrong),
+                lambda: X.chi(wrong),
+                lambda: X.nef_threshold(wrong, X.generator(0)),
+                lambda: X.nef_threshold(-1 * D, wrong),
+                lambda: X.h0(wrong),
+                lambda: alpha_beta(X, -1 * D, X.generator(0), wrong),
+            ]
+            if isinstance(X, ToricSurface):
+                calls += [
+                    lambda: X.polytope(wrong),
+                    lambda: X.is_effective(wrong),
+                    lambda: X.linearly_equivalent(D, wrong),
+                ]
+            for call in calls:
+                with pytest.raises(DimensionMismatchError):
+                    call()
 
 
 class TestLinearEquivalence:

@@ -19,6 +19,8 @@ from conftest import (
     P2_RAYS,
     blowup_chain,
     hirzebruch_rays,
+    reduce_by_deletion,
+    reduce_by_rebuild,
 )
 
 
@@ -193,3 +195,42 @@ class TestBlowDown:
             assert reduced.n in (3, 4)
             assert reduced.surface_type().kind in ("ProjectivePlane", "Hirzebruch")
             assert len(removed) == len(rays) - reduced.n
+
+
+class TestLinearReduction:
+    """The one-pass reduction against the rebuild-per-blow-down loop."""
+
+    @staticmethod
+    def fans():
+        fans = [Fan(rays) for rays in CORPUS_RAYS.values()]
+        return fans + [blowup_chain(seed, 5 + seed % 60) for seed in range(120)]
+
+    def test_matches_rebuild(self):
+        wraps = 0
+        for fan in self.fans():
+            reduced, removed = reduce_to_minimal(fan)
+            oracle, oracle_removed, wrapped = reduce_by_rebuild(fan)
+            assert (reduced, removed) == (oracle, oracle_removed), fan
+            wraps += wrapped
+        # removals of the first or the last ray, where the scan restarts at
+        # the first ray instead of the left neighbour
+        assert wraps > 0
+
+    def test_deletion_reference_matches_rebuild(self):
+        for fan in self.fans():
+            rays, removed = reduce_by_deletion(fan)
+            oracle, oracle_removed, _ = reduce_by_rebuild(fan)
+            assert (rays, removed) == (list(oracle.rays), oracle_removed)
+
+    def test_builds_one_fan(self, monkeypatch):
+        fan = blowup_chain(7, 64)
+        built = []
+        init = Fan.__init__
+
+        def counted(self, rays):
+            built.append(len(rays))
+            init(self, rays)
+
+        monkeypatch.setattr(Fan, "__init__", counted)
+        reduced, removed = reduce_to_minimal(fan)
+        assert built == [reduced.n] and len(removed) == 64 - reduced.n
