@@ -310,7 +310,10 @@ class SurfaceModel:
         return all(v[i] >= 0 for i in self.effective_generators)
 
     def is_ample(self, D: Divisor) -> bool:
-        v = self.intersections(D)
+        return self.is_ample_vector(self.intersections(D))
+
+    def is_ample_vector(self, v: Sequence[Rat]) -> bool:
+        """Whether the class whose ``intersections`` are v is ample."""
         return all(v[i] > 0 for i in self.effective_generators)
 
     def chi(self, D: Divisor) -> int | Fraction:

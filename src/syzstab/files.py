@@ -16,6 +16,7 @@ positive denominators, never as decimals.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .divisors import AbstractSurface, Divisor, SurfaceModel, ToricSurface
@@ -23,13 +24,31 @@ from .errors import InputError
 from .fan import Fan
 
 
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent beyond ``sys.get_int_max_str_digits()``
+    in magnitude, from its digits alone: Fraction would first build
+    10**|exponent|, which takes seconds at 10**7 and longer at 10**8."""
+    _, marker, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if marker and digits.isdecimal() and (
+        len(digits) > len(str(limit)) or int(digits) > limit
+    ):
+        raise InputError(
+            f"exponent of {text[:40]!r} exceeds {limit} in magnitude"
+        )
+
+
 def parse_rational(value) -> Fraction:
-    """Accept ints and exact strings ('3', 'p/q', '1.5'); never floats."""
+    """Accept ints and exact strings ('3', 'p/q', '1.5', '2e3'); never
+    floats.  A decimal exponent may be at most
+    ``sys.get_int_max_str_digits()`` in magnitude."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_exponent(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

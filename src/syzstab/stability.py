@@ -19,6 +19,14 @@ reads d0 off the root of q and confirms it with exact lattice-count
 slopes at d0 and at d0 - 1, and those verified slopes are the ones the
 certificate reports.
 
+Every number above is bilinear in intersection numbers, so an analysis
+forms the intersection vector v(.) of D, A and K once, and of each basis
+curve C_i on first use, and reads each candidate S = C_i (+ C_j) off them:
+S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), S^2 sums
+entries of the curves' vectors, and v(d*D - S) = v(d*D) - v(C_i) (- v(C_j))
+decides nefness.  A candidate of :func:`scan_candidates` costs a few
+additions, one of :func:`find_destabilizer` one lattice count.
+
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
 call concurrently, including grid sweeps over parameter tuples.
@@ -29,12 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Optional
 
 from .divisors import (
     AbstractSurface,
     Divisor,
+    Rat,
     SurfaceModel,
     ToricSurface,
 )
@@ -84,9 +94,27 @@ LOW_RANK_NOTE = (
 # largest denominator of the Hirzebruch driver's polarization slope
 _MAX_DENOMINATOR = 8
 
-def _require_ample(X: SurfaceModel, D: Divisor, what: str) -> None:
-    if not X.is_ample(D):
+def _require_ample(X: SurfaceModel, D: Divisor, what: str) -> list[Rat]:
+    """D's intersection vector, once it shows that D is ample."""
+    v = X.intersections(D)
+    if not X.is_ample_vector(v):
         raise NotAmpleError(f"{what} is not ample")
+    return v
+
+
+def _require_effective(X: SurfaceModel, S: Divisor) -> None:
+    if isinstance(X, ToricSurface) and not X.is_effective(S):
+        raise NotEffectiveError("candidate S is not effective")
+
+
+def _slope(X: SurfaceModel, D: Divisor, DA: Rat) -> Fraction:
+    """-(D.A)/(h0(D) - 1) from D.A, counting h0(D) once."""
+    h = X.h0(D)
+    if h <= 1:
+        raise DegenerateBundleError(
+            f"h0 = {h} <= 1: no syzygy bundle slope"
+        )
+    return Fraction(-DA, h - 1)
 
 
 def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
@@ -99,21 +127,16 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
     _require_ample(X, A, "polarization")
     if not X.is_nef(D):
         raise NotNefError("divisor defining the bundle is not nef")
-    h = X.h0(D)
-    if h <= 1:
-        raise DegenerateBundleError(
-            f"h0 = {h} <= 1: no syzygy bundle slope"
-        )
-    return Fraction(-X.pair(D, A), h - 1)
+    return _slope(X, D, X.pair(D, A))
 
 
 def _slopes(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, d: int
 ) -> tuple[Fraction, Fraction]:
-    """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D)."""
+    """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D), each
+    from its own checks and pairing."""
     ambient = d * D
-    if isinstance(X, ToricSurface) and not X.is_effective(S):
-        raise NotEffectiveError("candidate S is not effective")
+    _require_effective(X, S)
     mu_ambient = syzygy_slope(X, ambient, A)
     return syzygy_slope(X, ambient - S, A), mu_ambient
 
@@ -149,21 +172,31 @@ class AlphaBeta:
         return self.alpha * d * d + self.beta * d
 
 
+def _alpha_beta(
+    DA: Rat, D2: Rat, DK: Rat, SD: Rat, SA: Rat, SK: Rat, S2: Rat
+) -> AlphaBeta:
+    """alpha and beta from the seven intersection numbers they are made of."""
+    alpha = 2 * DA * SD - SA * D2
+    beta = -DA * (S2 + SK) + SA * DK
+    return AlphaBeta(Fraction(alpha), Fraction(beta))
+
+
+def _coefficients(
+    X: SurfaceModel, dv: list[Rat], D: Divisor, S: Divisor, A: Divisor
+) -> tuple[AlphaBeta, list[Rat], Rat, Rat]:
+    """alpha and beta from v(D), with v(S), D.A and S.A on the way."""
+    K, p = X.canonical, X.pair_with
+    sv = X.intersections(S)
+    DA, SA = p(dv, A), p(sv, A)
+    ab = _alpha_beta(DA, p(dv, D), p(dv, K), p(dv, S), SA, p(sv, K), p(sv, S))
+    return ab, sv, DA, SA
+
+
 def alpha_beta(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
 ) -> AlphaBeta:
     """Degree-2 and degree-1 coefficients of q(d), exact rationals."""
-    K = X.canonical
-    dv = X.intersections(D)
-    sv = X.intersections(S)
-    DA = X.pair_with(dv, A)
-    DS = X.pair_with(dv, S)
-    SA = X.pair_with(sv, A)
-    D2 = X.pair_with(dv, D)
-    DK = X.pair_with(dv, K)
-    alpha = 2 * DA * DS - SA * D2
-    beta = -DA * (X.pair_with(sv, S) + X.pair_with(sv, K)) + SA * DK
-    return AlphaBeta(Fraction(alpha), Fraction(beta))
+    return _coefficients(X, X.intersections(D), D, S, A)[0]
 
 
 @dataclass(frozen=True)
@@ -184,20 +217,31 @@ class AsymptoticVerdict:
         return self.kind != STABLE_POSSIBLE
 
 
+def _kind(ab: AlphaBeta) -> str:
+    """The asymptotic verdict that the signs of alpha and beta give."""
+    if ab.alpha < 0:
+        return UNSTABLE_EVENTUALLY
+    if ab.alpha == 0 and ab.beta <= 0:
+        return UNSTABLE_BOUNDARY
+    return STABLE_POSSIBLE
+
+
+def _require_candidate(
+    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
+) -> list[Rat]:
+    """D and A ample, S effective, in that order; returns v(D)."""
+    dv = _require_ample(X, D, "divisor D")
+    _require_ample(X, A, "polarization")
+    _require_effective(X, S)
+    return dv
+
+
 def asymptotic_condition(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
 ) -> AsymptoticVerdict:
     """Classify the candidate (D, S, A) by the sign of q(d) for large d."""
-    _require_ample(X, D, "divisor D")
-    _require_ample(X, A, "polarization")
-    if isinstance(X, ToricSurface) and not X.is_effective(S):
-        raise NotEffectiveError("candidate S is not effective")
-    ab = alpha_beta(X, D, S, A)
-    if ab.alpha < 0:
-        return AsymptoticVerdict(UNSTABLE_EVENTUALLY, ab)
-    if ab.alpha == 0 and ab.beta <= 0:
-        return AsymptoticVerdict(UNSTABLE_BOUNDARY, ab)
-    return AsymptoticVerdict(STABLE_POSSIBLE, ab)
+    ab = _coefficients(X, _require_candidate(X, D, S, A), D, S, A)[0]
+    return AsymptoticVerdict(_kind(ab), ab)
 
 
 @dataclass(frozen=True)
@@ -217,10 +261,8 @@ class Threshold:
     ambient_slope: Fraction
 
 
-def _first_nef_multiple(X: SurfaceModel, D: Divisor, S: Divisor) -> int:
-    """Smallest d >= 1 with d*D - S nef, for ample D."""
-    dv = X.intersections(D)
-    sv = X.intersections(S)
+def _first_nef_multiple(X: SurfaceModel, dv: list[Rat], sv: list[Rat]) -> int:
+    """Smallest d >= 1 with d*D - S nef, for ample D, from v(D) and v(S)."""
     d = 1
     for i in X.effective_generators:
         # need d >= (S.C)/(D.C) against every generator C
@@ -240,15 +282,18 @@ def d_threshold(
     violation at d0, and its absence at d0 - 1 whenever d0 - 1 is at
     least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
     an unstable asymptotic verdict.
+
+    The check at d0 - 1 reads its slope numerators off D.A and S.A; the
+    reported slopes at d0 take the route :func:`certificate_holds` re-runs.
     """
-    verdict = asymptotic_condition(X, D, S, A)
-    if not verdict.unstable:
+    dv = _require_candidate(X, D, S, A)
+    ab, sv, DA, SA = _coefficients(X, dv, D, S, A)
+    if _kind(ab) == STABLE_POSSIBLE:
         raise PreconditionError(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
         )
-    ab = verdict.coefficients
-    d_nef = _first_nef_multiple(X, D, S)
+    d_nef = _first_nef_multiple(X, dv, sv)
 
     strict = True
     if ab.alpha < 0:
@@ -265,8 +310,10 @@ def d_threshold(
         d0 += 1
 
     check = d0 - 1
-    if check >= d_nef and not (check * D - S).is_zero:
-        if slope_compare(X, D, S, A, check) == GREATER:
+    sub = check * D - S
+    if check >= d_nef and not sub.is_zero:
+        mu_ambient = _slope(X, check * D, check * DA)
+        if _slope(X, sub, check * DA - SA) > mu_ambient:
             raise InternalError(
                 f"threshold not minimal: violation already at d = {check}"
             )
@@ -291,9 +338,14 @@ class Destabilizer:
     strict: bool
 
 
+def _curve_vectors(X: SurfaceModel):
+    """i -> v(C_i) for the basis curves, each formed on first use."""
+    return cache(lambda i: X.intersections(X.generator(i)))
+
+
 def _candidate_shifts(X: SurfaceModel):
-    """Shifts S in scan order: each effective-cone generator, then each
-    sum of two, repeats allowed."""
+    """Shifts S in scan order, each with the indices of its curves: each
+    effective-cone generator, then each sum of two, repeats allowed."""
     for r in (1, 2):
         for combo in combinations_with_replacement(
             X.effective_generators, r
@@ -301,7 +353,7 @@ def _candidate_shifts(X: SurfaceModel):
             coeffs = [0] * X.n
             for i in combo:
                 coeffs[i] += 1
-            yield Divisor(coeffs)
+            yield combo, Divisor(coeffs)
 
 
 def find_destabilizer(
@@ -312,18 +364,27 @@ def find_destabilizer(
 
     Candidates must leave d*D - S nef and nonzero.  Returns the first
     strict violator in scan order, falling back to the first tie; None
-    when no candidate of this shape works.
+    when no candidate of this shape works.  By linearity v(d*D - S) is
+    v(d*D) minus the vectors of S's curves, and (d*D - S).A is (d*D).A
+    minus their entries of v(A), so each candidate costs one section count.
     """
+    gens = X.effective_generators
     ambient = d * D
-    _require_ample(X, ambient, "d*D")
-    mu_ambient = syzygy_slope(X, ambient, A)
+    ambient_v = _require_ample(X, ambient, "d*D")
+    av = _require_ample(X, A, "polarization")
+    DA = X.pair_with(ambient_v, A)
+    mu_ambient = _slope(X, ambient, DA)
+    curve = _curve_vectors(X)
     tie: Optional[Destabilizer] = None
-    for S in _candidate_shifts(X):
+    for combo, S in _candidate_shifts(X):
+        sv = [sum(col) for col in zip(*map(curve, combo))]
+        if any(ambient_v[k] < sv[k] for k in gens):
+            continue
         sub = ambient - S
-        if sub.is_zero or not X.is_nef(sub):
+        if sub.is_zero:
             continue
         try:
-            mu_sub = syzygy_slope(X, sub, A)
+            mu_sub = _slope(X, sub, DA - sum(av[i] for i in combo))
         except DegenerateBundleError:
             continue
         if mu_sub > mu_ambient:
@@ -416,14 +477,13 @@ def construct_polarization(
                 )
             notes.append(LOW_RANK_NOTE)
         notes.append(NEGATIVE_GENERATOR_NOTE)
-    _require_ample(X, D, "divisor D")
+    dv = _require_ample(X, D, "divisor D")
 
     negatives = X.negative_generator_indices()
     if not negatives:
         raise ConstructionFailedError(
             "no effective generator of negative self-intersection"
         )
-    dv = X.intersections(D)
     e_idx = min(negatives, key=lambda i: (dv[i], i))
     E = X.generator(e_idx)
     t = X.nef_threshold(D, E)
@@ -504,10 +564,15 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     stability asymptotically the verdict is NoDestabilizerFound (which
     never claims stability, only that this family is exhausted).
     """
-    _require_ample(X, D, "divisor D")
-    _require_ample(X, A, "polarization")
-    for S in _candidate_shifts(X):
-        if asymptotic_condition(X, D, S, A).unstable:
+    dv = _require_ample(X, D, "divisor D")
+    av = _require_ample(X, A, "polarization")
+    kv = X.intersections(X.canonical)
+    DA, D2, DK = (X.pair_with(v, D) for v in (av, dv, kv))
+    curve = _curve_vectors(X)
+    for combo, S in _candidate_shifts(X):
+        SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
+        S2 = sum(curve(i)[j] for i in combo for j in combo)
+        if _kind(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)) != STABLE_POSSIBLE:
             return _certified_report(X, D, S, A, [])
     return _report(
         X, ["every scanned candidate shift admits stability asymptotically"]

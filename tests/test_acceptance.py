@@ -407,3 +407,48 @@ def test_acceptance_12_sweep_grid_bound(fmt, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: the grid has more than")
     print(f"ACCEPTANCE 12: PASS (exit 2; {t.elapsed:.4f}s)")
+
+
+HUGE = "1e100000000"
+
+
+@pytest.mark.parametrize(
+    "source", ["h0", "hirzebruch", "surface", "verify"]
+)
+def test_acceptance_13_huge_exponents_exit_2(source, tmp_path, capsys):
+    """A decimal exponent of 10^8 is refused before Fraction expands it,
+    from the command line, a surface file or a report echo."""
+    fan_file = tmp_path / "f1.json"
+    fan_file.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, 1], [0, -1]]}))
+    if source == "h0":
+        argv = ["h0", "--fan", str(fan_file), "--D", HUGE + ",1,1,1"]
+    elif source == "hirzebruch":
+        argv = ["hirzebruch", "--ell", "1", "--a", "1e-100000000", "--b", "2"]
+    elif source == "surface":
+        surface = {
+            "labels": ["E1", "E2", "L12"],
+            "pairing": [[HUGE, 0, 1], [0, -1, 1], [1, 1, -1]],
+            "canonical": [-2, -2, -3],
+            "effective_generators": [0, 1, 2],
+        }
+        surface_file = tmp_path / "surface.json"
+        surface_file.write_text(json.dumps(surface))
+        argv = ["analyze", "--surface", str(surface_file), "--D", "2,2,3"]
+    else:
+        report_file = tmp_path / "report.json"
+        rc = main(["analyze", "--fan", str(fan_file), "--D", "0,1,2,0",
+                   "--json", "--out", str(report_file)])
+        assert rc == 0
+        report = json.loads(report_file.read_text())
+        report["echo"]["D"][0] = HUGE
+        report_file.write_text(json.dumps(report))
+        argv = ["analyze", "--verify", str(report_file)]
+    capsys.readouterr()
+    with timed(1.0) as t:
+        rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exponent of ")
+    assert captured.err.count("\n") == 1
+    print(f"ACCEPTANCE 13: PASS ({source}: exit 2; {t.elapsed:.4f}s)")

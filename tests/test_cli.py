@@ -3,11 +3,14 @@
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from syzstab import Polytope, cli
 from syzstab.cli import main
+from syzstab.errors import InputError
+from syzstab.files import parse_rational
 
 from conftest import (
     BL2P2_ABSTRACT,
@@ -626,3 +629,28 @@ class TestUsageErrors:
 
     def test_malformed_rational_rejected(self):
         assert main(["hirzebruch", "--ell", "1", "--a", "x", "--b", "9/8"]) == 2
+
+
+class TestExponentBound:
+    """Decimal exponents are bounded by the interpreter's digit limit."""
+
+    def test_bound_is_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"1E-{limit}") == Fraction(1, 10**limit)
+        assert parse_rational("2.5e2200") == 25 * 10**2199
+        assert parse_rational(" 1_0e0_3 ") == 10_000
+        for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e+" + "9" * 40):
+            with pytest.raises(InputError, match="exponent of"):
+                parse_rational(text)
+        with pytest.raises(InputError, match="not a rational number"):
+            parse_rational("1e")
+
+    @pytest.mark.parametrize("command", ["hirzebruch", "sweep"])
+    def test_unprintable_result_at_the_bound(self, command, capsys):
+        # 10^4300 parses, and has 4301 digits: one past the print limit
+        limit = sys.get_int_max_str_digits()
+        argv = [command, "--ell", "1", "--a", f"1e{limit}", "--b", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: result too large to print")

@@ -31,6 +31,11 @@ ABSTRACT = {
 
 RECORDED = [
     (SurfaceModel, "pair"),
+    (SurfaceModel, "pair_with"),
+    (ToricSurface, "intersections"),
+    (AbstractSurface, "intersections"),
+    (stability, "_slope"),
+    (stability, "_alpha_beta"),
     (SurfaceModel, "chi"),
     (SurfaceModel, "nef_threshold"),
     (ToricSurface, "pair_generator"),

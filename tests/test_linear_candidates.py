@@ -1,0 +1,481 @@
+"""The candidate scans against their per-divisor forms.
+
+``find_destabilizer``, ``scan_candidates`` and ``d_threshold`` form each
+divisor's intersection vector once and read every candidate's numbers
+off those vectors by linearity.  The functions below are the forms they
+replaced: each candidate S is paired, checked and counted from scratch,
+through the public pairing alone.  Results must agree exactly, with the
+same number types, and so must the error each raises when a
+precondition fails.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+
+import pytest
+
+from syzstab import (
+    CHI_ASSUMPTION,
+    NO_DESTABILIZER,
+    NOT_SEMISTABLE,
+    STABLE_POSSIBLE,
+    UNSTABLE_BOUNDARY,
+    UNSTABLE_EVENTUALLY,
+    AbstractSurface,
+    AlphaBeta,
+    Certificate,
+    DegenerateBundleError,
+    Destabilizer,
+    Divisor,
+    InternalError,
+    NotAmpleError,
+    NotEffectiveError,
+    NotNefError,
+    PreconditionError,
+    StabilityReport,
+    SyzstabError,
+    Threshold,
+    ToricSurface,
+    analyze,
+    construct_polarization,
+    d_threshold,
+    find_destabilizer,
+    scan_candidates,
+    slope_compare,
+    syzygy_slope,
+    stability,
+    toric_driver,
+)
+from syzstab.stability import _PROMISED_ORDER, _VERDICT, _order
+
+from conftest import BL2P2_ABSTRACT, ample_on, blowup_chain_divisors
+
+SCAN_NOTE = "every scanned candidate shift admits stability asymptotically"
+
+
+# -- the per-divisor forms ----------------------------------------------------
+
+
+def ref_slope(X, D, A):
+    if not X.is_ample(A):
+        raise NotAmpleError("polarization is not ample")
+    if not X.is_nef(D):
+        raise NotNefError("divisor defining the bundle is not nef")
+    h = X.h0(D)
+    if h <= 1:
+        raise DegenerateBundleError(f"h0 = {h} <= 1: no syzygy bundle slope")
+    return Fraction(-X.pair(D, A), h - 1)
+
+
+def ref_slopes(X, D, S, A, d):
+    ambient = d * D
+    if isinstance(X, ToricSurface) and not X.is_effective(S):
+        raise NotEffectiveError("candidate S is not effective")
+    mu_ambient = ref_slope(X, ambient, A)
+    return ref_slope(X, ambient - S, A), mu_ambient
+
+
+def ref_asymptotic(X, D, S, A):
+    """(kind, AlphaBeta) after the checks, from seven pairings."""
+    if not X.is_ample(D):
+        raise NotAmpleError("divisor D is not ample")
+    if not X.is_ample(A):
+        raise NotAmpleError("polarization is not ample")
+    if isinstance(X, ToricSurface) and not X.is_effective(S):
+        raise NotEffectiveError("candidate S is not effective")
+    K, p = X.canonical, X.pair
+    DA, SA = p(D, A), p(S, A)
+    alpha = 2 * DA * p(D, S) - SA * p(D, D)
+    beta = -DA * (p(S, S) + p(S, K)) + SA * p(D, K)
+    ab = AlphaBeta(Fraction(alpha), Fraction(beta))
+    if ab.alpha < 0:
+        return UNSTABLE_EVENTUALLY, ab
+    if ab.alpha == 0 and ab.beta <= 0:
+        return UNSTABLE_BOUNDARY, ab
+    return STABLE_POSSIBLE, ab
+
+
+def ref_shifts(X):
+    for r in (1, 2):
+        for combo in combinations_with_replacement(X.effective_generators, r):
+            coeffs = [0] * X.n
+            for i in combo:
+                coeffs[i] += 1
+            yield Divisor(coeffs)
+
+
+def ref_find_destabilizer(X, D, A, d):
+    ambient = d * D
+    if not X.is_ample(ambient):
+        raise NotAmpleError("d*D is not ample")
+    mu_ambient = ref_slope(X, ambient, A)
+    tie = None
+    for S in ref_shifts(X):
+        sub = ambient - S
+        if sub.is_zero or not X.is_nef(sub):
+            continue
+        try:
+            mu_sub = ref_slope(X, sub, A)
+        except DegenerateBundleError:
+            continue
+        if mu_sub > mu_ambient:
+            return Destabilizer(S, mu_sub, mu_ambient, True)
+        if mu_sub == mu_ambient and tie is None:
+            tie = Destabilizer(S, mu_sub, mu_ambient, False)
+    return tie
+
+
+def ref_d_threshold(X, D, S, A):
+    kind, ab = ref_asymptotic(X, D, S, A)
+    if kind == STABLE_POSSIBLE:
+        raise PreconditionError(
+            "asymptotic condition is StablePossible: no threshold exists "
+            "for this candidate"
+        )
+    d_nef = 1
+    for i in X.effective_generators:
+        C = X.generator(i)
+        d_nef = max(d_nef, math.ceil(Fraction(X.pair(S, C), X.pair(D, C))))
+    strict = True
+    if ab.alpha < 0:
+        root = -ab.beta / ab.alpha
+        d_sign = max(1, root.numerator // root.denominator + 1)
+    else:
+        d_sign = 1
+        strict = ab.beta < 0
+    d0 = max(d_nef, d_sign)
+    while (d0 * D - S).is_zero:
+        d0 += 1
+    check = d0 - 1
+    if check >= d_nef and not (check * D - S).is_zero:
+        mu_sub, mu_ambient = ref_slopes(X, D, S, A, check)
+        if mu_sub > mu_ambient:
+            raise InternalError(
+                f"threshold not minimal: violation already at d = {check}"
+            )
+    mu_sub, mu_ambient = ref_slopes(X, D, S, A, d0)
+    order = _order(mu_sub, mu_ambient)
+    expected = _PROMISED_ORDER[_VERDICT[strict]]
+    if order != expected:
+        raise InternalError(
+            f"sign polynomial predicted {expected} slopes at d = {d0}, "
+            f"exact comparison returned {order}"
+        )
+    return Threshold(d0, strict, d_nef, ab, mu_sub, mu_ambient)
+
+
+def ref_scan_candidates(X, D, A):
+    if not X.is_ample(D):
+        raise NotAmpleError("divisor D is not ample")
+    if not X.is_ample(A):
+        raise NotAmpleError("polarization is not ample")
+    chi = (CHI_ASSUMPTION,) if X.uses_chi_for_h0 else ()
+    for S in ref_shifts(X):
+        if ref_asymptotic(X, D, S, A)[0] != STABLE_POSSIBLE:
+            th = ref_d_threshold(X, D, S, A)
+            cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
+            return StabilityReport(_VERDICT[th.strict], cert, chi)
+    return StabilityReport(NO_DESTABILIZER, None, (SCAN_NOTE,) + chi)
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, with its repr to pin int against Fraction,
+    or the type and message of the error it raises."""
+    try:
+        result = fn(*args)
+    except SyzstabError as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", result, repr(result)
+
+
+def summary(result):
+    """A coarse label of an outcome, to show which branches a case set
+    reached."""
+    if result[0] == "raised":
+        return result[1].__name__
+    value = result[1]
+    if value is None:
+        return "None"
+    if isinstance(value, Destabilizer):
+        return "strict" if value.strict else "tie"
+    if isinstance(value, StabilityReport):
+        return value.verdict
+    return "strict" if value.strict else "tie"
+
+
+def compare(X, D, A, exponents=(1, 2, 3), thresholds=True):
+    """Labels of the outcomes of the three scans on (X, D, A), after
+    asserting that each equals its per-divisor form."""
+    seen = []
+    pairs = [(scan_candidates, ref_scan_candidates, (X, D, A))]
+    pairs += [
+        (find_destabilizer, ref_find_destabilizer, (X, D, A, d))
+        for d in exponents
+    ]
+    if thresholds:
+        pairs += [
+            (d_threshold, ref_d_threshold, (X, D, S, A)) for S in ref_shifts(X)
+        ]
+    for fn, ref, args in pairs:
+        got = outcome(fn, *args)
+        assert got == outcome(ref, *args), (fn.__name__, args)
+        seen.append((fn.__name__, summary(got)))
+    return seen
+
+
+def ample_divisors(X, top, count):
+    """The first ``count`` ample divisors with coefficients in 1..top."""
+    found = []
+    for c in product(range(1, top + 1), repeat=X.n):
+        if X.is_ample(Divisor(c)):
+            found.append(Divisor(c))
+            if len(found) == count:
+                break
+    return found
+
+
+def polarizations(X, D, others):
+    """The driver's A where there is one, else D plus a curve, and D plus
+    the next divisor of ``others``."""
+    try:
+        A = analyze(X, D).certificate.polarization
+    except SyzstabError:
+        A = D + X.generator(0)
+    nxt = others[(others.index(D) + 1) % len(others)] if D in others else others[0]
+    return [A, D + nxt]
+
+
+class TestAgainstPerDivisorScans:
+    @pytest.mark.parametrize(
+        "name",
+        ["p2", "f0", "f1", "f2", "f3", "f4", "bl2p2", "dp6", "rank5", "rank6"],
+    )
+    def test_corpus(self, surfaces, name):
+        X = surfaces[name]
+        Ds = [ample_on(name, X)] + ample_divisors(X, 2, 5)
+        seen = []
+        for D in Ds:
+            for A in polarizations(X, D, Ds):
+                assert X.is_ample(A)
+                seen += compare(X, D, A)
+        labels = {label for _, label in seen}
+        assert "PreconditionError" in labels
+        # the plane and the quadric have no destabilizing shift of this shape
+        assert ("strict" in labels) == (name not in ("p2", "f0")), labels
+
+    def test_ties_and_fixed_exponents_past_threshold(self, f1):
+        # 5S + 6F with A = -K: the slopes tie at d = 17 and part at 18
+        D = f1.from_section_fiber(5, 6)
+        A = f1.from_section_fiber(2, 3)
+        seen = compare(f1, D, A, exponents=(1, 16, 17, 18, 19))
+        assert ("find_destabilizer", "tie") in seen
+        assert ("find_destabilizer", "strict") in seen
+        assert ("find_destabilizer", "None") in seen
+
+    def test_blowup_chains(self):
+        seen = set()
+        for seed in range(16):
+            fan, pulled, D = blowup_chain_divisors(seed, 5 + seed % 8)
+            X = ToricSurface(fan)
+            A = toric_driver(X, D).certificate.polarization
+            for pol in (A, D + pulled):
+                seen.update(compare(X, D, pol, exponents=(1, 2)))
+        assert ("scan_candidates", NOT_SEMISTABLE) in seen
+        assert ("d_threshold", "PreconditionError") in seen
+        assert ("d_threshold", "strict") in seen
+
+    @pytest.mark.parametrize("name", ["bl2p2", "half"])
+    def test_abstract_surfaces(self, name):
+        data = dict(BL2P2_ABSTRACT)
+        if name == "half":
+            data["pairing"] = [[Fraction(-1, 2), 0, 1], [0, -1, 1], [1, 1, -1]]
+        X = AbstractSurface(**data)
+        Ds = ample_divisors(X, 4, 6)
+        assert Ds
+        seen = set()
+        for D in Ds:
+            for A in polarizations(X, D, Ds):
+                seen.update(compare(X, D, A))
+        assert ("scan_candidates", NOT_SEMISTABLE) in seen
+        assert ("d_threshold", "strict") in seen
+        if name == "half":
+            # a half-integral chi: the count itself is refused, on both sides
+            assert any(label == "InputError" for _, label in seen), seen
+
+    def test_rational_polarizations(self, surfaces):
+        cases = [(surfaces[n], ample_on(n, surfaces[n])) for n in ("bl2p2", "dp6", "rank5", "rank6")]
+        cases.append((AbstractSurface(**BL2P2_ABSTRACT), Divisor([2, 2, 3])))
+        fractional = 0
+        for X, D in cases:
+            A = construct_polarization(X, D).polarization
+            fractional += not A.is_integral
+            compare(X, D, A, exponents=(1, 2))
+        assert fractional
+
+
+def per_candidate_cases(surfaces):
+    """(X, D, A) whose scans run past their first candidates: every corpus
+    fan with three ample D and two A each, and the abstract model."""
+    cases = []
+    for name, X in surfaces.items():
+        Ds = ample_divisors(X, 3, 3)
+        cases += [(X, D, A) for D in Ds for A in (Ds[0], Ds[-1])]
+    Y = AbstractSurface(**BL2P2_ABSTRACT)
+    Ds = ample_divisors(Y, 4, 3)
+    cases += [(Y, D, A) for D in Ds for A in (Ds[0], Ds[-1])]
+    return cases
+
+
+def spy(monkeypatch, name):
+    """Record what the stability helper ``name`` returns."""
+    real = getattr(stability, name)
+    seen = []
+
+    def wrapper(*args):
+        result = real(*args)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(stability, name, wrapper)
+    return seen
+
+
+class TestPerCandidateNumbers:
+    """Each candidate's own numbers, not only the first hit: most of them
+    decide nothing, so a wrong sum can hide behind the verdicts."""
+
+    def test_scan_alpha_beta(self, surfaces, monkeypatch):
+        recorded = spy(monkeypatch, "_alpha_beta")
+        scanned = 0
+        for X, D, A in per_candidate_cases(surfaces):
+            recorded.clear()
+            scan_candidates(X, D, A)
+            expected = []
+            for S in ref_shifts(X):
+                kind, ab = ref_asymptotic(X, D, S, A)
+                expected.append(ab)
+                if kind != STABLE_POSSIBLE:
+                    break
+            assert recorded[: len(expected)] == expected, (X, D, A)
+            scanned += len(expected)
+        assert scanned > 1000
+
+    def test_fixed_exponent_slopes(self, surfaces, monkeypatch):
+        recorded = spy(monkeypatch, "_slope")
+        counted = 0
+        for X, D, A in per_candidate_cases(surfaces):
+            for d in (1, 2):
+                recorded.clear()
+                find_destabilizer(X, D, A, d)
+                ambient = d * D
+                expected = [ref_slope(X, ambient, A)]
+                for S in ref_shifts(X):
+                    sub = ambient - S
+                    if sub.is_zero or not X.is_nef(sub) or X.h0(sub) <= 1:
+                        continue
+                    expected.append(ref_slope(X, sub, A))
+                    if expected[-1] > expected[0]:
+                        break
+                assert recorded == expected, (X, D, A, d)
+                counted += len(expected)
+        assert counted > 1000
+
+    def test_first_violator_a_pair(self, surfaces):
+        # no single curve destabilizes here; C0 + C1 does
+        X = surfaces["rank5"]
+        D, A = Divisor([2, 1, 2, 4, 3, 3, 4]), Divisor([2, 2, 1, 3, 4, 3, 4])
+        found = find_destabilizer(X, D, A, 1)
+        assert found.strict and sum(found.shift.coeffs) == 2
+        assert outcome(find_destabilizer, X, D, A, 1) == outcome(
+            ref_find_destabilizer, X, D, A, 1
+        )
+
+    def test_threshold_refuses_a_late_d0(self, f1, monkeypatch):
+        # with beta raised, the root of q moves past the true threshold of
+        # 5S + 6F (d0 = 18), and the exact check at d0 - 1 must catch it
+        D, S, A = f1.from_section_fiber(5, 6), f1.generator(1), f1.from_section_fiber(2, 3)
+        assert d_threshold(f1, D, S, A).d0 == 18
+        real = stability._coefficients
+
+        def late(*args):
+            ab, sv, DA, SA = real(*args)
+            return AlphaBeta(ab.alpha, ab.beta - 5 * ab.alpha), sv, DA, SA
+
+        monkeypatch.setattr(stability, "_coefficients", late)
+        with pytest.raises(InternalError, match="not minimal"):
+            d_threshold(f1, D, S, A)
+
+
+# -- which error comes first --------------------------------------------------
+
+# The abstract plane blown up in two points with K replaced by -K: the
+# ample D = (2, 2, 3) then has D^2 = D.K = 7, so chi(D) = h0(D) = 1.
+ONE_SECTION = {**BL2P2_ABSTRACT, "canonical": [2, 2, 3]}
+
+
+class TestErrorOrder:
+    """The error each entry point raises when several preconditions fail
+    at once, pinned, and the same as its per-divisor form's."""
+
+    @pytest.fixture(scope="class")
+    def data(self, surfaces):
+        X = surfaces["f1"]
+        return {
+            "X": X,
+            "D": X.from_section_fiber(1, 2),  # ample
+            "bad": Divisor([1, 0, 0, 0]),  # nef, not ample
+            "neg": Divisor([-1, 0, 0, 0]),  # h0 = 0: not effective
+            "zero": Divisor([0, 0, 0, 0]),  # h0 = 1
+            "Y": AbstractSurface(**ONE_SECTION),
+        }
+
+    def check(self, fn, ref, args, expected, words):
+        got = outcome(fn, *args)
+        assert got[:2] == ("raised", expected), got
+        assert words in got[2], got
+        assert got == outcome(ref, *args)
+
+    def test_find_destabilizer_d_times_D_before_A(self, data):
+        X, bad = data["X"], data["bad"]
+        # d*D and A both not ample: d*D is named
+        self.check(find_destabilizer, ref_find_destabilizer, (X, bad, bad, 2), NotAmpleError, "d*D")
+        self.check(find_destabilizer, ref_find_destabilizer, (X, data["D"], bad, 2), NotAmpleError, "polarization")
+
+    def test_find_destabilizer_A_before_count(self, data):
+        Y = data["Y"]
+        D = Divisor([2, 2, 3])
+        assert Y.is_ample(D) and Y.h0(D) == 1
+        # A not ample and h0(d*D) <= 1: A is named
+        self.check(find_destabilizer, ref_find_destabilizer, (Y, D, Divisor([1, 0, 0]), 1), NotAmpleError, "polarization")
+        self.check(find_destabilizer, ref_find_destabilizer, (Y, D, D, 1), DegenerateBundleError, "h0 = 1")
+
+    def test_scan_D_before_A(self, data):
+        X, bad = data["X"], data["bad"]
+        self.check(scan_candidates, ref_scan_candidates, (X, bad, bad), NotAmpleError, "divisor D")
+        self.check(scan_candidates, ref_scan_candidates, (X, data["D"], bad), NotAmpleError, "polarization")
+
+    def test_threshold_D_then_A_then_S(self, data):
+        X, D, bad, neg = data["X"], data["D"], data["bad"], data["neg"]
+        args = [
+            ((X, bad, neg, bad), NotAmpleError, "divisor D"),
+            ((X, D, neg, bad), NotAmpleError, "polarization"),
+            # S not effective and the candidate stable: S is named
+            ((X, D, neg, D), NotEffectiveError, "not effective"),
+        ]
+        for a, expected, words in args:
+            self.check(d_threshold, ref_d_threshold, a, expected, words)
+
+    def test_slopes_A_before_nef_before_count(self, data):
+        X, D, bad, zero = data["X"], data["D"], data["bad"], data["zero"]
+        S = 3 * X.generator(0)  # 1*D - S is not nef
+        assert not X.is_nef(D - S)
+        self.check(slope_compare, ref_slopes, (X, D, S, bad, 1), NotAmpleError, "polarization")
+        self.check(slope_compare, ref_slopes, (X, D, S, D, 1), NotNefError, "not nef")
+        # not nef and h0 <= 1 both hold for -C0: the nef check comes first
+        self.check(syzygy_slope, ref_slope, (X, data["neg"], D), NotNefError, "not nef")
+        self.check(syzygy_slope, ref_slope, (X, zero, bad), NotAmpleError, "polarization")
+        self.check(syzygy_slope, ref_slope, (X, zero, D), DegenerateBundleError, "h0 = 1")
