@@ -90,7 +90,7 @@ class Divisor:
             raise NonIntegralDivisorError(
                 f"divisor {self} has fractional coefficients"
             )
-        return tuple([int(c) for c in self.coeffs])
+        return self.coeffs
 
     def _check_len(self, other: "Divisor") -> None:
         if len(self) != len(other):
@@ -176,9 +176,6 @@ class Polytope:
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
 
-    def contains(self, x: Rat, y: Rat) -> bool:
-        return all(ux * x + uy * y >= rhs for ux, uy, rhs in self.halfplanes)
-
     @property
     def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
         """All extreme points: the given int corners in boundary order,
@@ -209,10 +206,6 @@ class Polytope:
         object.__setattr__(self, "_searched", verts)
         return verts
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def lattice_point_count(self) -> int:
         """Integer points: by Pick over given corners, else row by row."""
         verts = self.vertices
@@ -230,11 +223,12 @@ class Polytope:
             return 0
         ymin = math.ceil(min(v[1] for v in verts))
         ymax = math.floor(max(v[1] for v in verts))
+        # rays on both sides of the y-axis bound every row from both sides,
+        # and each row meets the polygon, so hi >= lo - 1; a half-plane
+        # with ux == 0 holds on the vertices' whole y-range
         total = 0
         for y in range(ymin, ymax + 1):
-            lo = None
-            hi = None
-            feasible = True
+            lo = hi = None
             for ux, uy, rhs in self.halfplanes:
                 r = rhs - uy * y
                 if ux > 0:
@@ -245,32 +239,8 @@ class Polytope:
                     b = r // ux
                     if hi is None or b < hi:
                         hi = b
-                elif r > 0:
-                    feasible = False
-                    break
-            if not feasible or lo is None or hi is None:
-                continue
-            if hi >= lo:
-                total += hi - lo + 1
+            total += hi - lo + 1
         return total
-
-    def lattice_points(self):
-        """Yield the integer points via a bounding-box scan.
-
-        Slower than :meth:`lattice_point_count` but independent of it;
-        used as a cross-check and for explicit section monomials.
-        """
-        verts = self.vertices
-        if not verts:
-            return
-        xmin = math.ceil(min(v[0] for v in verts))
-        xmax = math.floor(max(v[0] for v in verts))
-        ymin = math.ceil(min(v[1] for v in verts))
-        ymax = math.floor(max(v[1] for v in verts))
-        for x in range(xmin, xmax + 1):
-            for y in range(ymin, ymax + 1):
-                if self.contains(x, y):
-                    yield (x, y)
 
 
 class SurfaceModel:

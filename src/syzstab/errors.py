@@ -73,18 +73,15 @@ class NonIntegralDivisorError(InputError):
 
 
 class NotNefError(InputError):
-    def __init__(self, message: str = "divisor is not nef"):
-        super().__init__(message)
+    """A divisor that must be nef is not nef."""
 
 
 class NotAmpleError(InputError):
-    def __init__(self, message: str = "divisor is not ample"):
-        super().__init__(message)
+    """A divisor that must be ample is not ample."""
 
 
 class NotEffectiveError(InputError):
-    def __init__(self, message: str = "divisor is not effective"):
-        super().__init__(message)
+    """A divisor that must be effective is not effective."""
 
 
 class DegenerateBundleError(InputError):

@@ -130,17 +130,6 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
     return _slope(X, D, X.pair(D, A))
 
 
-def _slopes(
-    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, d: int
-) -> tuple[Fraction, Fraction]:
-    """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D), each
-    from its own checks and pairing."""
-    ambient = d * D
-    _require_effective(X, S)
-    mu_ambient = syzygy_slope(X, ambient, A)
-    return syzygy_slope(X, ambient - S, A), mu_ambient
-
-
 def _order(mu_sub: Fraction, mu_ambient: Fraction) -> str:
     if mu_sub > mu_ambient:
         return GREATER
@@ -156,9 +145,13 @@ def slope_compare(
 
     Compares the syzygy bundle of O(d*D - S) sitting inside the one of
     O(d*D).  Returns ``greater``, ``equal`` or ``less`` (subbundle
-    relative to ambient).  Both divisors must be nef and S effective.
+    relative to ambient).  Both divisors must be nef and S effective;
+    each slope comes from its own checks and pairing.
     """
-    return _order(*_slopes(X, D, S, A, d))
+    ambient = d * D
+    _require_effective(X, S)
+    mu_ambient = syzygy_slope(X, ambient, A)
+    return _order(syzygy_slope(X, ambient - S, A), mu_ambient)
 
 
 @dataclass(frozen=True)
@@ -283,8 +276,9 @@ def d_threshold(
     least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
     an unstable asymptotic verdict.
 
-    The check at d0 - 1 reads its slope numerators off D.A and S.A; the
-    reported slopes at d0 take the route :func:`certificate_holds` re-runs.
+    Both checks read their slope numerators off D.A and S.A, since
+    (d*D - S).A = d(D.A) - S.A, and need no nef test, since d >= d_nef;
+    :func:`certificate_holds` re-checks a certificate divisor by divisor.
     """
     dv = _require_candidate(X, D, S, A)
     ab, sv, DA, SA = _coefficients(X, dv, D, S, A)
@@ -309,15 +303,19 @@ def d_threshold(
     while (d0 * D - S).is_zero:
         d0 += 1
 
+    def slopes(d: int) -> tuple[Fraction, Fraction]:
+        """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D)."""
+        mu_ambient = _slope(X, d * D, d * DA)
+        return _slope(X, d * D - S, d * DA - SA), mu_ambient
+
     check = d0 - 1
-    sub = check * D - S
-    if check >= d_nef and not sub.is_zero:
-        mu_ambient = _slope(X, check * D, check * DA)
-        if _slope(X, sub, check * DA - SA) > mu_ambient:
+    if check >= d_nef and not (check * D - S).is_zero:
+        mu_sub, mu_ambient = slopes(check)
+        if mu_sub > mu_ambient:
             raise InternalError(
                 f"threshold not minimal: violation already at d = {check}"
             )
-    mu_sub, mu_ambient = _slopes(X, D, S, A, d0)
+    mu_sub, mu_ambient = slopes(d0)
     order = _order(mu_sub, mu_ambient)
     expected = _PROMISED_ORDER[_VERDICT[strict]]
     if order != expected:

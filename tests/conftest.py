@@ -1,5 +1,6 @@
 """Shared corpus of fans and ample divisors used across the test suite."""
 
+import math
 import random
 from itertools import product
 
@@ -90,6 +91,23 @@ def blowup_chain_divisors(seed, size):
         ample = [2 * a for a in ample]
         ample.insert(i + 1, new)
     return Fan(rays), Divisor(pulled), Divisor(ample)
+
+
+def lattice_points(poly):
+    """The integer points of a ``Polytope`` by a bounding-box scan over its
+    vertices, in x-major order: slower than ``lattice_point_count`` and
+    independent of it, the row count's oracle."""
+    verts = poly.vertices
+    if not verts:
+        return []
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    return [
+        (x, y)
+        for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)
+        if all(ux * x + uy * y >= rhs for ux, uy, rhs in poly.halfplanes)
+    ]
 
 
 def reduce_by_rebuild(fan):

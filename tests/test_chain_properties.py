@@ -1,0 +1,120 @@
+"""Random blow-up chains against the benchmark's independent checker.
+
+Every smooth complete toric surface is a chain of toric blow-ups of the
+plane or of a Hirzebruch surface, so Hypothesis draws seeded chains of 5
+to 12 rays (``conftest.blowup_chain_divisors``) with an ample D of mixed
+coefficient sizes: the chain's doubled ample divisor plus a drawn
+multiple of its nef pullback.  ``bench/check.py`` is the oracle; it
+shares no code with the package and is loaded from its file, read-only.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import pathlib
+import tempfile
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from syzstab import (
+    Divisor,
+    ToricSurface,
+    certificate_holds,
+    construct_polarization,
+    reduce_to_minimal,
+)
+from syzstab.cli import main
+from syzstab.fan import HIRZEBRUCH, PROJECTIVE_PLANE
+
+from conftest import blowup_chain_divisors
+
+_CHECK = pathlib.Path(__file__).resolve().parents[1] / "bench" / "check.py"
+_spec = importlib.util.spec_from_file_location("bench_check", _CHECK)
+check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check)
+
+chains = st.builds(
+    lambda seed, size, m: (*blowup_chain_divisors(seed, size), m),
+    st.integers(0, 10**6),
+    st.integers(5, 12),
+    st.integers(0, 20),
+)
+
+# a deadline per drawn chain; the whole module stays under 5 s
+CHAIN_SETTINGS = settings(max_examples=100, deadline=1000)
+
+
+def drawn(fan, pulled, ample, m):
+    """(X, the checker's surface, D = ample + m * pullback)."""
+    X = ToricSurface(fan)
+    C = check.Surface(fan.rays)
+    assert C.rays == X.fan.rays  # one ray order, so one coefficient order
+    return X, C, ample + m * pulled
+
+
+@CHAIN_SETTINGS
+@given(chains, st.data())
+def test_pairing_and_nefness_agree(chain, data):
+    X, C, D = drawn(*chain)
+    small = st.lists(st.integers(-3, 3), min_size=X.n, max_size=X.n)
+    E = Divisor(data.draw(small))
+    for F in (D, E, X.canonical):
+        assert X.intersections(F) == [C.dot_curve(F.coeffs, i) for i in range(X.n)]
+        assert X.pair(F, E) == C.pair(F.coeffs, E.coeffs)
+        assert X.is_nef(F) == C.is_nef(F.coeffs)
+        assert X.is_ample(F) == C.is_ample(F.coeffs)
+
+
+@CHAIN_SETTINGS
+@given(chains, st.data())
+def test_h0_agrees(chain, data):
+    """h0 of d*D - k*C_i, nef for small k and not nef once k exceeds
+    d*D.C for a neighbour C of C_i."""
+    X, C, D = drawn(*chain)
+    d = data.draw(st.integers(1, 2))
+    i = data.draw(st.integers(0, X.n - 1))
+    v = X.intersections(d * D)
+    past = max(v[i - 1], v[(i + 1) % X.n]) + 3
+    k = data.draw(st.integers(0, past))
+    F = d * D - k * X.generator(i)
+    event("nef" if X.is_nef(F) else "not nef")
+    assert X.h0(F) == C.h0(F.coeffs, D.coeffs), (d, i, k)
+
+
+@CHAIN_SETTINGS
+@given(chains)
+def test_reduction_ends_minimal(chain):
+    fan = chain[0]
+    reduced, removed = reduce_to_minimal(fan)
+    assert reduced.surface_type().kind in (PROJECTIVE_PLANE, HIRZEBRUCH)
+    assert reduced.n == fan.n - len(removed) in (3, 4)
+
+
+@CHAIN_SETTINGS
+@given(chains)
+def test_polarization_threshold_at_least_d_dot_e(chain):
+    """t >= D.E for the generator E the construction picks (ROADMAP item
+    6): the bound that keeps its epsilon interval non-empty."""
+    X, _, D = drawn(*chain)
+    pol = construct_polarization(X, D)
+    assert pol.threshold >= X.pair(D, pol.generator)
+
+
+@CHAIN_SETTINGS
+@given(chains)
+def test_driver_report_checks(chain):
+    X, C, D = drawn(*chain)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fan.json"
+        path.write_text(json.dumps({"rays": [list(r) for r in X.fan.rays]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            argv = ["analyze", "--fan", str(path), "--json"]
+            assert main(argv + ["--D", ",".join(map(str, D.coeffs))]) == 0
+    report = json.loads(out.getvalue())
+    check.check_report("driver", report, C, D.coeffs)
+    cert = report["certificate"]
+    A, S = Divisor(cert["A"]), Divisor(cert["S"])
+    assert certificate_holds(X, D, report["verdict"], A, S, cert["d0"])

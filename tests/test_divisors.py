@@ -29,6 +29,7 @@ from conftest import (
     ample_on,
     blowup_chain_divisors,
     driver_divisor,
+    lattice_points,
 )
 
 
@@ -212,17 +213,17 @@ class TestPolytopeAndSections:
         poly = p2.polytope(Divisor([2, 0, 0]))
         assert len(poly.vertices) == 3
         assert poly.lattice_point_count() == 6
-        assert len(list(poly.lattice_points())) == 6
+        assert len(lattice_points(poly)) == 6
 
     def test_zero_divisor_single_point(self, surfaces):
         for X in surfaces.values():
             poly = X.polytope(Divisor([0] * X.n))
             assert poly.lattice_point_count() == 1
-            assert list(poly.lattice_points()) == [(0, 0)]
+            assert lattice_points(poly) == [(0, 0)]
 
     def test_empty_polytope(self, f1):
         poly = f1.polytope(sf(f1, 1, -1))
-        assert poly.is_empty
+        assert not poly.vertices
         assert poly.lattice_point_count() == 0
 
     @pytest.mark.parametrize("d", range(7))
@@ -236,9 +237,7 @@ class TestPolytopeAndSections:
         for X in surfaces.values():
             for coeffs in ([2] * X.n, [0] * X.n, [3] + [1] * (X.n - 1)):
                 poly = X.polytope(Divisor(coeffs))
-                assert poly.lattice_point_count() == len(
-                    list(poly.lattice_points())
-                )
+                assert poly.lattice_point_count() == len(lattice_points(poly))
 
     def test_vertex_count_bounded_for_nef(self, surfaces):
         for name, X in surfaces.items():

@@ -2,11 +2,11 @@
 
 The source scan in the acceptance tests catches float literals and
 ``float()`` calls, but not an ``int / int`` quotient, which Python turns
-into a float.  These tests run the drivers, the asymptotic scan, the
-fixed-exponent search and Hirzebruch region rows, record what the
-pairing, chi, nef thresholds, alpha/beta, slopes and thresholds return
-along the way, and reject any value that is neither an int nor a
-Fraction.
+into a float.  These tests run the drivers, the re-check of each driver
+certificate, the asymptotic scan, the fixed-exponent search and
+Hirzebruch region rows, record what the pairing, chi, nef thresholds,
+alpha/beta, slopes and thresholds return along the way, and reject any
+value that is neither an int nor a Fraction.
 """
 
 import dataclasses
@@ -100,6 +100,14 @@ def check(seen, reports):
     assert not bad, "\n".join(bad[:20])
 
 
+def holds(X, D, report):
+    """certificate_holds on a driver report: the per-divisor slope route."""
+    c = report.certificate
+    return stability.certificate_holds(
+        X, D, report.verdict, c.polarization, c.shift, c.d0
+    )
+
+
 def analyses(X, D, A):
     """Scan and fixed-exponent reports for (X, D, A)."""
     out = [stability.scan_candidates(X, D, A)]
@@ -117,6 +125,7 @@ def test_toric_corpus(surfaces, recorder):
             driver = stability.toric_driver(X, D)
             reports.append(driver)
             A = driver.certificate.polarization
+            assert holds(X, D, driver), name
         assert X.is_ample(A), name
         reports += analyses(X, D, A)
     check(recorder, reports)
@@ -136,6 +145,7 @@ def test_abstract_surfaces(name, recorder):
     )
     D = Divisor([2, 2, 3])
     reports = [stability.abstract_driver(X, D)]
+    assert holds(X, D, reports[0])
     if name == "bl2p2":
         reports += analyses(X, D, reports[0].certificate.polarization)
     check(recorder, reports)

@@ -1,0 +1,185 @@
+"""Exit paths of the command line that no other test reaches: each input
+below ends with its exit code and exactly one line on stderr.
+
+``{fan}`` and ``{f2}`` in an argv name corpus fan files (f1 and f2),
+``{surface}`` the abstract presentation of the plane blown up in two
+points, and ``{bad}`` a file holding the case's surface data.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from syzstab import Fan, NonPrimitiveRayError, stability
+from syzstab.cli import main
+
+from conftest import BL2P2_ABSTRACT, hirzebruch_rays
+
+CASES = {
+    # cli.py: surface and divisor arguments
+    "fan-and-surface": (
+        ["h0", "--fan", "{fan}", "--surface", "{surface}", "--D", "1,1"],
+        "give either --fan or --surface, not both",
+    ),
+    "sf-on-abstract": (
+        ["analyze", "--surface", "{surface}", "--D", "2,2,3", "--sf"],
+        "--sf/--he apply only to toric Hirzebruch fans",
+    ),
+    "abstract-length": (
+        ["analyze", "--surface", "{surface}", "--D", "2,2"],
+        "--D needs 3 coefficients for this surface, got 2",
+    ),
+    "he-off-f1": (
+        ["h0", "--fan", "{f2}", "--D", "1,1", "--he"],
+        "--he needs the blown-up plane (the first Hirzebruch surface)",
+    ),
+    "he-length": (
+        ["h0", "--fan", "{fan}", "--D", "1,1,1", "--he"],
+        "--he takes 2 coefficients for --D",
+    ),
+    "sf-length": (
+        ["h0", "--fan", "{fan}", "--D", "1,1,1", "--sf"],
+        "--sf takes 2 coefficients for --D",
+    ),
+    "polarize-fractional": (
+        ["polarize", "--fan", "{fan}", "--D", "5/2,6"],
+        "--D must have integer coefficients",
+    ),
+    "h0-abstract": (
+        ["h0", "--surface", "{surface}", "--D", "2,2,3"],
+        "h0 by lattice count needs a toric surface (--fan)",
+    ),
+    # cli.py: sweep arguments
+    "sweep-reversed": (
+        ["sweep", "--ell", "1", "--a", "3:2", "--b", "2"],
+        "range '3:2' is reversed",
+    ),
+    "sweep-range": (
+        ["sweep", "--ell", "1", "--a", "2:3:4", "--b", "2"],
+        "range '2:3:4' must be VALUE or LO:HI",
+    ),
+    "sweep-ell-text": (
+        ["sweep", "--ell", "1,x", "--a", "2", "--b", "2"],
+        "--ell must list integers: '1,x'",
+    ),
+    "sweep-ell-zero": (
+        ["sweep", "--ell", "0", "--a", "2", "--b", "2"],
+        "--ell entries must be >= 1",
+    ),
+    "sweep-step": (
+        ["sweep", "--ell", "1", "--a", "2:3", "--b", "2", "--step", "0"],
+        "--step must be positive",
+    ),
+    # files.py
+    "malformed-divisor": (
+        ["h0", "--fan", "{fan}", "--D", "1,,1"],
+        "malformed divisor '1,,1'",
+    ),
+    "surface-bool": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "not a rational number: True",
+        {**BL2P2_ABSTRACT, "canonical": [True, -2, -3]},
+    ),
+    "surface-float": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "not an exact rational: 1.5 (floats are rejected)",
+        {**BL2P2_ABSTRACT, "pairing": [[-1, 0, 1], [0, -1, 1], [1, 1, 1.5]]},
+    ),
+    "surface-keys": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "{bad}: expected an object with keys labels, pairing, canonical, "
+        "effective_generators",
+        {k: v for k, v in BL2P2_ABSTRACT.items() if k != "canonical"},
+    ),
+    "surface-canonical": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "{bad}: canonical class must be integral",
+        {**BL2P2_ABSTRACT, "canonical": ["-3/2", -2, -3]},
+    ),
+    # AbstractSurface.__init__, through a surface file
+    "no-labels": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "abstract surface needs at least one label",
+        {**BL2P2_ABSTRACT, "labels": []},
+    ),
+    "canonical-length": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "canonical class length does not match labels",
+        {**BL2P2_ABSTRACT, "canonical": [-2, -2]},
+    ),
+    "no-generators": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "declare at least one effective generator",
+        {**BL2P2_ABSTRACT, "effective_generators": []},
+    ),
+    "repeated-generators": (
+        ["analyze", "--surface", "{bad}", "--D", "2,2,3"],
+        "effective generator indices repeat",
+        {**BL2P2_ABSTRACT, "effective_generators": [0, 1, 1]},
+    ),
+}
+
+
+def write_json(path, data):
+    pathlib.Path(path).write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture()
+def paths(tmp_path):
+    return {
+        "fan": write_json(tmp_path / "f1.json", {"rays": hirzebruch_rays(1)}),
+        "f2": write_json(tmp_path / "f2.json", {"rays": hirzebruch_rays(2)}),
+        "surface": write_json(tmp_path / "surface.json", BL2P2_ABSTRACT),
+        "bad": str(tmp_path / "bad.json"),
+    }
+
+
+def run(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_input_error_exits_2(name, paths, capsys):
+    argv, message, *surface = CASES[name]
+    if surface:
+        write_json(paths["bad"], surface[0])
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(argv, capsys) == (2, f"error: {message.format(**paths)}\n")
+
+
+def test_report_echo_without_surface_exits_2(paths, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["analyze", "--fan", paths["fan"], "--D", "5,6", "--json"]
+    assert main(argv + ["--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    del data["echo"]["fan"]
+    write_json(report, data)
+    assert run(["analyze", "--verify", str(report)], capsys) == (
+        2,
+        "error: report echo names no surface\n",
+    )
+
+
+def test_internal_error_exits_1(paths, monkeypatch, capsys):
+    # an exact comparison that contradicts the sign polynomial at d0
+    monkeypatch.setattr(stability, "_order", lambda mu_sub, mu_ambient: "less")
+    argv = ["analyze", "--fan", paths["fan"], "--D", "5,6"]
+    assert run(argv, capsys) == (
+        1,
+        "internal error: sign polynomial predicted greater slopes at d = 18, "
+        "exact comparison returned less\n",
+    )
+
+
+def test_ray_of_three_components():
+    # file input stops at the same length check, so only the library
+    # reaches this one
+    with pytest.raises(NonPrimitiveRayError) as info:
+        Fan([(1, 0), (0, 1, 0), (-1, -1)])
+    assert str(info.value) == "ray 1 must have exactly 2 integer components"
+    assert info.value.index == 1

@@ -1,15 +1,18 @@
-"""Golden CLI outputs: the ``--json`` stdout and exit code of every command.
+"""Golden CLI outputs: the stdout and exit code of every command, with
+and without ``--json``.
 
 ``golden/cli.json`` holds, for each case below, the symbolic argv, the
-exit code and the exact stdout of a reference run.  The test compares
-byte for byte and never rewrites the file: any change to an output is a
+exit code and the exact stdout of a reference run; ``golden/cli_text.json``
+holds the same for each case run without ``--json``.  The tests compare
+byte for byte and never rewrite the files: any change to an output is a
 change to the package's contract and must show up as a failing case.
 
 Argv entries of the form ``@fan:NAME`` name a corpus fan file,
 ``@surface:NAME`` an abstract surface file (``bl2p2`` presents the plane
 blown up in two points, ``half`` is the same matrix with a rational
 self-intersection), and ``@report:CASE`` a file holding the stdout of an
-earlier case (for ``analyze --verify``).
+earlier case (for ``analyze --verify``); text runs read the JSON report
+of that case.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ from syzstab.cli import main
 from conftest import BL2P2_ABSTRACT, CORPUS_RAYS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
+TEXT_GOLDEN = GOLDEN.with_name("cli_text.json")
 
 # (fan, D, the driver's polarization for that D); p2 and f0 have no
 # driver certificate, so they get an ample A of their own
@@ -125,8 +129,11 @@ def _cases():
 CASES = _cases()
 
 
-def run_cases(workdir: pathlib.Path) -> dict:
-    """Run every case in order; returns {name: {argv, rc, stdout}}."""
+def run_cases(workdir: pathlib.Path, reports: dict | None = None) -> dict:
+    """Run every case in order; returns {name: {argv, rc, stdout}}.
+
+    Given the results of the ``--json`` run as ``reports``, run every case
+    without ``--json``, reading ``@report:`` inputs from those results."""
     paths = {}
     for fan, rays in CORPUS_RAYS.items():
         path = workdir / f"{fan}.json"
@@ -139,12 +146,14 @@ def run_cases(workdir: pathlib.Path) -> dict:
 
     results = {}
     for name, argv in CASES:
+        if reports is not None:
+            argv = [arg for arg in argv if arg != "--json"]
         concrete = []
         for arg in argv:
             if arg.startswith("@report:"):
                 case = arg[len("@report:"):]
                 path = workdir / f"report{len(paths)}.json"
-                path.write_text(results[case]["stdout"])
+                path.write_text((results if reports is None else reports)[case]["stdout"])
                 paths[arg] = str(path)
             concrete.append(paths.get(arg, arg))
         out = io.StringIO()
@@ -160,14 +169,33 @@ def outputs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def text_outputs(tmp_path_factory, outputs):
+    return run_cases(tmp_path_factory.mktemp("golden-text"), outputs)
+
+
+@pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def text_golden():
+    return json.loads(TEXT_GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_case_list_matches_golden(golden):
     assert [name for name, _ in CASES] == list(golden)
 
 
+def test_text_case_list_matches_golden(text_golden):
+    assert [name for name, _ in CASES] == list(text_golden)
+
+
 @pytest.mark.parametrize("name", [name for name, _ in CASES])
 def test_output_matches_golden(name, outputs, golden):
     assert outputs[name] == golden[name]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in CASES])
+def test_text_output_matches_golden(name, text_outputs, text_golden):
+    assert text_outputs[name] == text_golden[name]

@@ -22,7 +22,7 @@ from syzstab import (
     syzygy_slope,
 )
 
-from conftest import CORPUS_RAYS, ample_on
+from conftest import CORPUS_RAYS, ample_on, lattice_points
 
 
 def nef_vectors(X, count, seed=0, bound=10):
@@ -57,9 +57,7 @@ class TestSectionCountOracles:
         for name, X in surfaces.items():
             for D in nef_vectors(X, 6, seed=1, bound=4):
                 poly = X.polytope(D)
-                assert poly.lattice_point_count() == len(
-                    list(poly.lattice_points())
-                )
+                assert poly.lattice_point_count() == len(lattice_points(poly))
 
 
 class TestNumeratorIdentity:
