@@ -34,9 +34,9 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionMismatchError,
     InputError,
-    InternalError,
     NonIntegralDivisorError,
     NotNefError,
+    PreconditionError,
 )
 from .fan import HIRZEBRUCH, Fan
 
@@ -74,9 +74,6 @@ class Divisor:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
     @property
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -105,9 +102,6 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         self._check_len(other)
         return Divisor(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Divisor":
-        return Divisor(-a for a in self.coeffs)
 
     def __mul__(self, k: Rat) -> "Divisor":
         return Divisor(a * k for a in self.coeffs)
@@ -298,7 +292,8 @@ class SurfaceModel:
 
         Computed as the minimum of (D.C)/(E.C) over effective-cone
         generators C with E.C > 0.  On a complete surface at least one
-        such generator exists whenever E is a prime curve.
+        such generator exists whenever E is a prime curve; a declared
+        generator set without one cannot span the effective cone.
         """
         gens = self.effective_generators
         dv = self.intersections(D)
@@ -309,9 +304,9 @@ class SurfaceModel:
             [Fraction(dv[i], ev[i]) for i in gens if ev[i] > 0], default=None
         )
         if best is None:
-            raise InternalError(
-                "nef threshold unbounded: E meets no effective generator "
-                "positively (impossible for an effective E with E^2 < 0)"
+            raise PreconditionError(
+                "declared generators cannot span the effective cone: "
+                "E meets none of them positively"
             )
         return best
 
@@ -359,20 +354,22 @@ class ToricSurface(SurfaceModel):
     def polytope(self, D: Divisor) -> Polytope:
         """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor.
 
-        For nef D the vertices are the integer corners m of the cones
-        (u_i, u_{i+1}), with <m, u_i> = -a_i and <m, u_{i+1}> = -a_{i+1}.
+        Each cone (u_{i-1}, u_i) has an integer corner m_i; since
+        u_{i+1} = c_i*u_i - u_{i-1}, m_i is in ray i + 1's half-plane
+        exactly when D.C_i >= 0, so the corners are the vertices iff D is nef.
         """
         self._check(D)
         a = D.int_coeffs()
         rays = self.fan.rays
         halfplanes = [(u[0], u[1], -a[i]) for i, u in enumerate(rays)]
-        if not self.is_nef(D):
-            return Polytope(halfplanes)
         corners = [
             _solve_cone(rays[i - 1], u, -a[i - 1], -a[i])
             for i, u in enumerate(rays)
         ]
-        return Polytope(halfplanes, tuple(corners))
+        nxt = zip(corners, halfplanes[1:] + halfplanes[:1])
+        if all(ux * x + uy * y >= r for (x, y), (ux, uy, r) in nxt):
+            return Polytope(halfplanes, tuple(corners))
+        return Polytope(halfplanes)
 
     def h0(self, D: Divisor) -> int:
         """Dimension of the space of sections: an exact lattice-point count.

@@ -59,7 +59,7 @@ from .errors import (
     OutOfTheoremScopeError,
     PreconditionError,
 )
-from .fan import Fan, HIRZEBRUCH, OTHER, PROJECTIVE_PLANE
+from .fan import Fan, HIRZEBRUCH, PROJECTIVE_PLANE
 
 GREATER = "greater"
 EQUAL = "equal"
@@ -605,9 +605,10 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
         raise OutOfTheoremScopeError(
             f"no destabilizing polarization is constructed for {st}"
         )
-    _require_ample(X, D, "divisor D")
     if st.kind != HIRZEBRUCH:
+        # construct_polarization requires D ample first thing
         return abstract_driver(X, D)
+    _require_ample(X, D, "divisor D")
     ell, s_idx, _ = X.hirzebruch_presentation()
     b1, b2 = X.to_section_fiber(D)
     bound = _region_bound(ell, Fraction(b2, b1))

@@ -110,6 +110,20 @@ def lattice_points(poly):
     ]
 
 
+def count_calls(monkeypatch, *names):
+    """Counts of calls to the named ToricSurface methods from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(ToricSurface, name)
+
+        def counted(X, D, name=name, method=method):
+            counts[name] += 1
+            return method(X, D)
+
+        monkeypatch.setattr(ToricSurface, name, counted)
+    return counts
+
+
 def reduce_by_rebuild(fan):
     """Reference for ``reduce_to_minimal``: blow down the first ray of wall
     coefficient 1 by building and validating a whole new fan, until 3 or 4

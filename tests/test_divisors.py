@@ -28,6 +28,7 @@ from conftest import (
     BL2P2_ABSTRACT,
     ample_on,
     blowup_chain_divisors,
+    count_calls,
     driver_divisor,
     lattice_points,
 )
@@ -57,6 +58,10 @@ class TestPairing:
     def test_dimension_mismatch(self, p2):
         with pytest.raises(DimensionMismatchError):
             p2.pair(Divisor([1, 0, 0]), Divisor([1, 0, 0, 0]))
+
+    def test_adding_divisors_of_different_lengths(self):
+        with pytest.raises(DimensionMismatchError, match="lengths differ: 2 vs 3"):
+            Divisor([1, 0]) + Divisor([1, 0, 0])
 
     def test_symmetry_matches_matrix(self, surfaces):
         for X in surfaces.values():
@@ -294,6 +299,43 @@ class TestConeCorners:
                         oracle.lattice_point_count()
                     )
 
+    def test_route_is_nefness(self, surfaces):
+        # the corners are kept exactly when D is nef: every D with
+        # coefficients -2..3 on the corpus fans of at most 6 rays, and
+        # ample - k*C_i on seeded chains
+        def wrong_route(X, divisors):
+            return [
+                D for D in divisors
+                if (X.polytope(D)._vertices is not None) != X.is_nef(D)
+            ]
+
+        for X in surfaces.values():
+            if X.n <= 6:
+                grid = map(Divisor, product(range(-2, 4), repeat=X.n))
+                assert wrong_route(X, grid) == [], X.fan
+        not_nef = 0
+        for seed in range(40):
+            fan, _, ample = blowup_chain_divisors(seed, 5 + seed % 20)
+            X = ToricSurface(fan)
+            shifted = [
+                ample - k * X.generator(i)
+                for i, k in product(range(X.n), range(1, 4))
+            ]
+            assert wrong_route(X, shifted) == [], seed
+            not_nef += sum(not X.is_nef(D) for D in shifted)
+        assert not_nef > 0
+
+    def test_counts_make_no_pairing_call(self, surfaces, monkeypatch):
+        X = surfaces["rank6"]
+        D = driver_divisor("rank6", X)
+        not_nef = D - 3 * X.generator(0)
+        assert X.is_ample(D) and not X.is_nef(not_nef)
+        counts = count_calls(monkeypatch, "intersections")
+        for E in (D, not_nef):
+            X.polytope(E)
+            X.h0(E)
+        assert counts == {"intersections": 0}
+
     def test_rank6_driver_runs_no_pairwise_search(self, surfaces, monkeypatch):
         searches = []
         vertices = Polytope.__dict__["vertices"].fget
@@ -516,6 +558,15 @@ class TestAbstractSurface:
     def test_rank(self):
         assert self.make().picard_rank == 3
 
+    def test_rank_skips_a_zero_column(self):
+        X = AbstractSurface(
+            ["z", "a", "b", "c"],
+            [[0, 0, 0, 0], [0, -1, 1, 0], [0, 1, -1, 1], [0, 0, 1, -1]],
+            [0, -1, -1, -1],
+            [1, 2, 3],
+        )
+        assert X.picard_rank == 3
+
     def test_chi_matches_toric_model(self):
         X = self.make()
         minus_k = -1 * X.canonical
@@ -570,6 +621,11 @@ class TestImmutability:
         D = Divisor([1, 2])
         with pytest.raises(AttributeError):
             D.coeffs = (0, 0)
+
+    def test_polytope(self, f1):
+        poly = f1.polytope(Divisor([1, 1, 1, 1]))
+        with pytest.raises(AttributeError, match="Polytope is immutable"):
+            poly.halfplanes = ()
 
     def test_fan_and_surface(self, f1):
         with pytest.raises(AttributeError):

@@ -1,9 +1,10 @@
 """Exit paths of the command line that no other test reaches: each input
 below ends with its exit code and exactly one line on stderr.
 
-``{fan}`` and ``{f2}`` in an argv name corpus fan files (f1 and f2),
-``{surface}`` the abstract presentation of the plane blown up in two
-points, and ``{bad}`` a file holding the case's surface data.
+``{fan}``, ``{f2}``, ``{p2}`` and ``{f0}`` in an argv name corpus fan
+files (``{fan}`` is f1), ``{surface}`` the abstract presentation of the
+plane blown up in two points, and ``{bad}`` a file holding the case's
+surface data.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from syzstab import Fan, NonPrimitiveRayError, stability
 from syzstab.cli import main
 
-from conftest import BL2P2_ABSTRACT, hirzebruch_rays
+from conftest import BL2P2_ABSTRACT, P2_RAYS, hirzebruch_rays
 
 CASES = {
     # cli.py: surface and divisor arguments
@@ -41,6 +42,14 @@ CASES = {
     "sf-length": (
         ["h0", "--fan", "{fan}", "--D", "1,1,1", "--sf"],
         "--sf takes 2 coefficients for --D",
+    ),
+    "sf-on-plane": (
+        ["h0", "--fan", "{p2}", "--D", "1,1", "--sf"],
+        "not a Hirzebruch surface with ell >= 1: ProjectivePlane",
+    ),
+    "sf-on-quadric": (
+        ["analyze", "--fan", "{f0}", "--D", "1,1", "--sf"],
+        "not a Hirzebruch surface with ell >= 1: Hirzebruch(0)",
     ),
     "polarize-fractional": (
         ["polarize", "--fan", "{fan}", "--D", "5/2,6"],
@@ -118,6 +127,30 @@ CASES = {
         "effective generator indices repeat",
         {**BL2P2_ABSTRACT, "effective_generators": [0, 1, 1]},
     ),
+    # SurfaceModel.nef_threshold: E = C_0 meets each declared generator
+    # in 0 or in E^2 = -1, so none bounds the nef threshold
+    "generators-span-nothing": (
+        ["analyze", "--surface", "{bad}", "--D=-1,-1,-1"],
+        "declared generators cannot span the effective cone: "
+        "E meets none of them positively",
+        {
+            "labels": ["a", "b", "c"],
+            "pairing": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            "canonical": [-1, -1, -1],
+            "effective_generators": [0, 1, 2],
+        },
+    ),
+    "low-rank-generators-span-nothing": (
+        ["polarize", "--surface", "{bad}", "--D=-1,-1", "--allow-low-rank"],
+        "declared generators cannot span the effective cone: "
+        "E meets none of them positively",
+        {
+            "labels": ["a", "b"],
+            "pairing": [[-1, 0], [0, -1]],
+            "canonical": [-1, -1],
+            "effective_generators": [0, 1],
+        },
+    ),
 }
 
 
@@ -131,6 +164,8 @@ def paths(tmp_path):
     return {
         "fan": write_json(tmp_path / "f1.json", {"rays": hirzebruch_rays(1)}),
         "f2": write_json(tmp_path / "f2.json", {"rays": hirzebruch_rays(2)}),
+        "p2": write_json(tmp_path / "p2.json", {"rays": P2_RAYS}),
+        "f0": write_json(tmp_path / "f0.json", {"rays": hirzebruch_rays(0)}),
         "surface": write_json(tmp_path / "surface.json", BL2P2_ABSTRACT),
         "bad": str(tmp_path / "bad.json"),
     }

@@ -71,6 +71,11 @@ class TestValidation:
         shuffled = Fan([(0, -1), (1, 0), (-1, 1), (0, 1)])
         assert shuffled == reference
 
+    def test_equal_fans_hash_equal_and_show_sorted_rays(self):
+        shuffled = Fan([(0, 1), (-1, -1), (1, 0)])
+        assert hash(shuffled) == hash(Fan(P2_RAYS))
+        assert repr(shuffled) == "Fan([(1, 0), (0, 1), (-1, -1)])"
+
     def test_every_rotation_validates(self):
         for rays in CORPUS_RAYS.values():
             for shift in range(len(rays)):

@@ -55,6 +55,7 @@ from conftest import (
     DP6_RAYS,
     ample_on,
     blowup_chain_divisors,
+    count_calls,
     driver_divisor,
     hirzebruch_rays,
 )
@@ -179,6 +180,20 @@ class TestThreshold:
         with pytest.raises(PreconditionError):
             d_threshold(p2, H, H, H)
 
+    def test_zero_bundle_raises_d0(self):
+        # D = S = A with D^2 = D.A = 0: q vanishes, d*D - S is zero at
+        # d = 1, so d0 moves to 2 and the check at d0 - 1 is skipped
+        X = AbstractSurface(
+            ["a", "b", "c"],
+            [[-1, 0, 1], [0, -1, 1], [1, 1, 0]],
+            [-1, -1, -2],
+            [0, 1],
+        )
+        D = Divisor([0, 0, 1])
+        th = d_threshold(X, D, D, D)
+        assert (th.d0, th.strict, th.first_nef_d) == (2, False, 1)
+        assert th.subbundle_slope == th.ambient_slope == 0
+
     def test_threshold_respects_nef_entry(self, f1):
         # shift by two sections: 2S needs d*D - 2S nef before anything else
         D = sf(f1, 8, 9)
@@ -203,6 +218,21 @@ class TestFindDestabilizer:
     def test_plane_has_no_candidate(self, p2):
         H = Divisor([1, 0, 0])
         assert find_destabilizer(p2, 3 * H, H, 1) is None
+
+    def test_trivial_shifts_are_skipped(self, p2):
+        # C_0 leaves the zero divisor, C_1 and C_2 a trivial bundle with
+        # h0 = 1, and every sum of two is not nef
+        H = Divisor([1, 0, 0])
+        assert find_destabilizer(p2, H, H, 1) is None
+
+    def test_rank6_call_counts(self, surfaces, monkeypatch):
+        X = surfaces["rank6"]
+        D = driver_divisor("rank6", X)
+        A = construct_polarization(X, D).polarization_integral
+        counts = count_calls(monkeypatch, "intersections", "h0")
+        find_destabilizer(X, D, A, 2)
+        assert counts["intersections"] <= 10
+        assert counts["h0"] == 45
 
     def test_power_family_at_threshold(self, power_family):
         X, D, S, A = power_family
@@ -410,6 +440,23 @@ class TestToricDriver:
     def test_driver_requires_ample(self, f1):
         with pytest.raises(NotAmpleError):
             toric_driver(f1, sf(f1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "name", ["f1", "f2", "f3", "f4", "bl2p2", "dp6", "rank5", "rank6"]
+    )
+    def test_driver_requires_ample_in_scope(self, surfaces, name):
+        X = surfaces[name]
+        ample = ample_on(name, X)
+        for D in (0 * ample, ample - X.generator(0), X.generator(0)):
+            with pytest.raises(NotAmpleError, match="^divisor D is not ample$"):
+                toric_driver(X, D)
+
+    def test_rank6_call_counts(self, surfaces, monkeypatch):
+        X = surfaces["rank6"]
+        counts = count_calls(monkeypatch, "intersections", "h0")
+        toric_driver(X, driver_divisor("rank6", X))
+        assert counts["intersections"] <= 12
+        assert counts["h0"] == 4
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
     def test_hirzebruch_polarization_in_region(self, surfaces, name):
