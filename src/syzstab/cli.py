@@ -67,6 +67,8 @@ from .stability import (
 # walked and every row kept (--a 9/8:6 --b 9/8:5 --step 1/32 over three
 # ells is 58,875 points).
 MAX_GRID_POINTS = 10**6
+# argparse takes the "-1,2" of "--D -1,2" for an option; "--D=-1,2" works
+_EQUALS = " (--%(dest)s=-1,2,... when the first is negative)"
 
 
 def _surface_from_args(args):
@@ -471,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--fan", help="fan JSON file")
         p.add_argument("--surface", help="abstract surface JSON file")
-        p.add_argument("--D", help="divisor coefficients, comma separated")
+        p.add_argument("--D", help="comma-separated divisor coefficients" + _EQUALS)
         p.add_argument(
             "--sf",
             action="store_true",
@@ -487,14 +489,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full stability report")
     add_common(p)
-    p.add_argument("--A", help="polarization coefficients")
+    p.add_argument("--A", help="polarization coefficients" + _EQUALS)
     p.add_argument("--d", type=int, help="fixed tensor exponent")
     p.add_argument("--verify", help="re-check a previously emitted report")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("destabilize", help="candidate search at fixed exponent")
     add_common(p)
-    p.add_argument("--A", required=True, help="polarization coefficients")
+    p.add_argument("--A", required=True, help="polarization coefficients" + _EQUALS)
     p.add_argument("--d", type=int, required=True, help="tensor exponent")
     p.set_defaults(func=_cmd_analyze, verify=None)
 

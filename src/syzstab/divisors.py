@@ -11,7 +11,8 @@ each curve anew.  :class:`ToricSurface` is built from a
 count in the section polygon: for nef D by Pick's theorem over the
 integral corners of the fan's cones, in O(n), and for any other D row by
 row, in time linear in the polygon's height, after an O(n^3) integer
-search for the polygon's vertices.  The Euler characteristic
+search for the polygon's vertices; ``shifted_h0(D)`` counts each nef D - S
+from D's corners, re-solving the few that S moves.  The Euler characteristic
 from Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
 a canonical class and a declared list of effective-cone generators; there
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -144,6 +145,17 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
+def _pick_count(corners: Sequence[tuple[int, int]]) -> int:
+    """Pick's |2A| + B = 2I + 2B - 2 over corners walking a boundary once."""
+    twice_area = boundary = 0
+    x0, y0 = corners[-1]
+    for x1, y1 in corners:
+        twice_area += x0 * y1 - x1 * y0
+        boundary += math.gcd(x1 - x0, y1 - y0)
+        x0, y0 = x1, y1
+    return (abs(twice_area) + boundary) // 2 + 1
+
+
 class Polytope:
     """Intersection of closed half-planes ``ux*x + uy*y >= rhs`` in the plane.
 
@@ -204,15 +216,7 @@ class Polytope:
         """Integer points: by Pick over given corners, else row by row."""
         verts = self.vertices
         if self._vertices is not None:
-            # |2A| + B = 2I + 2B - 2 for a lattice polygon; zero-length
-            # edges add nothing, and a segment or a point counts too
-            twice_area = boundary = 0
-            x0, y0 = verts[-1]
-            for x1, y1 in verts:
-                twice_area += x0 * y1 - x1 * y0
-                boundary += math.gcd(x1 - x0, y1 - y0)
-                x0, y0 = x1, y1
-            return (abs(twice_area) + boundary) // 2 + 1
+            return _pick_count(verts)
         if not verts:
             return 0
         ymin = math.ceil(min(v[1] for v in verts))
@@ -287,6 +291,14 @@ class SurfaceModel:
         DD, DK = self.pair_with(v, D), self.pair_with(v, self.canonical)
         return _exact(1 + Fraction(DD - DK, 2))
 
+    def shift(self, combo: Sequence[int]) -> Divisor:
+        """The sum of the basis curves that combo indexes, repeats adding."""
+        return Divisor([combo.count(i) for i in range(self.n)])
+
+    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int]:
+        """combo -> h0(D - shift(combo)) for nef D - S, counted by h0."""
+        return lambda combo: self.h0(D - self.shift(combo))
+
     def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
         """Largest t with D - t*E nef, for nef D.
 
@@ -351,6 +363,14 @@ class ToricSurface(SurfaceModel):
         """Prime curves of negative self-intersection -c_i."""
         return tuple([i for i, c in enumerate(self.walls) if c > 0])
 
+    def _corners(self, a: Sequence[int]) -> list[tuple[int, int]]:
+        """Each cone (u_{i-1}, u_i)'s corner m_i: <m_i, u_j> = -a_j."""
+        rays = self.fan.rays
+        return [
+            _solve_cone(rays[i - 1], u, -a[i - 1], -a[i])
+            for i, u in enumerate(rays)
+        ]
+
     def polytope(self, D: Divisor) -> Polytope:
         """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor.
 
@@ -362,10 +382,7 @@ class ToricSurface(SurfaceModel):
         a = D.int_coeffs()
         rays = self.fan.rays
         halfplanes = [(u[0], u[1], -a[i]) for i, u in enumerate(rays)]
-        corners = [
-            _solve_cone(rays[i - 1], u, -a[i - 1], -a[i])
-            for i, u in enumerate(rays)
-        ]
+        corners = self._corners(a)
         nxt = zip(corners, halfplanes[1:] + halfplanes[:1])
         if all(ux * x + uy * y >= r for (x, y), (ux, uy, r) in nxt):
             return Polytope(halfplanes, tuple(corners))
@@ -379,6 +396,23 @@ class ToricSurface(SurfaceModel):
         coefficient representative of a class gives the same count.
         """
         return self.polytope(D).lattice_point_count()
+
+    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int]:
+        """combo -> h0(D - S) for nef D - S: Pick over D's cone corners,
+        formed once, with m_i and m_{i+1} re-solved for each C_i in S."""
+        self._check(D)
+        a, r, n = D.int_coeffs(), self.fan.rays, self.n
+        corners = self._corners(a)
+
+        def count(combo: Sequence[int]) -> int:
+            b, moved = list(a), corners[:]
+            for i in combo:
+                b[i] -= 1
+            for k in {j % n for i in combo for j in (i, i + 1)}:
+                moved[k] = _solve_cone(r[k - 1], r[k], -b[k - 1], -b[k])
+            return _pick_count(moved)
+
+        return count
 
     def is_effective(self, D: Divisor) -> bool:
         """A nonnegative integral D is a sum of prime invariant curves and

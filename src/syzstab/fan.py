@@ -61,18 +61,11 @@ def _half(u: Vec) -> int:
 
 
 def _angle_cmp(u: Vec, v: Vec) -> int:
-    # Total order by angle in [0, 2*pi): compare half-planes first, then
-    # cross products within a half.  Distinct primitive vectors at the
-    # same angle are impossible, so ties mean equality.
+    # Order by angle in [0, 2*pi): half-planes first, then the cross
+    # product within a half.  Fan rejects repeated rays before it sorts,
+    # and distinct primitive vectors never share an angle, so u != v.
     hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    d = det(u, v)
-    if d > 0:
-        return -1
-    if d < 0:
-        return 1
-    return 0
+    return -1 if hu < hv or (hu == hv and det(u, v) > 0) else 1
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ curve C_i on first use, and reads each candidate S = C_i (+ C_j) off them:
 S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), S^2 sums
 entries of the curves' vectors, and v(d*D - S) = v(d*D) - v(C_i) (- v(C_j))
 decides nefness.  A candidate of :func:`scan_candidates` costs a few
-additions, one of :func:`find_destabilizer` one lattice count.
+additions, one of :func:`find_destabilizer` one Pick sum over d*D's
+cone corners, found once per search, with two moved per curve of S.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -341,17 +342,15 @@ def _curve_vectors(X: SurfaceModel):
     return cache(lambda i: X.intersections(X.generator(i)))
 
 
-def _candidate_shifts(X: SurfaceModel):
-    """Shifts S in scan order, each with the indices of its curves: each
-    effective-cone generator, then each sum of two, repeats allowed."""
+def _combos(X: SurfaceModel):
+    """S's curve indices in scan order: each generator, then pairs i <= j."""
     for r in (1, 2):
-        for combo in combinations_with_replacement(
-            X.effective_generators, r
-        ):
-            coeffs = [0] * X.n
-            for i in combo:
-                coeffs[i] += 1
-            yield combo, Divisor(coeffs)
+        yield from combinations_with_replacement(X.effective_generators, r)
+
+
+def _slope_gap(num: Rat, h: int, mu: Fraction) -> Rat:
+    """-num/(h - 1) - mu, times the positive (h - 1) * mu.denominator."""
+    return -num * mu.denominator - mu.numerator * (h - 1)
 
 
 def find_destabilizer(
@@ -360,11 +359,11 @@ def find_destabilizer(
     """Scan sums of one or two effective-cone generators S for a subbundle
     of slope >= the ambient slope at exponent d.
 
-    Candidates must leave d*D - S nef and nonzero.  Returns the first
+    Candidates must leave d*D - S nef with h0 >= 2.  Returns the first
     strict violator in scan order, falling back to the first tie; None
-    when no candidate of this shape works.  By linearity v(d*D - S) is
-    v(d*D) minus the vectors of S's curves, and (d*D - S).A is (d*D).A
-    minus their entries of v(A), so each candidate costs one section count.
+    when no candidate of this shape works.  v(d*D - S) and (d*D - S).A
+    follow by linearity, ``X.shifted_h0`` counts, and slopes compare by
+    cross-multiplication: only the returned S and slopes are built.
     """
     gens = X.effective_generators
     ambient = d * D
@@ -372,24 +371,26 @@ def find_destabilizer(
     av = _require_ample(X, A, "polarization")
     DA = X.pair_with(ambient_v, A)
     mu_ambient = _slope(X, ambient, DA)
+    count = X.shifted_h0(ambient)
     curve = _curve_vectors(X)
-    tie: Optional[Destabilizer] = None
-    for combo, S in _candidate_shifts(X):
+    best = None
+    for combo in _combos(X):
         sv = [sum(col) for col in zip(*map(curve, combo))]
         if any(ambient_v[k] < sv[k] for k in gens):
             continue
-        sub = ambient - S
-        if sub.is_zero:
+        h = count(combo)
+        if h <= 1:
             continue
-        try:
-            mu_sub = _slope(X, sub, DA - sum(av[i] for i in combo))
-        except DegenerateBundleError:
-            continue
-        if mu_sub > mu_ambient:
-            return Destabilizer(S, mu_sub, mu_ambient, True)
-        if mu_sub == mu_ambient and tie is None:
-            tie = Destabilizer(S, mu_sub, mu_ambient, False)
-    return tie
+        num = DA - sum(av[i] for i in combo)
+        gap = _slope_gap(num, h, mu_ambient)
+        if gap > 0 or (gap == 0 and best is None):
+            best = combo, num, h, gap > 0
+            if gap > 0:
+                break
+    if best is None:
+        return None
+    combo, num, h, strict = best
+    return Destabilizer(X.shift(combo), Fraction(-num, h - 1), mu_ambient, strict)
 
 
 def _region_bound(ell: int, b: Fraction) -> Fraction:
@@ -567,11 +568,11 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     kv = X.intersections(X.canonical)
     DA, D2, DK = (X.pair_with(v, D) for v in (av, dv, kv))
     curve = _curve_vectors(X)
-    for combo, S in _candidate_shifts(X):
+    for combo in _combos(X):
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(curve(i)[j] for i in combo for j in combo)
         if _kind(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)) != STABLE_POSSIBLE:
-            return _certified_report(X, D, S, A, [])
+            return _certified_report(X, D, X.shift(combo), A, [])
     return _report(
         X, ["every scanned candidate shift admits stability asymptotically"]
     )

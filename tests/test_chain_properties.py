@@ -14,6 +14,7 @@ import io
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from syzstab import (
     ToricSurface,
     certificate_holds,
     construct_polarization,
+    find_destabilizer,
     reduce_to_minimal,
 )
 from syzstab.cli import main
@@ -81,6 +83,34 @@ def test_h0_agrees(chain, data):
     F = d * D - k * X.generator(i)
     event("nef" if X.is_nef(F) else "not nef")
     assert X.h0(F) == C.h0(F.coeffs, D.coeffs), (d, i, k)
+
+
+@CHAIN_SETTINGS
+@given(chains, st.integers(1, 2))
+def test_fixed_exponent_slopes_agree(chain, d):
+    """find_destabilizer's slopes at d, against the construction's A,
+    from the checker's h0 of d*D and of d*D - S; with none found, every
+    nef candidate with two sections has a smaller slope by that count."""
+    X, C, D = drawn(*chain)
+    A = construct_polarization(X, D).polarization_integral.coeffs
+    found = find_destabilizer(X, D, Divisor(A), d)
+    event("strict" if found and found.strict else "tie" if found else "none")
+
+    def slope(F):
+        return Fraction(-C.pair(F, A), C.h0(F, D.coeffs) - 1)
+
+    ambient = (d * D).coeffs
+    if found is not None:
+        sub = (d * D - found.shift).coeffs
+        assert C.is_nef(sub)
+        assert (found.subbundle_slope, found.ambient_slope) == (
+            slope(sub), slope(ambient),
+        )
+        return
+    for S in check._small_shifts(X.n):
+        sub = tuple(a - s for a, s in zip(ambient, S))
+        if C.is_nef(sub) and C.h0(sub, D.coeffs) > 1:
+            assert slope(sub) < slope(ambient), S
 
 
 @CHAIN_SETTINGS

@@ -218,3 +218,11 @@ def test_ray_of_three_components():
         Fan([(1, 0), (0, 1, 0), (-1, -1)])
     assert str(info.value) == "ray 1 must have exactly 2 integer components"
     assert info.value.index == 1
+
+
+def test_negative_first_coefficient_needs_the_equals_form(paths, capsys):
+    # argparse takes "-1,2,3,4" after a separate "--D" for an option
+    assert main(["h0", "--fan", paths["fan"], "--D=-1,2,3,4"]) == 0
+    assert capsys.readouterr().out == "28\n"
+    assert main(["h0", "--fan", paths["fan"], "--D", "-1,2,3,4"]) == 2
+    assert "argument --D: expected one argument" in capsys.readouterr().err

@@ -365,22 +365,33 @@ class TestPerCandidateNumbers:
         assert scanned > 1000
 
     def test_fixed_exponent_slopes(self, surfaces, monkeypatch):
-        recorded = spy(monkeypatch, "_slope")
+        # each nef candidate's (d*D - S).A and section count, with the
+        # ambient slope they are weighed against
+        real = stability._slope_gap
+        recorded = []
+
+        def gap(*args):
+            recorded.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stability, "_slope_gap", gap)
         counted = 0
         for X, D, A in per_candidate_cases(surfaces):
             for d in (1, 2):
                 recorded.clear()
-                find_destabilizer(X, D, A, d)
+                found = find_destabilizer(X, D, A, d)
                 ambient = d * D
-                expected = [ref_slope(X, ambient, A)]
+                mu = ref_slope(X, ambient, A)
+                expected = []
                 for S in ref_shifts(X):
                     sub = ambient - S
-                    if sub.is_zero or not X.is_nef(sub) or X.h0(sub) <= 1:
+                    if not X.is_nef(sub) or X.h0(sub) <= 1:
                         continue
-                    expected.append(ref_slope(X, sub, A))
-                    if expected[-1] > expected[0]:
+                    expected.append((X.pair(sub, A), X.h0(sub), mu))
+                    if ref_slope(X, sub, A) > mu:
                         break
                 assert recorded == expected, (X, D, A, d)
+                assert found is None or found.ambient_slope == mu
                 counted += len(expected)
         assert counted > 1000
 

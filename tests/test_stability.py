@@ -29,6 +29,7 @@ from syzstab import (
     NotNefError,
     OutOfTheoremScopeError,
     Polarization,
+    Polytope,
     PreconditionError,
     StabilityReport,
     ToricSurface,
@@ -46,6 +47,7 @@ from syzstab import (
     syzygy_slope,
     toric_driver,
 )
+from syzstab import divisors
 from syzstab.stability import LOW_RANK_NOTE, NEGATIVE_GENERATOR_NOTE
 
 from conftest import (
@@ -225,14 +227,37 @@ class TestFindDestabilizer:
         H = Divisor([1, 0, 0])
         assert find_destabilizer(p2, H, H, 1) is None
 
+    def test_first_of_three_ties(self, surfaces):
+        # C_0, C_3 and C_0 + C_3 all tie at d = 1 and no candidate beats
+        # the ambient slope: the first tie in scan order is returned
+        X = surfaces["dp6"]
+        D, A = Divisor([1, 1, 1, 3, 3, 1]), Divisor([1, 1, 1, 1, 3, 3])
+        C0, C3 = X.generator(0), X.generator(3)
+        for S in (C0, C3, C0 + C3):
+            assert slope_compare(X, D, S, A, 1) == EQUAL
+        found = find_destabilizer(X, D, A, 1)
+        assert not found.strict and found.shift == C0
+        assert found.subbundle_slope == found.ambient_slope
+
     def test_rank6_call_counts(self, surfaces, monkeypatch):
         X = surfaces["rank6"]
         D = driver_divisor("rank6", X)
         A = construct_polarization(X, D).polarization_integral
         counts = count_calls(monkeypatch, "intersections", "h0")
+        picks, polygons = [], []
+        pick, init = divisors._pick_count, Polytope.__init__
+        monkeypatch.setattr(
+            divisors, "_pick_count", lambda c: picks.append(c) or pick(c)
+        )
+        monkeypatch.setattr(
+            Polytope, "__init__", lambda *a: polygons.append(a) or init(*a)
+        )
         find_destabilizer(X, D, A, 2)
         assert counts["intersections"] <= 10
-        assert counts["h0"] == 45
+        # 45 lattice counts: one h0, of d*D, and 44 corner counts, one per
+        # nef candidate, with no polygon built for a candidate
+        assert counts["h0"] == 1 and len(polygons) == 1
+        assert len(picks) == 45
 
     def test_power_family_at_threshold(self, power_family):
         X, D, S, A = power_family
