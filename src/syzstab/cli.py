@@ -33,10 +33,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .divisors import AbstractSurface, Divisor, ToricSurface
+from .divisors import AbstractSurface, Divisor, Rat, ToricSurface
 from .errors import EmptyGridError, InputError, InternalError
 from .fan import HIRZEBRUCH, Fan, reduce_to_minimal
 from .files import (
@@ -95,6 +94,8 @@ def _divisor_in_ambient(X, text: str, args, role: str):
 
     Returns (divisor, basis_tag); basis_tag records how the user wrote it.
     """
+    if text is None:
+        raise InputError(f"{role} is required")
     D = parse_divisor_arg(text)
     if isinstance(X, AbstractSurface):
         if args.sf or args.he:
@@ -150,8 +151,10 @@ def _pretty_divisor(X, D: Divisor) -> str:
     return coeffs
 
 
-def _emit(args, text: str, payload: dict) -> None:
-    out = dumps_canonical(payload) if args.json else text + "\n"
+def _emit(args, payload: dict, render) -> None:
+    """The payload as JSON with --json, else the text ``render()`` builds,
+    so that only the printed form is rendered."""
+    out = dumps_canonical(payload) if args.json else render() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -231,7 +234,6 @@ def _cmd_verify(args) -> int:
 
     ok = same_verdict and same_cert and cert_ok
     status = "verified" if ok else "MISMATCH"
-    text = f"{status}: {verdict}"
     payload = {
         "verified": ok,
         "verdict": verdict,
@@ -239,7 +241,7 @@ def _cmd_verify(args) -> int:
         "certificate_matches": same_cert,
         "certificate_slopes_check": cert_ok,
     }
-    _emit(args, text, payload)
+    _emit(args, payload, lambda: f"{status}: {verdict}")
     return 0 if ok else 1
 
 
@@ -274,7 +276,7 @@ def _cmd_analyze(args) -> int:
             echo["mode"] = "fixed-exponent"
             echo["d"] = args.d
     report = analyze(X, D, A, args.d)
-    _emit(args, _render_report(X, report), _report_jsonable(report, echo))
+    _emit(args, _report_jsonable(report, echo), lambda: _render_report(X, report))
     return 0
 
 
@@ -297,6 +299,11 @@ def _cmd_polarize(args) -> int:
         "notes": list(pol.notes),
         "echo": {**surface_to_jsonable(X), "D": divisor_to_jsonable(D)},
     }
+    _emit(args, payload, lambda: _render_polarization(X, pol))
+    return 0
+
+
+def _render_polarization(X, pol) -> str:
     lines = [
         f"polarization A: {_pretty_divisor(X, pol.polarization)}",
         f"integral A: {_pretty_divisor(X, pol.polarization_integral)}",
@@ -307,8 +314,7 @@ def _cmd_polarize(args) -> int:
         f"alpha: {format_rational(pol.alpha)}",
     ]
     lines += [f"note: {note}" for note in pol.notes]
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return "\n".join(lines)
 
 
 def _cmd_hirzebruch(args) -> int:
@@ -321,7 +327,7 @@ def _cmd_hirzebruch(args) -> int:
         "b": format_rational(b),
         "verdict": verdict,
     }
-    _emit(args, verdict, payload)
+    _emit(args, payload, lambda: verdict)
     return 0
 
 
@@ -332,7 +338,7 @@ def _cmd_h0(args) -> int:
     D, _ = _divisor_in_ambient(X, args.D, args, "--D")
     value = X.h0(D)
     text = format_rational(value)  # refuses a count too long to print
-    _emit(args, text, {"h0": value, "D": divisor_to_jsonable(D)})
+    _emit(args, {"h0": value, "D": divisor_to_jsonable(D)}, lambda: text)
     return 0
 
 
@@ -346,25 +352,31 @@ def _cmd_classify(args) -> int:
         "rays": [list(r) for r in fan.rays],
         "self_intersections": list(fan.self_intersections()),
     }
-    lines = [
-        f"type: {st}",
-        f"picard rank: {st.picard_rank}",
-        f"rays (ccw): {[list(r) for r in fan.rays]}",
-        f"self-intersections: {list(fan.self_intersections())}",
-    ]
     if args.reduction:
         reduced, removed = reduce_to_minimal(fan)
         payload["reduction"] = {
             "blown_down_rays": [list(r) for r in removed],
             "minimal_type": str(reduced.surface_type()),
         }
-        lines.append(f"blow-downs to minimal: {[list(r) for r in removed]}")
-        lines.append(f"minimal model: {reduced.surface_type()}")
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, payload, lambda: _render_classification(st, payload))
     return 0
 
 
-def _parse_range(text: str) -> tuple[Fraction, Fraction]:
+def _render_classification(st, payload: dict) -> str:
+    lines = [
+        f"type: {st}",
+        f"picard rank: {st.picard_rank}",
+        f"rays (ccw): {payload['rays']}",
+        f"self-intersections: {payload['self_intersections']}",
+    ]
+    if "reduction" in payload:
+        reduction = payload["reduction"]
+        lines.append(f"blow-downs to minimal: {reduction['blown_down_rays']}")
+        lines.append(f"minimal model: {reduction['minimal_type']}")
+    return "\n".join(lines)
+
+
+def _parse_range(text: str) -> tuple[Rat, Rat]:
     parts = text.split(":")
     if len(parts) == 1:
         v = parse_rational(parts[0])
@@ -377,7 +389,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction]:
     raise InputError(f"range {text!r} must be VALUE or LO:HI")
 
 
-def _grid(lo: Fraction, hi: Fraction, step: Fraction):
+def _grid(lo: Rat, hi: Rat, step: Rat):
     v = lo
     while v <= hi:
         yield v
@@ -440,6 +452,11 @@ def _cmd_sweep(args) -> int:
         raise EmptyGridError(
             "no grid point satisfies the ampleness bounds a, b > ell"
         )
+    _emit(args, {"rows": rows}, lambda: _render_csv(rows))
+    return 0
+
+
+def _render_csv(rows: list) -> str:
     header = ["ell", "a", "b", "verdict", "alpha", "beta", "d0", "strict"]
     lines = [",".join(header)]
     for row in rows:
@@ -451,13 +468,13 @@ def _cmd_sweep(args) -> int:
                 for k in header
             )
         )
-    _emit(args, "\n".join(lines), {"rows": rows})
-    return 0
+    return "\n".join(lines)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call."""
+def _build_parser():
+    """The argument parser and its subcommand parsers by name, built on
+    first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="syzstab",
         description=(
@@ -541,12 +558,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to a file")
     p.set_defaults(func=_cmd_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            # only the subcommand's parser: the namespace and errors of
+            # parser.parse_args, without the top-level pass
+            args, extras = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0])
+            )
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,8 +6,9 @@ entries.  Abstract surface files are JSON objects with ``labels``,
 ``effective_generators`` (integer indices into labels).  The same shape
 checks apply to the surface a report echoes back for ``--verify``.
 
-Rational entries may be JSON integers or strings: "p/q", or a decimal
-string such as "1.5", which is read exactly (as 3/2).  JSON floats are
+Rational entries may be JSON integers or strings.  Integral text such
+as "3" or "-12" parses to an int; "p/q", or a decimal string such as
+"1.5", parses to a Fraction, read exactly (as 3/2).  JSON floats are
 rejected, since they are binary approximations.  Emitted JSON is
 byte-stable: keys sorted, rationals rendered in lowest terms with
 positive denominators, never as decimals.
@@ -19,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .divisors import AbstractSurface, Divisor, SurfaceModel, ToricSurface
+from .divisors import AbstractSurface, Divisor, Rat, SurfaceModel, ToricSurface
 from .errors import InputError
 from .fan import Fan
 
@@ -39,18 +40,25 @@ def _check_exponent(text: str) -> None:
         )
 
 
-def parse_rational(value) -> Fraction:
+def parse_rational(value) -> Rat:
     """Accept ints and exact strings ('3', 'p/q', '1.5', '2e3'); never
-    floats.  A decimal exponent may be at most
-    ``sys.get_int_max_str_digits()`` in magnitude."""
+    floats.  An int, or text of decimal digits with an optional '-', is
+    returned as an int; anything else as a Fraction.  A decimal exponent
+    may be at most ``sys.get_int_max_str_digits()`` in magnitude."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
+        text = value.strip()
+        if text.removeprefix("-").isdecimal():
+            try:
+                return int(text)
+            except ValueError:  # past the digit limit: Fraction's error below
+                pass
         _check_exponent(value)
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {value!r}") from exc
     raise InputError(
@@ -61,8 +69,10 @@ def parse_rational(value) -> Fraction:
 def format_rational(value) -> str:
     """Lowest terms, positive denominator; integers without the '/1'.
     Raises InputError past ``sys.get_int_max_str_digits()`` digits."""
-    f = Fraction(value)
     try:
+        if type(value) is int:
+            return str(value)
+        f = Fraction(value)
         if f.denominator == 1:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"
@@ -70,7 +80,7 @@ def format_rational(value) -> str:
         raise InputError(f"result too large to print: {exc}") from exc
 
 
-def rational_to_jsonable(value: Fraction) -> int | str:
+def rational_to_jsonable(value: Rat) -> int | str:
     """An integer as a JSON int, anything else as 'p/q'."""
     return int(value) if value.denominator == 1 else format_rational(value)
 
@@ -90,7 +100,7 @@ def _require_list(value, what: str) -> list:
     return value
 
 
-def _rationals(values, what: str) -> list[Fraction]:
+def _rationals(values, what: str) -> list[Rat]:
     return [parse_rational(v) for v in _require_list(values, what)]
 
 
@@ -185,5 +195,9 @@ def surface_from_jsonable(echo) -> SurfaceModel:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+    Raises InputError for an int past ``sys.get_int_max_str_digits()``."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        raise InputError(f"result too large to print: {exc}") from exc

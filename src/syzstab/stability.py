@@ -394,8 +394,10 @@ def find_destabilizer(
 
 
 def _region_bound(ell: int, b: Fraction) -> Fraction:
-    """The region test's bound 2b(b-ell)/ell + ell on the slope a."""
-    return Fraction(2) * b * (b - ell) / ell + ell
+    """The region test's bound 2b(b-ell)/ell + ell on the slope a, as one
+    Fraction (2r(r - ell s) + ell^2 s^2) / (ell s^2) of b = r/s."""
+    r, s = b.numerator, b.denominator
+    return Fraction(2 * r * (r - ell * s) + (ell * s) ** 2, ell * s * s)
 
 
 def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:

@@ -1,11 +1,14 @@
 """Command-line behaviour: parsing, verdicts, exit codes, round-trips."""
 
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzstab import Polytope, cli
 from syzstab.cli import main
@@ -506,6 +509,18 @@ class TestSmallCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: result too large to print")
 
+    def test_json_too_large_to_print(self, tmp_path, capsys):
+        # the echoed A has entries one digit past the print limit, and
+        # --json renders no text that would refuse them first
+        fan = tmp_path / "bl2p2.json"
+        fan.write_text(json.dumps({"rays": [list(r) for r in BL2P2_RAYS]}))
+        huge = ",".join([f"1e{sys.get_int_max_str_digits()}"] * 5)
+        argv = ["analyze", "--fan", str(fan), "--D", "2,2,2,2,2", "--A", huge]
+        assert main(argv + ["--d", "1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result too large to print")
+
     def test_hirzebruch_not_ample(self, capsys):
         rc = main(["hirzebruch", "--ell", "2", "--a", "1", "--b", "3"])
         assert rc == 2
@@ -654,3 +669,74 @@ class TestExponentBound:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: result too large to print")
+
+
+# parse_rational against Fraction(text.strip()), the parser it takes over
+# from on plain integer text
+INT_LIMIT = sys.get_int_max_str_digits()
+ORACLE_TABLE = [
+    "3", "-3", " 12\t", "-0", "007", "+3", "1_000", "- 3", "--3", "3-",
+    "3/4", "-6/8", "1.5", "2e3", "٣", "-٣٣", "²", "1/0", "", "-", "x",
+    "9" * INT_LIMIT, "-" + "9" * INT_LIMIT, "9" * (INT_LIMIT + 1),
+]
+oracle_texts = st.one_of(
+    st.text(alphabet=" \t -+_/.0123456789٣²x", max_size=12),
+    st.builds(
+        str.__add__,
+        st.sampled_from(["", "-", "+", " "]),
+        st.integers(INT_LIMIT - 1, INT_LIMIT + 1).map("9".__mul__),
+    ),
+)
+
+
+def check_against_fraction(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"not a rational number: {text!r}"
+        return
+    value = parse_rational(text)
+    assert value == expected
+    plain = re.fullmatch(r"-?\d+", text.strip()) is not None
+    assert (type(value) is int) == plain, text
+
+
+@pytest.mark.parametrize("text", ORACLE_TABLE, ids=range(len(ORACLE_TABLE)))
+def test_parse_rational_oracle_table(text):
+    check_against_fraction(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_texts)
+def test_parse_rational_oracle(text):
+    check_against_fraction(text)
+
+
+def refuse(*args):
+    raise AssertionError("text rendered for a --json run")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--fan", "{f1}", "--D", "5,6"],
+        ["analyze", "--fan", "{f1}", "--D", "5,6", "--A", "2,3", "--d", "2"],
+        ["polarize", "--fan", "{rank6}", "--D", "3,4,2,4,3,3,3,3"],
+        ["classify", "--fan", "{rank6}", "--reduction"],
+        ["sweep", "--ell", "1,2", "--a", "9/8:4", "--b", "9/8:3", "--step", "1/2"],
+    ],
+    ids=["analyze", "fixed-exponent", "polarize", "classify", "sweep"],
+)
+def test_json_renders_no_text(argv, f1_path, tmp_path, monkeypatch, capsys):
+    rank6 = tmp_path / "rank6.json"
+    rank6.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
+    paths = {"f1": f1_path, "rank6": str(rank6)}
+    for helper in (
+        "_render_report", "_render_polarization", "_render_classification",
+        "_render_csv", "_pretty_divisor",
+    ):
+        monkeypatch.setattr(cli, helper, refuse)
+    assert main([arg.format(**paths) for arg in argv] + ["--json"]) == 0
+    json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Exit paths of the command line that no other test reaches: each input
-below ends with its exit code and exactly one line on stderr.
+in CASES ends with its exit code and exactly one line on stderr, and
+each argv in ARGV_TABLE with its exit code, stdout and stderr as
+argparse and main give them.
 
 ``{fan}``, ``{f2}``, ``{p2}`` and ``{f0}`` in an argv name corpus fan
 files (``{fan}`` is f1), ``{surface}`` the abstract presentation of the
@@ -12,7 +14,7 @@ import pathlib
 
 import pytest
 
-from syzstab import Fan, NonPrimitiveRayError, stability
+from syzstab import Fan, NonPrimitiveRayError, __version__, stability
 from syzstab.cli import main
 
 from conftest import BL2P2_ABSTRACT, P2_RAYS, hirzebruch_rays
@@ -226,3 +228,109 @@ def test_negative_first_coefficient_needs_the_equals_form(paths, capsys):
     assert capsys.readouterr().out == "28\n"
     assert main(["h0", "--fan", paths["fan"], "--D", "-1,2,3,4"]) == 2
     assert "argument --D: expected one argument" in capsys.readouterr().err
+
+
+USAGE = (
+    "usage: syzstab [-h] [--version]\n"
+    "               {analyze,destabilize,polarize,hirzebruch,h0,classify,sweep} ...\n"
+)
+ANALYZE_USAGE = (
+    "usage: syzstab analyze [-h] [--fan FAN] [--surface SURFACE] [--D D] [--sf]\n"
+    "                       [--he] [--json] [--out OUT] [--A A] [--d D]\n"
+    "                       [--verify VERIFY]\n"
+)
+HELP = USAGE + """
+Exact destabilization certificates for syzygy bundles on smooth complete toric
+surfaces.
+
+positional arguments:
+  {analyze,destabilize,polarize,hirzebruch,h0,classify,sweep}
+    analyze             full stability report
+    destabilize         candidate search at fixed exponent
+    polarize            construct a boundary polarization
+    hirzebruch          region test for (ell, a, b)
+    h0                  exact section count
+    classify            surface type of a fan
+    sweep               grid sweep of the Hirzebruch region
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+ANALYZE_HELP = ANALYZE_USAGE + """
+options:
+  -h, --help         show this help message and exit
+  --fan FAN          fan JSON file
+  --surface SURFACE  abstract surface JSON file
+  --D D              comma-separated divisor coefficients (--D=-1,2,... when
+                     the first is negative)
+  --sf               divisors given in section/fiber class coordinates
+  --he               divisors given in hyperplane/exceptional coordinates
+  --json             emit JSON
+  --out OUT          write output to a file
+  --A A              polarization coefficients (--A=-1,2,... when the first is
+                     negative)
+  --d D              fixed tensor exponent
+  --verify VERIFY    re-check a previously emitted report
+"""
+CHOICES = (
+    "(choose from 'analyze', 'destabilize', 'polarize', 'hirzebruch', 'h0', "
+    "'classify', 'sweep')"
+)
+VERSION = f"syzstab {__version__}\n"
+
+# argv -> (exit code, stdout, stderr), through main's argument dispatch
+ARGV_TABLE = {
+    "none": ([], 2, "", USAGE + (
+        "syzstab: error: the following arguments are required: command\n"
+    )),
+    "version": (["--version"], 0, VERSION, ""),
+    "version-abbreviated": (["--ver", "X"], 0, VERSION, ""),
+    "help": (["-h"], 0, HELP, ""),
+    "analyze-help": (["analyze", "-h"], 0, ANALYZE_HELP, ""),
+    "unknown-command": (["bogus"], 2, "", USAGE + (
+        f"syzstab: error: argument command: invalid choice: 'bogus' {CHOICES}\n"
+    )),
+    "unknown-option": (
+        ["analyze", "--fan", "{fan}", "--D", "5,6", "--bogus"], 2, "",
+        USAGE + "syzstab: error: unrecognized arguments: --bogus\n",
+    ),
+    "stray-positional": (
+        ["analyze", "--fan", "{fan}", "--D", "5,6", "extra"], 2, "",
+        USAGE + "syzstab: error: unrecognized arguments: extra\n",
+    ),
+    "version-after-command": (["analyze", "--version"], 2, "", USAGE + (
+        "syzstab: error: unrecognized arguments: --version\n"
+    )),
+    "option-before-command": (["--d", "x"], 2, "", USAGE + (
+        f"syzstab: error: argument command: invalid choice: 'x' {CHOICES}\n"
+    )),
+    "command-option-first": (["--json", "analyze"], 2, "", USAGE + (
+        "syzstab: error: unrecognized arguments: --json\n"
+    )),
+    "destabilize-without-A": (
+        ["destabilize", "--fan", "{fan}", "--D", "5,6", "--d", "1"], 2, "",
+        "usage: syzstab destabilize [-h] [--fan FAN] [--surface SURFACE] "
+        "[--D D] [--sf]\n"
+        "                           [--he] [--json] [--out OUT] --A A --d D\n"
+        "syzstab destabilize: error: the following arguments are required: --A\n",
+    ),
+    "analyze-without-D": (
+        ["analyze", "--fan", "{fan}"], 2, "",
+        "error: --D is required (or use analyze --verify REPORT)\n",
+    ),
+    "h0-without-D": (
+        ["h0", "--fan", "{fan}"], 2, "", "error: --D is required\n",
+    ),
+    "polarize-without-D": (
+        ["polarize", "--fan", "{fan}"], 2, "", "error: --D is required\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGV_TABLE))
+def test_argv_table(name, paths, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    argv, code, out, err = ARGV_TABLE[name]
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr() == (out, err)
