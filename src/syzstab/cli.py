@@ -151,10 +151,10 @@ def _pretty_divisor(X, D: Divisor) -> str:
     return coeffs
 
 
-def _emit(args, payload: dict, render) -> None:
-    """The payload as JSON with --json, else the text ``render()`` builds,
-    so that only the printed form is rendered."""
-    out = dumps_canonical(payload) if args.json else render() + "\n"
+def _emit(args, payload, render) -> None:
+    """JSON of the dict ``payload()`` builds with --json, else the text
+    ``render()`` builds, so that only the printed form is built."""
+    out = dumps_canonical(payload()) if args.json else render() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -241,7 +241,7 @@ def _cmd_verify(args) -> int:
         "certificate_matches": same_cert,
         "certificate_slopes_check": cert_ok,
     }
-    _emit(args, payload, lambda: f"{status}: {verdict}")
+    _emit(args, lambda: payload, lambda: f"{status}: {verdict}")
     return 0 if ok else 1
 
 
@@ -256,28 +256,37 @@ def _cmd_analyze(args) -> int:
     D, basis = _divisor_in_ambient(X, args.D, args, "--D")
     if not D.is_integral:
         raise InputError("--D must have integer coefficients")
+    A = None
+    if args.A is not None:
+        A, _ = _divisor_in_ambient(X, args.A, args, "--A")
+        if not A.is_integral:
+            A = A.scaled_primitive()
+    report = analyze(X, D, A, args.d)
+    _emit(
+        args,
+        lambda: _report_jsonable(report, _echo(args, X, D, basis, A)),
+        lambda: _render_report(X, report),
+    )
+    return 0
+
+
+def _echo(args, X, D: Divisor, basis: str, A) -> dict:
+    """The input an ``analyze`` report echoes, enough for --verify."""
     echo = {
         "command": args.command,
         **surface_to_jsonable(X),
         "D": divisor_to_jsonable(D),
         "input_basis": basis,
         "tool": {"name": "syzstab", "version": __version__},
+        "mode": "driver",
     }
-    A = None
-    if args.A is None:
-        echo["mode"] = "driver"
-    else:
-        A, _ = _divisor_in_ambient(X, args.A, args, "--A")
-        if not A.is_integral:
-            A = A.scaled_primitive()
+    if A is not None:
         echo["A"] = divisor_to_jsonable(A)
         echo["mode"] = "asymptotic-scan"
         if args.d is not None:
             echo["mode"] = "fixed-exponent"
             echo["d"] = args.d
-    report = analyze(X, D, A, args.d)
-    _emit(args, _report_jsonable(report, echo), lambda: _render_report(X, report))
-    return 0
+    return echo
 
 
 def _cmd_polarize(args) -> int:
@@ -286,7 +295,16 @@ def _cmd_polarize(args) -> int:
     if not D.is_integral:
         raise InputError("--D must have integer coefficients")
     pol = construct_polarization(X, D, allow_low_rank=args.allow_low_rank)
-    payload = {
+    _emit(
+        args,
+        lambda: _polarization_jsonable(X, D, pol),
+        lambda: _render_polarization(X, pol),
+    )
+    return 0
+
+
+def _polarization_jsonable(X, D: Divisor, pol) -> dict:
+    return {
         "polarization": divisor_to_jsonable(pol.polarization),
         "polarization_integral": divisor_to_jsonable(
             pol.polarization_integral
@@ -299,8 +317,6 @@ def _cmd_polarize(args) -> int:
         "notes": list(pol.notes),
         "echo": {**surface_to_jsonable(X), "D": divisor_to_jsonable(D)},
     }
-    _emit(args, payload, lambda: _render_polarization(X, pol))
-    return 0
 
 
 def _render_polarization(X, pol) -> str:
@@ -327,7 +343,7 @@ def _cmd_hirzebruch(args) -> int:
         "b": format_rational(b),
         "verdict": verdict,
     }
-    _emit(args, payload, lambda: verdict)
+    _emit(args, lambda: payload, lambda: verdict)
     return 0
 
 
@@ -338,7 +354,7 @@ def _cmd_h0(args) -> int:
     D, _ = _divisor_in_ambient(X, args.D, args, "--D")
     value = X.h0(D)
     text = format_rational(value)  # refuses a count too long to print
-    _emit(args, {"h0": value, "D": divisor_to_jsonable(D)}, lambda: text)
+    _emit(args, lambda: {"h0": value, "D": divisor_to_jsonable(D)}, lambda: text)
     return 0
 
 
@@ -358,7 +374,7 @@ def _cmd_classify(args) -> int:
             "blown_down_rays": [list(r) for r in removed],
             "minimal_type": str(reduced.surface_type()),
         }
-    _emit(args, payload, lambda: _render_classification(st, payload))
+    _emit(args, lambda: payload, lambda: _render_classification(st, payload))
     return 0
 
 
@@ -452,7 +468,7 @@ def _cmd_sweep(args) -> int:
         raise EmptyGridError(
             "no grid point satisfies the ampleness bounds a, b > ell"
         )
-    _emit(args, {"rows": rows}, lambda: _render_csv(rows))
+    _emit(args, lambda: {"rows": rows}, lambda: _render_csv(rows))
     return 0
 
 

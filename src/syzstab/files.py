@@ -11,7 +11,10 @@ as "3" or "-12" parses to an int; "p/q", or a decimal string such as
 "1.5", parses to a Fraction, read exactly (as 3/2).  JSON floats are
 rejected, since they are binary approximations.  Emitted JSON is
 byte-stable: keys sorted, rationals rendered in lowest terms with
-positive denominators, never as decimals.
+positive denominators, never as decimals.  Reports are written by
+:func:`dumps_canonical`, syzstab's own writer, byte for byte the output
+of ``json.dumps(obj, sort_keys=True, indent=2)``, which on Python 3.13
+and before takes a pure-Python path once ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -19,10 +22,14 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .divisors import AbstractSurface, Divisor, Rat, SurfaceModel, ToricSurface
 from .errors import InputError
 from .fan import Fan
+
+_int = int.__repr__  # as json's own int rendering, never a subclass __repr__
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _check_exponent(text: str) -> None:
@@ -194,10 +201,58 @@ def surface_from_jsonable(echo) -> SurfaceModel:
     raise InputError("report echo names no surface")
 
 
+def _write(obj, out: list, newline: str) -> None:
+    """Append the JSON pieces of obj to out, as ``json.dumps`` with
+    ``sort_keys=True, indent=2`` writes them; newline is the line break
+    plus the indent of obj's own level."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(_int(obj))  # ValueError past the digit limit
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all([type(x) is int for x in obj]):
+            # rays, coefficient vectors, self-intersections: one join
+            out.append("[" + inner + ("," + inner).join(map(_int, obj)))
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _write(item, out, inner)
+                sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None or kind is bool:
+        out.append(_LITERALS[obj])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
-    Raises InputError for an int past ``sys.get_int_max_str_digits()``."""
+    """Deterministic JSON, byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=2)`` plus a trailing newline, of str keys, str, int, bool, None,
+    dicts and lists only.  Raises InputError for an int past
+    ``sys.get_int_max_str_digits()``, TypeError for any other type."""
+    out: list[str] = []
     try:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        _write(obj, out, "\n")
     except ValueError as exc:
         raise InputError(f"result too large to print: {exc}") from exc
+    out.append("\n")
+    return "".join(out)

@@ -61,6 +61,7 @@ from .errors import (
     PreconditionError,
 )
 from .fan import Fan, HIRZEBRUCH, PROJECTIVE_PLANE
+from .files import format_rational
 
 GREATER = "greater"
 EQUAL = "equal"
@@ -416,7 +417,8 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
     b = Fraction(b)
     if a <= ell or b <= ell:
         raise NotAmpleError(
-            f"ampleness needs a > {ell} and b > {ell}, got a={a}, b={b}"
+            f"ampleness needs a > {ell} and b > {ell}, "
+            f"got a={format_rational(a)}, b={format_rational(b)}"
         )
     bound = _region_bound(ell, b)
     if a > bound:
@@ -488,15 +490,17 @@ def construct_polarization(
     e_idx = min(negatives, key=lambda i: (dv[i], i))
     E = X.generator(e_idx)
     t = X.nef_threshold(D, E)
-    D_t = D - t * E
+    # everything below is linear in t and eps, read off v(D) and v(E): with
+    # x = D.E, alpha(D, E, A) is 2(D.A)x - (E.A)D^2, so alpha at A = E is
+    # 2x^2 - E^2 D^2 and at A = D_t = D - t*E it is D^2 x - t*alpha(E)
+    ev = X.intersections(E)
+    x, D2 = dv[e_idx], X.pair_with(dv, D)
+    alpha_e = 2 * x * x - ev[e_idx] * D2
+    alpha_t = D2 * x - t * alpha_e
     # A = D_t + eps*E is ample with alpha < 0 exactly when p + q*eps > 0 for
     # every pair: (D_t.C, E.C) for each generator C, and the negated alphas
     # of D_t and E, since alpha is linear in A
-    alpha_t = alpha_beta(X, D, E, D_t).alpha
-    alpha_e = alpha_beta(X, D, E, E).alpha
-    dtv = X.intersections(D_t)
-    ev = X.intersections(E)
-    pairs = [(dtv[i], ev[i]) for i in X.effective_generators]
+    pairs = [(dv[i] - t * ev[i], ev[i]) for i in X.effective_generators]
     pairs.append((-alpha_t, -alpha_e))
     h = min((Fraction(p, -q) for p, q in pairs if q < 0), default=Fraction(2))
     if h > 0:
@@ -507,7 +511,10 @@ def construct_polarization(
             f"no epsilon 2^-k <= 1 makes D - (t - epsilon)*E ample with "
             f"alpha < 0 for the generator E of index {e_idx}"
         )
-    A = D_t + eps * E
+    # A is D with E's coefficient moved to D_E - t + eps
+    coeffs = list(D.coeffs)
+    coeffs[e_idx] += eps - t
+    A = Divisor(coeffs)
     alpha = alpha_t + eps * alpha_e
     return Polarization(
         A, A.scaled_primitive(), e_idx, E, eps, t, alpha, tuple(notes)
@@ -617,9 +624,11 @@ def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityRep
     bound = _region_bound(ell, Fraction(b2, b1))
     a = _smallest_exceeding_rational(bound)
     A = X.from_section_fiber(a.denominator, a.numerator)
+    # format_rational refuses a bound too long to print with InputError
     note = (
-        f"polarization slope a = {a} chosen with denominator <= "
-        f"{_MAX_DENOMINATOR} just beyond the region bound {bound}"
+        f"polarization slope a = {format_rational(a)} chosen with denominator"
+        f" <= {_MAX_DENOMINATOR} just beyond the region bound "
+        f"{format_rational(bound)}"
     )
     return _certified_report(X, D, X.generator(s_idx), A, [note])
 

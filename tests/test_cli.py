@@ -715,10 +715,10 @@ def test_parse_rational_oracle(text):
 
 
 def refuse(*args):
-    raise AssertionError("text rendered for a --json run")
+    raise AssertionError("built an output form that is not printed")
 
 
-@pytest.mark.parametrize(
+PRINTED_FORM_ARGV = pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--fan", "{f1}", "--D", "5,6"],
@@ -729,14 +729,33 @@ def refuse(*args):
     ],
     ids=["analyze", "fixed-exponent", "polarize", "classify", "sweep"],
 )
-def test_json_renders_no_text(argv, f1_path, tmp_path, monkeypatch, capsys):
+
+
+def run_refusing(argv, refused, f1_path, tmp_path, monkeypatch):
+    """main on argv with the cli helpers named in refused made to fail."""
     rank6 = tmp_path / "rank6.json"
     rank6.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
     paths = {"f1": f1_path, "rank6": str(rank6)}
-    for helper in (
+    for helper in refused:
+        monkeypatch.setattr(cli, helper, refuse)
+    return main([arg.format(**paths) for arg in argv])
+
+
+@PRINTED_FORM_ARGV
+def test_json_renders_no_text(argv, f1_path, tmp_path, monkeypatch, capsys):
+    text_helpers = (
         "_render_report", "_render_polarization", "_render_classification",
         "_render_csv", "_pretty_divisor",
-    ):
-        monkeypatch.setattr(cli, helper, refuse)
-    assert main([arg.format(**paths) for arg in argv] + ["--json"]) == 0
+    )
+    argv = argv + ["--json"]
+    assert run_refusing(argv, text_helpers, f1_path, tmp_path, monkeypatch) == 0
     json.loads(capsys.readouterr().out)
+
+
+@PRINTED_FORM_ARGV
+def test_text_builds_no_json(argv, f1_path, tmp_path, monkeypatch, capsys):
+    json_helpers = (
+        "_report_jsonable", "_echo", "_polarization_jsonable", "dumps_canonical",
+    )
+    assert run_refusing(argv, json_helpers, f1_path, tmp_path, monkeypatch) == 0
+    assert not capsys.readouterr().out.startswith("{")

@@ -127,6 +127,9 @@ def test_toric_corpus(surfaces, recorder):
             A = driver.certificate.polarization
             assert holds(X, D, driver), name
         assert X.is_ample(A), name
+        # the public alpha_beta, which no driver calls: construct_polarization
+        # reads its alphas off v(D) and v(E)
+        stability.alpha_beta(X, D, X.generator(0), A)
         reports += analyses(X, D, A)
     check(recorder, reports)
     for _, name in RECORDED:

@@ -11,6 +11,7 @@ surface data.
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -18,6 +19,13 @@ from syzstab import Fan, NonPrimitiveRayError, __version__, stability
 from syzstab.cli import main
 
 from conftest import BL2P2_ABSTRACT, P2_RAYS, hirzebruch_rays
+
+# a number of one digit past the print limit, and the error it prints as
+LIMIT = sys.get_int_max_str_digits()
+try:
+    str(10**LIMIT)
+except ValueError as exc:
+    TOO_LARGE = f"result too large to print: {exc}"
 
 CASES = {
     # cli.py: surface and divisor arguments
@@ -81,6 +89,20 @@ CASES = {
     "sweep-step": (
         ["sweep", "--ell", "1", "--a", "2:3", "--b", "2", "--step", "0"],
         "--step must be positive",
+    ),
+    # stability.py: the Hirzebruch driver's note on a and the region
+    # bound, and the region test's ampleness message
+    "driver-note-too-large": (
+        ["analyze", "--fan", "{fan}", "--D", f"1e{LIMIT},1,1,1"],
+        TOO_LARGE,
+    ),
+    "driver-note-too-large-json": (
+        ["analyze", "--fan", "{fan}", "--D", f"1e{LIMIT},1,1,1", "--json"],
+        TOO_LARGE,
+    ),
+    "region-message-too-large": (
+        ["hirzebruch", "--ell", "1", f"--a=-1e{LIMIT}", "--b", "3"],
+        TOO_LARGE,
     ),
     # files.py
     "malformed-divisor": (
