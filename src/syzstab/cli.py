@@ -96,6 +96,8 @@ def _divisor_in_ambient(X, text: str, args, role: str):
     """
     if text is None:
         raise InputError(f"{role} is required")
+    if args.sf and args.he:
+        raise InputError("give either --sf or --he, not both")
     D = parse_divisor_arg(text)
     if isinstance(X, AbstractSurface):
         if args.sf or args.he:
@@ -131,6 +133,14 @@ def _divisor_in_ambient(X, text: str, args, role: str):
             f"{role} needs {X.n} coefficients for this fan, got {len(D)}"
         )
     return D, "prime"
+
+
+def _integral_D(X, args):
+    """--D in ambient coordinates, with its basis tag; it must be integral."""
+    D, basis = _divisor_in_ambient(X, args.D, args, "--D")
+    if not D.is_integral:
+        raise InputError("--D must have integer coefficients")
+    return D, basis
 
 
 def _pretty_divisor(X, D: Divisor) -> str:
@@ -253,9 +263,7 @@ def _cmd_analyze(args) -> int:
     if args.D is None:
         raise InputError("--D is required (or use analyze --verify REPORT)")
     X = _surface_from_args(args)
-    D, basis = _divisor_in_ambient(X, args.D, args, "--D")
-    if not D.is_integral:
-        raise InputError("--D must have integer coefficients")
+    D, basis = _integral_D(X, args)
     A = None
     if args.A is not None:
         A, _ = _divisor_in_ambient(X, args.A, args, "--A")
@@ -291,9 +299,7 @@ def _echo(args, X, D: Divisor, basis: str, A) -> dict:
 
 def _cmd_polarize(args) -> int:
     X = _surface_from_args(args)
-    D, _ = _divisor_in_ambient(X, args.D, args, "--D")
-    if not D.is_integral:
-        raise InputError("--D must have integer coefficients")
+    D, _ = _integral_D(X, args)
     pol = construct_polarization(X, D, allow_low_rank=args.allow_low_rank)
     _emit(
         args,
@@ -351,7 +357,7 @@ def _cmd_h0(args) -> int:
     X = _surface_from_args(args)
     if not isinstance(X, ToricSurface):
         raise InputError("h0 by lattice count needs a toric surface (--fan)")
-    D, _ = _divisor_in_ambient(X, args.D, args, "--D")
+    D, _ = _integral_D(X, args)
     value = X.h0(D)
     text = format_rational(value)  # refuses a count too long to print
     _emit(args, lambda: {"h0": value, "D": divisor_to_jsonable(D)}, lambda: text)

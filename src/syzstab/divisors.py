@@ -4,14 +4,13 @@ Two surface models share the intersection theory of one base class,
 :class:`SurfaceModel`, written over one vector per divisor:
 ``intersections(D)``, the list of D.C_i over the basis curves, checked
 once for D's length.  A toric surface forms it from the wall relation in
-O(n), an abstract one as a matrix-vector product; the pairing, nefness,
-Riemann-Roch and nef thresholds then read it instead of pairing D with
-each curve anew.  :class:`ToricSurface` is built from a
-:class:`~syzstab.fan.Fan`; there ``h0`` is an exact lattice-point
-count in the section polygon: for nef D by Pick's theorem over the
-integral corners of the fan's cones, in O(n), and for any other D row by
-row, in time linear in the polygon's height, after an O(n^3) integer
-search for the polygon's vertices; ``shifted_h0(D)`` counts each nef D - S
+O(n), an abstract one as a matrix-vector product; the pairing, nefness
+and Riemann-Roch then read it instead of pairing D with each curve
+anew.  :class:`ToricSurface` is built from a :class:`~syzstab.fan.Fan`;
+there ``h0`` is an exact lattice-point count in the section polygon: for
+nef D by Pick's theorem over the integral corners of the fan's cones, in
+O(n), and for any other D row by row, in time linear in the polygon's
+height, after an O(n^3) integer search for the polygon's vertices; ``shifted_h0(D)`` counts each nef D - S
 from D's corners, re-solving the few that S moves.  The Euler characteristic
 from Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
@@ -32,13 +31,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    NonIntegralDivisorError,
-    NotNefError,
-    PreconditionError,
-)
+from .errors import DimensionMismatchError, InputError, NonIntegralDivisorError
 from .fan import HIRZEBRUCH, Fan
 
 Rat = int | Fraction
@@ -126,13 +119,6 @@ class Divisor:
         ints = [int(c * denom) for c in self.coeffs]
         g = math.gcd(*(abs(v) for v in ints))
         return Divisor(v // g for v in ints)
-
-
-def basis_divisor(n: int, i: int, value: Rat = 1) -> Divisor:
-    """The divisor with a single nonzero coefficient at position i."""
-    coeffs = [0] * n
-    coeffs[i] = value
-    return Divisor(coeffs)
 
 
 def _solve_cone(u, v, r0: int, r1: int) -> tuple[int, int]:
@@ -242,8 +228,8 @@ class Polytope:
 
 
 class SurfaceModel:
-    """The pairing, nefness, ampleness, Riemann-Roch and nef thresholds,
-    written once over what each subclass provides: ``n``, ``canonical``,
+    """The pairing, nefness, ampleness and Riemann-Roch, written once over
+    what each subclass provides: ``n``, ``canonical``,
     ``effective_generators``, ``h0``, ``negative_generator_indices`` and
     ``intersections(D)``, the list of intersection numbers of D with the
     basis curves, computed once per divisor after one length check.
@@ -255,7 +241,10 @@ class SurfaceModel:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def generator(self, i: int) -> Divisor:
-        return basis_divisor(self.n, i)
+        """The i-th basis curve as a divisor."""
+        coeffs = [0] * self.n
+        coeffs[i] = 1
+        return Divisor(coeffs)
 
     def _check(self, D: Divisor) -> None:
         if len(D) != self.n:
@@ -298,29 +287,6 @@ class SurfaceModel:
     def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int]:
         """combo -> h0(D - shift(combo)) for nef D - S, counted by h0."""
         return lambda combo: self.h0(D - self.shift(combo))
-
-    def nef_threshold(self, D: Divisor, E: Divisor) -> Fraction:
-        """Largest t with D - t*E nef, for nef D.
-
-        Computed as the minimum of (D.C)/(E.C) over effective-cone
-        generators C with E.C > 0.  On a complete surface at least one
-        such generator exists whenever E is a prime curve; a declared
-        generator set without one cannot span the effective cone.
-        """
-        gens = self.effective_generators
-        dv = self.intersections(D)
-        if any(dv[i] < 0 for i in gens):
-            raise NotNefError("nef threshold needs a nef divisor")
-        ev = self.intersections(E)
-        best = min(
-            [Fraction(dv[i], ev[i]) for i in gens if ev[i] > 0], default=None
-        )
-        if best is None:
-            raise PreconditionError(
-                "declared generators cannot span the effective cone: "
-                "E meets none of them positively"
-            )
-        return best
 
 
 class ToricSurface(SurfaceModel):
@@ -419,18 +385,6 @@ class ToricSurface(SurfaceModel):
         effective without a count; any other integral D is counted."""
         self._check(D)
         return min(D.int_coeffs()) >= 0 or self.h0(D) > 0
-
-    def linearly_equivalent(self, D1: Divisor, D2: Divisor) -> bool:
-        """True when D1 - D2 is the divisor of a character monomial."""
-        self._check(D1)
-        self._check(D2)
-        e = (D1 - D2).int_coeffs()
-        # the first two equations <m, u_i> = e_i fix m; the rest must agree
-        m = _solve_cone(self.fan.rays[0], self.fan.rays[1], e[0], e[1])
-        return all(
-            m[0] * u[0] + m[1] * u[1] == e[i]
-            for i, u in enumerate(self.fan.rays)
-        )
 
     # -- Hirzebruch bookkeeping -------------------------------------------
 

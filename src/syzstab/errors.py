@@ -48,18 +48,6 @@ class NonSmoothFanError(FanError):
     pass
 
 
-class NotMinusOneCurveError(InputError):
-    """Blow-down requested at a ray whose curve has self-intersection != -1."""
-
-    def __init__(self, index: int, self_intersection: int):
-        super().__init__(
-            f"ray {index} is not a (-1)-curve "
-            f"(self-intersection {self_intersection})"
-        )
-        self.index = index
-        self.self_intersection = self_intersection
-
-
 # ----------------------------------------------------------------------
 # divisors and surfaces
 

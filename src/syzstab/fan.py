@@ -32,7 +32,6 @@ from .errors import (
     InternalError,
     NonPrimitiveRayError,
     NonSmoothFanError,
-    NotMinusOneCurveError,
     RepeatedRayError,
 )
 
@@ -180,24 +179,6 @@ class Fan:
         """Self-intersection numbers of the prime curves, D_i^2 = -c[i]."""
         return tuple([-c for c in self.wall_coefficients()])
 
-    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Symmetric matrix of products D_i . D_j.
-
-        Diagonal entries are the self-intersections; distinct curves meet
-        in one point exactly when their rays are cyclically adjacent (for
-        n == 3 every pair is adjacent).
-        """
-        n = self.n
-        sq = self.self_intersections()
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[(i - 1) % n] = 1
-            row[(i + 1) % n] = 1
-            row[i] = sq[i]
-            rows.append(tuple(row))
-        return tuple(rows)
-
     # -- classification ---------------------------------------------------
 
     def surface_type(self) -> SurfaceType:
@@ -208,18 +189,6 @@ class Fan:
             ell = max(self.wall_coefficients())
             return SurfaceType(HIRZEBRUCH, ell, 2)
         return SurfaceType(OTHER, None, n - 2)
-
-    def blow_down(self, i: int) -> "Fan":
-        """Remove ray ``i`` (which must be a (-1)-curve, c[i] == 1).
-
-        The wall relation guarantees the remaining rays again form a
-        smooth complete fan.
-        """
-        c = self.wall_coefficients()
-        if c[i] != 1:
-            raise NotMinusOneCurveError(i, -c[i])
-        remaining = [r for j, r in enumerate(self.rays) if j != i]
-        return Fan(remaining)
 
 
 def reduce_to_minimal(fan: Fan) -> tuple[Fan, list[Vec]]:

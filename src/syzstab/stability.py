@@ -67,10 +67,6 @@ GREATER = "greater"
 EQUAL = "equal"
 LESS = "less"
 
-UNSTABLE_EVENTUALLY = "UnstableEventually"
-UNSTABLE_BOUNDARY = "UnstableBoundary"
-STABLE_POSSIBLE = "StablePossible"
-
 UNSTABLE_FOR_LARGE_D = "UnstableForLargeD"
 NOT_COVERED = "NotCovered"
 
@@ -163,9 +159,6 @@ class AlphaBeta:
     alpha: Fraction
     beta: Fraction
 
-    def q(self, d: int) -> Fraction:
-        return self.alpha * d * d + self.beta * d
-
 
 def _alpha_beta(
     DA: Rat, D2: Rat, DK: Rat, SD: Rat, SA: Rat, SK: Rat, S2: Rat
@@ -194,49 +187,9 @@ def alpha_beta(
     return _coefficients(X, X.intersections(D), D, S, A)[0]
 
 
-@dataclass(frozen=True)
-class AsymptoticVerdict:
-    """Sign analysis of q(d) for large d.
-
-    ``UnstableEventually``: alpha < 0, the subbundle wins for all large d.
-    ``UnstableBoundary``: alpha == 0 and beta <= 0, the subbundle ties or
-    wins for all d.  ``StablePossible``: this candidate never
-    destabilizes for large d.
-    """
-
-    kind: str
-    coefficients: AlphaBeta
-
-    @property
-    def unstable(self) -> bool:
-        return self.kind != STABLE_POSSIBLE
-
-
-def _kind(ab: AlphaBeta) -> str:
-    """The asymptotic verdict that the signs of alpha and beta give."""
-    if ab.alpha < 0:
-        return UNSTABLE_EVENTUALLY
-    if ab.alpha == 0 and ab.beta <= 0:
-        return UNSTABLE_BOUNDARY
-    return STABLE_POSSIBLE
-
-
-def _require_candidate(
-    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
-) -> list[Rat]:
-    """D and A ample, S effective, in that order; returns v(D)."""
-    dv = _require_ample(X, D, "divisor D")
-    _require_ample(X, A, "polarization")
-    _require_effective(X, S)
-    return dv
-
-
-def asymptotic_condition(
-    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
-) -> AsymptoticVerdict:
-    """Classify the candidate (D, S, A) by the sign of q(d) for large d."""
-    ab = _coefficients(X, _require_candidate(X, D, S, A), D, S, A)[0]
-    return AsymptoticVerdict(_kind(ab), ab)
+def _unstable(ab: AlphaBeta) -> bool:
+    """Whether q(d) <= 0, a tie or a subbundle win, for all large d."""
+    return ab.alpha < 0 or (ab.alpha == 0 and ab.beta <= 0)
 
 
 @dataclass(frozen=True)
@@ -276,15 +229,17 @@ def d_threshold(
     decides every comparison there.  Exact slope comparisons confirm the
     violation at d0, and its absence at d0 - 1 whenever d0 - 1 is at
     least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
-    an unstable asymptotic verdict.
+    D and A ample, S effective, and q(d) <= 0 for all large d.
 
     Both checks read their slope numerators off D.A and S.A, since
     (d*D - S).A = d(D.A) - S.A, and need no nef test, since d >= d_nef;
     :func:`certificate_holds` re-checks a certificate divisor by divisor.
     """
-    dv = _require_candidate(X, D, S, A)
+    dv = _require_ample(X, D, "divisor D")
+    _require_ample(X, A, "polarization")
+    _require_effective(X, S)
     ab, sv, DA, SA = _coefficients(X, dv, D, S, A)
-    if _kind(ab) == STABLE_POSSIBLE:
+    if not _unstable(ab):
         raise PreconditionError(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
@@ -489,18 +444,26 @@ def construct_polarization(
         )
     e_idx = min(negatives, key=lambda i: (dv[i], i))
     E = X.generator(e_idx)
-    t = X.nef_threshold(D, E)
-    # everything below is linear in t and eps, read off v(D) and v(E): with
-    # x = D.E, alpha(D, E, A) is 2(D.A)x - (E.A)D^2, so alpha at A = E is
-    # 2x^2 - E^2 D^2 and at A = D_t = D - t*E it is D^2 x - t*alpha(E)
+    # everything below is linear in t and eps, read off v(D) and v(E): the
+    # nef threshold t, the largest t with D - t*E nef, is the least D.C/E.C
+    # over the generators C with E.C > 0; with x = D.E, alpha(D, E, A) is
+    # 2(D.A)x - (E.A)D^2, so alpha at A = E is 2x^2 - E^2 D^2 and at
+    # A = D_t = D - t*E it is D^2 x - t*alpha(E)
     ev = X.intersections(E)
+    gens = X.effective_generators
+    t = min([Fraction(dv[i], ev[i]) for i in gens if ev[i] > 0], default=None)
+    if t is None:
+        raise PreconditionError(
+            "declared generators cannot span the effective cone: "
+            "E meets none of them positively"
+        )
     x, D2 = dv[e_idx], X.pair_with(dv, D)
     alpha_e = 2 * x * x - ev[e_idx] * D2
     alpha_t = D2 * x - t * alpha_e
     # A = D_t + eps*E is ample with alpha < 0 exactly when p + q*eps > 0 for
     # every pair: (D_t.C, E.C) for each generator C, and the negated alphas
     # of D_t and E, since alpha is linear in A
-    pairs = [(dv[i] - t * ev[i], ev[i]) for i in X.effective_generators]
+    pairs = [(dv[i] - t * ev[i], ev[i]) for i in gens]
     pairs.append((-alpha_t, -alpha_e))
     h = min((Fraction(p, -q) for p, q in pairs if q < 0), default=Fraction(2))
     if h > 0:
@@ -567,8 +530,8 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     """Asymptotic candidate scan for a fixed polarization.
 
     Walks shifts S over sums of one or two effective-cone generators; the
-    first one with an unstable asymptotic verdict is turned into a
-    verified threshold certificate.  When every candidate admits
+    first one with q(d) <= 0 for all large d is turned into a verified
+    threshold certificate.  When every candidate admits
     stability asymptotically the verdict is NoDestabilizerFound (which
     never claims stability, only that this family is exhausted).
     """
@@ -580,7 +543,7 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     for combo in _combos(X):
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(curve(i)[j] for i in combo for j in combo)
-        if _kind(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)) != STABLE_POSSIBLE:
+        if _unstable(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)):
             return _certified_report(X, D, X.shift(combo), A, [])
     return _report(
         X, ["every scanned candidate shift admits stability asymptotically"]

@@ -2,11 +2,19 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from syzstab import Divisor, Fan, ToricSurface
+from syzstab import (
+    AlphaBeta,
+    Divisor,
+    Fan,
+    NotAmpleError,
+    NotEffectiveError,
+    ToricSurface,
+)
 from syzstab.fan import det
 
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
@@ -136,7 +144,7 @@ def reduce_by_rebuild(fan):
         i = current.wall_coefficients().index(1)
         removed.append(current.rays[i])
         wraps += i in (0, current.n - 1)
-        current = current.blow_down(i)
+        current = Fan(current.rays[:i] + current.rays[i + 1 :])
     return current, removed, wraps
 
 
@@ -155,6 +163,59 @@ def reduce_by_deletion(fan):
         for j in (i - 1, i % n):
             walls[j] = det(rays[j - 1], rays[(j + 1) % n])
     return rays, removed
+
+
+def pairing_matrix(fan):
+    """C_i.C_j from the rays alone, independent of ``intersections``: 1 for
+    adjacent rays (every pair when n == 3), -det(u_{i-1}, u_{i+1}) on the
+    diagonal and 0 elsewhere."""
+    r, n = fan.rays, fan.n
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i - 1] = matrix[i][(i + 1) % n] = 1
+        matrix[i][i] = -det(r[i - 1], r[(i + 1) % n])
+    return matrix
+
+
+# The sign analysis of q(d) = alpha*d^2 + beta*d for large d: the subbundle
+# wins for all large d, ties or wins for all d, or may lose for ever.
+UNSTABLE_EVENTUALLY = "UnstableEventually"
+UNSTABLE_BOUNDARY = "UnstableBoundary"
+STABLE_POSSIBLE = "StablePossible"
+
+
+def ref_asymptotic(X, D, S, A):
+    """(kind, AlphaBeta) of the candidate (D, S, A) after the checks of
+    ``d_threshold``, in its order, from seven pairings."""
+    if not X.is_ample(D):
+        raise NotAmpleError("divisor D is not ample")
+    if not X.is_ample(A):
+        raise NotAmpleError("polarization is not ample")
+    if isinstance(X, ToricSurface) and not X.is_effective(S):
+        raise NotEffectiveError("candidate S is not effective")
+    K, p = X.canonical, X.pair
+    DA, SA = p(D, A), p(S, A)
+    alpha = 2 * DA * p(D, S) - SA * p(D, D)
+    beta = -DA * (p(S, S) + p(S, K)) + SA * p(D, K)
+    ab = AlphaBeta(Fraction(alpha), Fraction(beta))
+    if ab.alpha < 0:
+        return UNSTABLE_EVENTUALLY, ab
+    if ab.alpha == 0 and ab.beta <= 0:
+        return UNSTABLE_BOUNDARY, ab
+    return STABLE_POSSIBLE, ab
+
+
+def q(ab, d):
+    """The slope-difference numerator q(d) = alpha*d^2 + beta*d."""
+    return ab.alpha * d * d + ab.beta * d
+
+
+def nef_threshold(X, D, E):
+    """The largest t with D - t*E nef, for nef D: the least (D.C)/(E.C)
+    over the effective generators C with E.C > 0, one pairing at a time."""
+    curves = map(X.generator, X.effective_generators)
+    pairs = [(X.pair(D, C), X.pair(E, C)) for C in curves]
+    return min(Fraction(x, e) for x, e in pairs if e > 0)
 
 
 # One fixed ample divisor per fan of Picard rank >= 3: the anticanonical

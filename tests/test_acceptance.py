@@ -24,12 +24,11 @@ from syzstab import (
     LESS,
     NOT_SEMISTABLE,
     NOT_STABLE,
-    STABLE_POSSIBLE,
     ToricSurface,
     UNSTABLE_FOR_LARGE_D,
     alpha_beta,
-    asymptotic_condition,
     certificate_holds,
+    construct_polarization,
     d_threshold,
     find_destabilizer,
     hirzebruch_region,
@@ -43,10 +42,13 @@ from syzstab.cli import main
 from conftest import (
     AMPLE_FOR_DRIVER,
     CORPUS_RAYS,
+    STABLE_POSSIBLE,
     ample_on,
     blowup_chain,
     blowup_chain_divisors,
+    pairing_matrix,
     reduce_by_deletion,
+    ref_asymptotic,
 )
 
 
@@ -175,11 +177,11 @@ def test_acceptance_5_region_vs_sign_analysis():
                 region = hirzebruch_region(ell, a, b)
                 A = X.from_section_fiber(a.denominator, a.numerator)
                 D = X.from_section_fiber(b.denominator, b.numerator)
-                verdict = asymptotic_condition(X, D, S, A)
+                kind, ab = ref_asymptotic(X, D, S, A)
                 assert (region == UNSTABLE_FOR_LARGE_D) == (
-                    verdict.kind != STABLE_POSSIBLE
+                    kind != STABLE_POSSIBLE
                 ), (ell, a, b)
-                return verdict
+                return ab
 
             for k in range(1, 17):
                 b = ell + Fraction(k, 8)
@@ -188,8 +190,7 @@ def test_acceptance_5_region_vs_sign_analysis():
                     check(ell + Fraction(j, 8), b)
                     tuples += 1
                 # the equality branch point for this b
-                verdict = check(bound, b)
-                assert verdict.coefficients.alpha == 0
+                assert check(bound, b).alpha == 0
                 tuples += 1
         assert tuples >= 200
 
@@ -248,15 +249,16 @@ def test_acceptance_7_property_suite(corpus, surfaces, tmp_path):
     """Threshold exactness, blow-down termination, matrix entries, CLI
     round-trip and a no-floating-point scan of the package source."""
     with timed(60.0) as t:
-        # nef threshold exactness on corpus pairs
+        # nef threshold exactness of the polarization on the corpus
         delta = Fraction(1, 1000)
         for name, X in surfaces.items():
+            if not X.negative_generator_indices():
+                continue  # the plane and the quadric have no E
             D = ample_on(name, X)
-            for i in range(X.n):
-                E = X.generator(i)
-                th = X.nef_threshold(D, E)
-                assert X.is_nef(D - th * E)
-                assert not X.is_nef(D - (th + delta) * E)
+            pol = construct_polarization(X, D, allow_low_rank=True)
+            th, E = pol.threshold, pol.generator
+            assert X.is_nef(D - th * E)
+            assert not X.is_nef(D - (th + delta) * E)
 
         # blow-down reduction terminates on a minimal surface
         for name, fan in corpus.items():
@@ -266,11 +268,13 @@ def test_acceptance_7_property_suite(corpus, surfaces, tmp_path):
                 "Hirzebruch",
             )
 
-        # off-diagonal intersection numbers are zero or one
-        for fan in corpus.values():
-            matrix = fan.intersection_matrix()
+        # the pairing of the prime curves: the matrix read off the rays,
+        # with off-diagonal intersection numbers zero or one
+        for name, fan in corpus.items():
+            X, matrix = surfaces[name], pairing_matrix(fan)
             for i in range(fan.n):
                 for j in range(fan.n):
+                    assert X.pair(X.generator(i), X.generator(j)) == matrix[i][j]
                     if i != j:
                         assert matrix[i][j] in (0, 1)
 

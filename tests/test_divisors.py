@@ -14,10 +14,10 @@ from syzstab import (
     Fan,
     InputError,
     NonIntegralDivisorError,
-    NotNefError,
+    NotAmpleError,
     Polytope,
     ToricSurface,
-    basis_divisor,
+    construct_polarization,
     reduce_to_minimal,
     toric_driver,
 )
@@ -31,6 +31,7 @@ from conftest import (
     count_calls,
     driver_divisor,
     lattice_points,
+    pairing_matrix,
 )
 
 
@@ -65,7 +66,7 @@ class TestPairing:
 
     def test_symmetry_matches_matrix(self, surfaces):
         for X in surfaces.values():
-            matrix = X.fan.intersection_matrix()
+            matrix = pairing_matrix(X.fan)
             for i in range(X.n):
                 for j in range(X.n):
                     assert X.pair(X.generator(i), X.generator(j)) == matrix[i][j]
@@ -149,8 +150,6 @@ class TestIntersections:
                 lambda: X.is_nef(wrong),
                 lambda: X.is_ample(wrong),
                 lambda: X.chi(wrong),
-                lambda: X.nef_threshold(wrong, X.generator(0)),
-                lambda: X.nef_threshold(-1 * D, wrong),
                 lambda: X.h0(wrong),
                 lambda: alpha_beta(X, -1 * D, X.generator(0), wrong),
             ]
@@ -158,7 +157,6 @@ class TestIntersections:
                 calls += [
                     lambda: X.polytope(wrong),
                     lambda: X.is_effective(wrong),
-                    lambda: X.linearly_equivalent(D, wrong),
                 ]
             for call in calls:
                 with pytest.raises(DimensionMismatchError):
@@ -166,15 +164,26 @@ class TestIntersections:
 
 
 class TestLinearEquivalence:
+    """The pairing is unimodular on a smooth complete toric surface, so two
+    divisors are linearly equivalent exactly when their intersection
+    vectors agree; equivalent ones have the same section counts."""
+
     def test_coordinate_lines_on_plane(self, p2):
-        assert p2.linearly_equivalent(basis_divisor(3, 0), basis_divisor(3, 1))
+        H0, H1 = p2.generator(0), p2.generator(1)
+        assert p2.intersections(H0) == p2.intersections(H1)
+        counts = [p2.h0(d * H0) for d in range(4)]
+        assert counts == [p2.h0(d * H1) for d in range(4)] == [1, 3, 6, 10]
 
     def test_canonical_class_presentation(self, f1):
         # -sum of prime curves is the class -2S - 3F
-        assert f1.linearly_equivalent(f1.canonical, sf(f1, -2, -3))
+        K, rep = f1.canonical, sf(f1, -2, -3)
+        assert f1.intersections(K) == f1.intersections(rep)
+        assert f1.h0(-1 * K) == f1.h0(-1 * rep) == 9
 
     def test_section_is_not_fiber(self, f1):
-        assert not f1.linearly_equivalent(sf(f1, 1, 0), sf(f1, 0, 1))
+        S, F = sf(f1, 1, 0), sf(f1, 0, 1)
+        assert f1.intersections(S) != f1.intersections(F)
+        assert (f1.h0(S), f1.h0(F)) == (1, 2)
 
     def test_pairing_descends_to_classes(self, f1):
         # two representatives of one class pair equally with everything
@@ -182,12 +191,6 @@ class TestLinearEquivalence:
         D2 = sf(f1, -2, -3)
         for i in range(f1.n):
             assert f1.pair(D1, f1.generator(i)) == f1.pair(D2, f1.generator(i))
-
-    def test_rejects_fractional_input(self, f1):
-        with pytest.raises(NonIntegralDivisorError):
-            f1.linearly_equivalent(
-                Divisor([Fraction(1, 2), 0, 0, 0]), Divisor([0, 0, 0, 0])
-            )
 
 
 class TestPositivity:
@@ -471,23 +474,25 @@ class TestEffectivity:
 
 
 class TestNefThreshold:
-    def test_blown_up_plane_values(self, f1):
-        assert f1.nef_threshold(sf(f1, 5, 6), sf(f1, 1, 0)) == 5
-        assert f1.nef_threshold(sf(f1, 1, 2), sf(f1, 0, 1)) == 1
+    """The polarization's t, the largest t with D - t*E nef, on the blown-up
+    plane, where E is the section and only the two fibres meet it."""
 
-    def test_boundary_zero(self, f1):
-        # D = 6F is nef with D.F = 0, and only fibers meet the section
-        assert f1.nef_threshold(sf(f1, 0, 6), sf(f1, 1, 0)) == 0
+    def test_blown_up_plane_values(self, f1):
+        for (s, f), t in (((5, 6), 5), ((1, 2), 1)):
+            pol = construct_polarization(f1, sf(f1, s, f), allow_low_rank=True)
+            assert pol.generator == sf(f1, 1, 0)
+            assert pol.threshold == t
 
     def test_requires_nef(self, surfaces):
+        # -K on F3 is not nef (-K.S = -1): there is no threshold to take
         X = surfaces["f3"]
-        with pytest.raises(NotNefError):
-            X.nef_threshold(-1 * X.canonical, sf(X, 1, 0))
+        with pytest.raises(NotAmpleError, match="divisor D is not ample"):
+            construct_polarization(X, -1 * X.canonical, allow_low_rank=True)
 
     def test_exactness(self, f1):
         D = sf(f1, 5, 6)
-        E = sf(f1, 1, 0)
-        t = f1.nef_threshold(D, E)
+        pol = construct_polarization(f1, D, allow_low_rank=True)
+        t, E = pol.threshold, pol.generator
         assert f1.is_nef(D - t * E)
         assert not f1.is_nef(D - (t + Fraction(1, 1000)) * E)
 
@@ -575,8 +580,8 @@ class TestAbstractSurface:
 
     def test_nef_threshold(self):
         X = self.make()
-        minus_k = -1 * X.canonical
-        assert X.nef_threshold(minus_k, X.generator(0)) == 1
+        pol = construct_polarization(X, -1 * X.canonical)
+        assert (pol.generator_index, pol.threshold) == (0, 1)
 
     def test_generators_meeting_twice_rejected(self):
         ok, problems = self.make(

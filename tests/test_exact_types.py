@@ -4,7 +4,7 @@ The source scan in the acceptance tests catches float literals and
 ``float()`` calls, but not an ``int / int`` quotient, which Python turns
 into a float.  These tests run the drivers, the re-check of each driver
 certificate, the asymptotic scan, the fixed-exponent search and
-Hirzebruch region rows, record what the pairing, chi, nef thresholds,
+Hirzebruch region rows, record what the pairing, chi, polarizations,
 alpha/beta, slopes and thresholds return along the way, and reject any
 value that is neither an int nor a Fraction.
 """
@@ -37,7 +37,6 @@ RECORDED = [
     (stability, "_slope"),
     (stability, "_alpha_beta"),
     (SurfaceModel, "chi"),
-    (SurfaceModel, "nef_threshold"),
     (ToricSurface, "pair_generator"),
     (ToricSurface, "to_section_fiber"),
     (AbstractSurface, "pair_generator"),
@@ -152,7 +151,7 @@ def test_abstract_surfaces(name, recorder):
     if name == "bl2p2":
         reports += analyses(X, D, reports[0].certificate.polarization)
     check(recorder, reports)
-    for key in ("pair", "chi", "nef_threshold", "syzygy_slope", "d_threshold"):
+    for key in ("pair", "chi", "construct_polarization", "syzygy_slope", "d_threshold"):
         assert recorder[key], f"{key} was never called"
 
 

@@ -61,8 +61,16 @@ CASES = {
         ["analyze", "--fan", "{f0}", "--D", "1,1", "--sf"],
         "not a Hirzebruch surface with ell >= 1: Hirzebruch(0)",
     ),
+    "sf-and-he": (
+        ["h0", "--fan", "{fan}", "--D", "1,2", "--sf", "--he"],
+        "give either --sf or --he, not both",
+    ),
     "polarize-fractional": (
         ["polarize", "--fan", "{fan}", "--D", "5/2,6"],
+        "--D must have integer coefficients",
+    ),
+    "h0-fractional": (
+        ["h0", "--fan", "{fan}", "--D", "1/2,0,0,0"],
         "--D must have integer coefficients",
     ),
     "h0-abstract": (
@@ -151,8 +159,8 @@ CASES = {
         "effective generator indices repeat",
         {**BL2P2_ABSTRACT, "effective_generators": [0, 1, 1]},
     ),
-    # SurfaceModel.nef_threshold: E = C_0 meets each declared generator
-    # in 0 or in E^2 = -1, so none bounds the nef threshold
+    # construct_polarization's nef threshold: E = C_0 meets each declared
+    # generator in 0 or in E^2 = -1, so none bounds it
     "generators-span-nothing": (
         ["analyze", "--surface", "{bad}", "--D=-1,-1,-1"],
         "declared generators cannot span the effective cone: "

@@ -4,10 +4,10 @@ import pytest
 
 from syzstab import (
     Fan,
+    FanError,
     IncompleteFanError,
     NonPrimitiveRayError,
     NonSmoothFanError,
-    NotMinusOneCurveError,
     RepeatedRayError,
     ToricSurface,
     reduce_to_minimal,
@@ -19,9 +19,17 @@ from conftest import (
     P2_RAYS,
     blowup_chain,
     hirzebruch_rays,
+    pairing_matrix,
     reduce_by_deletion,
     reduce_by_rebuild,
 )
+
+
+def curve_pairings(fan):
+    """The matrix of C_i.C_j through the surface's pairing."""
+    X = ToricSurface(fan)
+    C = [X.generator(i) for i in range(X.n)]
+    return tuple(tuple(X.pair(a, b) for b in C) for a in C)
 
 
 class TestValidation:
@@ -110,11 +118,11 @@ class TestIntersectionData:
                 assert prev[1] + nxt[1] == c[i] * u[1]
 
     def test_p2_matrix_all_ones(self):
-        matrix = Fan(P2_RAYS).intersection_matrix()
+        matrix = curve_pairings(Fan(P2_RAYS))
         assert matrix == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
 
     def test_f1_matrix(self):
-        matrix = Fan(hirzebruch_rays(1)).intersection_matrix()
+        matrix = curve_pairings(Fan(hirzebruch_rays(1)))
         assert matrix == (
             (0, 1, 0, 1),
             (1, -1, 1, 0),
@@ -123,12 +131,14 @@ class TestIntersectionData:
         )
 
     def test_bl2p2_diagonal(self):
-        matrix = Fan(BL2P2_RAYS).intersection_matrix()
+        matrix = curve_pairings(Fan(BL2P2_RAYS))
         assert tuple(matrix[i][i] for i in range(5)) == (0, -1, -1, -1, 0)
 
     def test_off_diagonals_zero_or_one(self):
         for rays in CORPUS_RAYS.values():
-            matrix = Fan(rays).intersection_matrix()
+            fan = Fan(rays)
+            matrix = curve_pairings(fan)
+            assert list(map(list, matrix)) == pairing_matrix(fan)
             n = len(matrix)
             for i in range(n):
                 for j in range(n):
@@ -163,36 +173,42 @@ class TestClassification:
 
 
 class TestBlowDown:
+    @staticmethod
+    def blow_down(rays, ray):
+        """The fan without a ray of wall coefficient 1."""
+        fan = Fan(rays)
+        assert fan.wall_coefficients()[fan.rays.index(ray)] == 1
+        return Fan([r for r in fan.rays if r != ray])
+
     def test_f1_to_plane(self):
-        fan = Fan(hirzebruch_rays(1))
-        down = fan.blow_down(fan.rays.index((0, 1)))
+        down = self.blow_down(hirzebruch_rays(1), (0, 1))
         assert down.surface_type().kind == "ProjectivePlane"
 
     def test_p2_has_no_minus_one_curve(self):
         fan = Fan(P2_RAYS)
-        for i in range(3):
-            with pytest.raises(NotMinusOneCurveError):
-                fan.blow_down(i)
+        assert 1 not in fan.wall_coefficients()
+        for ray in fan.rays:
+            with pytest.raises(IncompleteFanError):
+                Fan([r for r in fan.rays if r != ray])
 
     def test_bl2p2_exceptional_ray_gives_f1(self):
-        fan = Fan(BL2P2_RAYS)
-        down = fan.blow_down(fan.rays.index((0, 1)))
-        st = down.surface_type()
+        st = self.blow_down(BL2P2_RAYS, (0, 1)).surface_type()
         assert (st.kind, st.ell) == ("Hirzebruch", 1)
 
     def test_bl2p2_middle_ray_gives_quadric(self):
         # contracting the strict transform of the line through both centers
         # lands on the quadric, not on the blown-up plane
-        fan = Fan(BL2P2_RAYS)
-        down = fan.blow_down(fan.rays.index((-1, 1)))
-        st = down.surface_type()
+        st = self.blow_down(BL2P2_RAYS, (-1, 1)).surface_type()
         assert (st.kind, st.ell) == ("Hirzebruch", 0)
 
     def test_blow_down_needs_minus_one(self):
+        # F2 has no ray of wall coefficient 1, and without any one of its
+        # rays the rest is not a smooth complete fan
         fan = Fan(hirzebruch_rays(2))
-        for i in range(4):
-            with pytest.raises(NotMinusOneCurveError):
-                fan.blow_down(i)
+        assert 1 not in fan.wall_coefficients()
+        for ray in fan.rays:
+            with pytest.raises(FanError):
+                Fan([r for r in fan.rays if r != ray])
 
     def test_reduction_terminates_on_corpus(self):
         for rays in CORPUS_RAYS.values():

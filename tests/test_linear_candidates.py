@@ -2,9 +2,10 @@
 
 ``find_destabilizer``, ``scan_candidates`` and ``d_threshold`` form each
 divisor's intersection vector once and read every candidate's numbers
-off those vectors by linearity.  The functions below are the forms they
-replaced: each candidate S is paired, checked and counted from scratch,
-through the public pairing alone.  Results must agree exactly, with the
+off those vectors by linearity.  The functions below, with
+``ref_asymptotic`` from ``conftest.py``, are the forms they replaced:
+each candidate S is paired, checked and counted from scratch, through
+the public pairing alone.  Results must agree exactly, with the
 same number types, and so must the error each raises when a
 precondition fails.
 """
@@ -19,9 +20,6 @@ from syzstab import (
     CHI_ASSUMPTION,
     NO_DESTABILIZER,
     NOT_SEMISTABLE,
-    STABLE_POSSIBLE,
-    UNSTABLE_BOUNDARY,
-    UNSTABLE_EVENTUALLY,
     AbstractSurface,
     AlphaBeta,
     Certificate,
@@ -49,7 +47,13 @@ from syzstab import (
 )
 from syzstab.stability import _PROMISED_ORDER, _VERDICT, _order
 
-from conftest import BL2P2_ABSTRACT, ample_on, blowup_chain_divisors
+from conftest import (
+    BL2P2_ABSTRACT,
+    STABLE_POSSIBLE,
+    ample_on,
+    blowup_chain_divisors,
+    ref_asymptotic,
+)
 
 SCAN_NOTE = "every scanned candidate shift admits stability asymptotically"
 
@@ -74,26 +78,6 @@ def ref_slopes(X, D, S, A, d):
         raise NotEffectiveError("candidate S is not effective")
     mu_ambient = ref_slope(X, ambient, A)
     return ref_slope(X, ambient - S, A), mu_ambient
-
-
-def ref_asymptotic(X, D, S, A):
-    """(kind, AlphaBeta) after the checks, from seven pairings."""
-    if not X.is_ample(D):
-        raise NotAmpleError("divisor D is not ample")
-    if not X.is_ample(A):
-        raise NotAmpleError("polarization is not ample")
-    if isinstance(X, ToricSurface) and not X.is_effective(S):
-        raise NotEffectiveError("candidate S is not effective")
-    K, p = X.canonical, X.pair
-    DA, SA = p(D, A), p(S, A)
-    alpha = 2 * DA * p(D, S) - SA * p(D, D)
-    beta = -DA * (p(S, S) + p(S, K)) + SA * p(D, K)
-    ab = AlphaBeta(Fraction(alpha), Fraction(beta))
-    if ab.alpha < 0:
-        return UNSTABLE_EVENTUALLY, ab
-    if ab.alpha == 0 and ab.beta <= 0:
-        return UNSTABLE_BOUNDARY, ab
-    return STABLE_POSSIBLE, ab
 
 
 def ref_shifts(X):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,17 +13,24 @@ from syzstab import (
     FanError,
     GREATER,
     LESS,
-    STABLE_POSSIBLE,
     ToricSurface,
     UNSTABLE_FOR_LARGE_D,
     alpha_beta,
-    asymptotic_condition,
+    construct_polarization,
     hirzebruch_region,
     slope_compare,
     syzygy_slope,
 )
 
-from conftest import CORPUS_RAYS, ample_on, lattice_points
+from conftest import (
+    STABLE_POSSIBLE,
+    ample_on,
+    lattice_points,
+    nef_threshold,
+    pairing_matrix,
+    q,
+    ref_asymptotic,
+)
 
 
 def nef_vectors(X, count, seed=0, bound=10):
@@ -83,10 +91,10 @@ class TestNumeratorIdentity:
                 ):
                     continue
                 order = slope_compare(X, D, S, A, d)
-                q = ab.q(d)
-                if q < 0:
+                qd = q(ab, d)
+                if qd < 0:
                     assert order == GREATER
-                elif q == 0:
+                elif qd == 0:
                     assert order == "equal"
                 else:
                     assert order == LESS
@@ -102,7 +110,7 @@ class TestNumeratorIdentity:
             sub = amb - S
             denom = 2 * (f1.chi(amb) - 1) * (f1.chi(sub) - 1)
             gap = syzygy_slope(f1, amb, A) - syzygy_slope(f1, sub, A)
-            assert gap == ab.q(d) / denom
+            assert gap == q(ab, d) / denom
 
 
 class TestScaleInvariance:
@@ -111,10 +119,10 @@ class TestScaleInvariance:
         D = X.from_section_fiber(8, 9)
         S = X.generator(1)
         A = X.from_section_fiber(2, 3)
-        base = asymptotic_condition(X, D, S, A).kind
+        base = ref_asymptotic(X, D, S, A)[0]
         for c in (2, 3, 7):
             for k in (2, 5):
-                assert asymptotic_condition(X, c * D, S, k * A).kind == base
+                assert ref_asymptotic(X, c * D, S, k * A)[0] == base
 
     def test_region_depends_only_on_ratios(self):
         for a_num, a_den, b_num, b_den, ell in [
@@ -132,9 +140,8 @@ class TestScaleInvariance:
             for scale in (1, 2, 3):
                 A = X.from_section_fiber(scale * a_den, scale * a_num)
                 D = X.from_section_fiber(scale * b_den, scale * b_num)
-                verdict = asymptotic_condition(X, D, S, A)
-                expected_unstable = base == UNSTABLE_FOR_LARGE_D
-                assert verdict.unstable == expected_unstable
+                unstable = ref_asymptotic(X, D, S, A)[0] != STABLE_POSSIBLE
+                assert unstable == (base == UNSTABLE_FOR_LARGE_D)
 
 
 class TestRegionConsistency:
@@ -150,22 +157,30 @@ class TestRegionConsistency:
                     region = hirzebruch_region(ell, a, b)
                     A = X.from_section_fiber(a.denominator, a.numerator)
                     D = X.from_section_fiber(b.denominator, b.numerator)
-                    verdict = asymptotic_condition(X, D, S, A)
+                    kind, _ = ref_asymptotic(X, D, S, A)
                     assert (region == UNSTABLE_FOR_LARGE_D) == (
-                        verdict.kind != STABLE_POSSIBLE
+                        kind != STABLE_POSSIBLE
                     )
 
 
 class TestNefThresholdExactness:
     def test_corpus_pairs(self, surfaces):
+        # the polarization's t: D - t*E is nef, and no larger t keeps it so
         delta = Fraction(1, 1000)
+        checked = 0
         for name, X in surfaces.items():
-            D = ample_on(name, X)
-            for i in range(X.n):
-                E = X.generator(i)
-                t = X.nef_threshold(D, E)
+            if not X.negative_generator_indices():
+                continue  # the plane and the quadric have no E
+            small = map(Divisor, product(range(1, 4), repeat=X.n))
+            ample = [D for D in small if X.is_ample(D)][:8]
+            for D in [ample_on(name, X)] + ample:
+                pol = construct_polarization(X, D, allow_low_rank=True)
+                t, E = pol.threshold, pol.generator
+                assert t == nef_threshold(X, D, E), (name, D)
                 assert X.is_nef(D - t * E)
                 assert not X.is_nef(D - (t + delta) * E)
+                checked += 1
+        assert checked > 50
 
 
 class TestPairingDescendsToClasses:
@@ -181,7 +196,6 @@ class TestPairingDescendsToClasses:
                     [m[0] * u[0] + m[1] * u[1] for u in X.fan.rays]
                 )
                 shifted = base + principal
-                assert X.linearly_equivalent(base, shifted)
                 for i in range(X.n):
                     assert X.pair(base, X.generator(i)) == X.pair(
                         shifted, X.generator(i)
@@ -240,7 +254,7 @@ def test_chi_matches_direct_formula(coeffs):
     """Riemann-Roch value recomputed against the explicit matrix."""
     X = ToricSurface(Fan([(1, 0), (0, 1), (-1, 1), (0, -1)]))
     D = Divisor(coeffs)
-    matrix = X.fan.intersection_matrix()
+    matrix = pairing_matrix(X.fan)
     d_sq = sum(
         coeffs[i] * coeffs[j] * matrix[i][j]
         for i in range(4)

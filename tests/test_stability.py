@@ -14,8 +14,6 @@ from syzstab import (
     NOT_SEMISTABLE,
     NOT_STABLE,
     NO_DESTABILIZER,
-    STABLE_POSSIBLE,
-    UNSTABLE_EVENTUALLY,
     UNSTABLE_FOR_LARGE_D,
     AbstractSurface,
     Certificate,
@@ -36,7 +34,6 @@ from syzstab import (
     abstract_driver,
     alpha_beta,
     analyze,
-    asymptotic_condition,
     certificate_holds,
     construct_polarization,
     d_threshold,
@@ -48,18 +45,23 @@ from syzstab import (
     toric_driver,
 )
 from syzstab import divisors
-from syzstab.stability import LOW_RANK_NOTE, NEGATIVE_GENERATOR_NOTE
+from syzstab.stability import LOW_RANK_NOTE, NEGATIVE_GENERATOR_NOTE, _unstable
 
 from conftest import (
     AMPLE_FOR_DRIVER,
     BL2P2_ABSTRACT,
     BL2P2_RAYS,
     DP6_RAYS,
+    STABLE_POSSIBLE,
+    UNSTABLE_EVENTUALLY,
     ample_on,
     blowup_chain_divisors,
     count_calls,
     driver_divisor,
     hirzebruch_rays,
+    nef_threshold,
+    q,
+    ref_asymptotic,
 )
 
 
@@ -118,8 +120,8 @@ class TestAlphaBeta:
         X, D, S, A = power_family
         ab = alpha_beta(X, D, S, A)
         assert (ab.alpha, ab.beta) == (-1, 17)
-        assert ab.q(17) == 0
-        assert ab.q(18) == -18
+        assert q(ab, 17) == 0
+        assert q(ab, 18) == -18
 
     def test_plane_diagonal_data(self, p2):
         H = Divisor([1, 0, 0])
@@ -139,23 +141,26 @@ class TestAlphaBeta:
 
 
 class TestAsymptoticCondition:
+    """The sign test on q(d) that the scan and the threshold use, against
+    the kind of the per-pairing sign analysis."""
+
+    @staticmethod
+    def kind(X, D, S, A):
+        kind, ab = ref_asymptotic(X, D, S, A)
+        assert alpha_beta(X, D, S, A) == ab
+        assert _unstable(ab) == (kind != STABLE_POSSIBLE)
+        return kind
+
     def test_power_family_unstable(self, power_family):
-        X, D, S, A = power_family
-        verdict = asymptotic_condition(X, D, S, A)
-        assert verdict.kind == UNSTABLE_EVENTUALLY
-        assert verdict.unstable
+        assert self.kind(*power_family) == UNSTABLE_EVENTUALLY
 
     def test_example_data_unstable(self, f1):
-        verdict = asymptotic_condition(
-            f1, sf(f1, 8, 9), f1.generator(1), sf(f1, 2, 3)
-        )
-        assert verdict.kind == UNSTABLE_EVENTUALLY
+        kind = self.kind(f1, sf(f1, 8, 9), f1.generator(1), sf(f1, 2, 3))
+        assert kind == UNSTABLE_EVENTUALLY
 
     def test_plane_stable_possible(self, p2):
         H = Divisor([1, 0, 0])
-        verdict = asymptotic_condition(p2, H, H, H)
-        assert verdict.kind == STABLE_POSSIBLE
-        assert not verdict.unstable
+        assert self.kind(p2, H, H, H) == STABLE_POSSIBLE
 
 
 class TestThreshold:
@@ -201,8 +206,7 @@ class TestThreshold:
         D = sf(f1, 8, 9)
         A = sf(f1, 2, 3)
         S2 = 2 * f1.generator(1)
-        verdict = asymptotic_condition(f1, D, S2, A)
-        if verdict.unstable:
+        if ref_asymptotic(f1, D, S2, A)[0] != STABLE_POSSIBLE:
             th = d_threshold(f1, D, S2, A)
             assert th.d0 >= th.first_nef_d
             assert slope_compare(f1, D, S2, A, th.d0) == GREATER
@@ -317,11 +321,11 @@ class TestConstructPolarization:
         D, A, E = -1 * X.canonical, pol.polarization, pol.generator
         alpha = 2 * X.pair(D, A) * X.pair(D, E) - X.pair(E, A) * X.pair(D, D)
         assert pol.alpha == alpha
-        # the witness re-checks through the asymptotic classifier
-        verdict = asymptotic_condition(
+        # the witness re-checks through the per-pairing sign analysis
+        kind, _ = ref_asymptotic(
             X, -1 * X.canonical, pol.generator, pol.polarization_integral
         )
-        assert verdict.kind == UNSTABLE_EVENTUALLY
+        assert kind == UNSTABLE_EVENTUALLY
 
     def test_rank_two_rejected(self, f1):
         with pytest.raises(HypothesesViolatedError):
@@ -336,6 +340,14 @@ class TestConstructPolarization:
         assert pol.alpha == -113  # -150 + 37 * eps at eps = 1
         assert LOW_RANK_NOTE in pol.notes
 
+    def test_two_intersection_vectors(self, monkeypatch):
+        # t, alpha and eps are all read off v(D) and v(E), each formed once
+        X = ToricSurface(Fan(BL2P2_RAYS))
+        counts = count_calls(monkeypatch, "intersections")
+        pol = construct_polarization(X, -1 * X.canonical)
+        assert counts["intersections"] == 2
+        assert type(pol.threshold) is Fraction and pol.threshold == 1
+
 
 def ladder_polarization(X, D):
     """Reference for construct_polarization: the same generator E and nef
@@ -345,7 +357,7 @@ def ladder_polarization(X, D):
         X.negative_generator_indices(), key=lambda i: (X.pair_generator(D, i), i)
     )
     E = X.generator(e_idx)
-    t = X.nef_threshold(D, E)
+    t = nef_threshold(X, D, E)
     notes = () if isinstance(X, AbstractSurface) else (NEGATIVE_GENERATOR_NOTE,)
     eps = Fraction(1)
     for _ in range(21):
