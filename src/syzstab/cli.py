@@ -37,7 +37,7 @@ import sys
 from . import __version__
 from .divisors import AbstractSurface, Divisor, Rat, ToricSurface
 from .errors import EmptyGridError, InputError, InternalError
-from .fan import HIRZEBRUCH, Fan, reduce_to_minimal
+from .fan import HIRZEBRUCH, reduce_to_minimal
 from .files import (
     divisor_from_jsonable,
     divisor_to_jsonable,
@@ -52,14 +52,12 @@ from .files import (
     surface_to_jsonable,
 )
 from .stability import (
-    UNSTABLE_FOR_LARGE_D,
     StabilityReport,
-    alpha_beta,
     analyze,
     certificate_holds,
     construct_polarization,
-    d_threshold,
     hirzebruch_region,
+    hirzebruch_rows,
 )
 
 # Largest sweep grid, counted before any row is built: every point is
@@ -223,6 +221,8 @@ def _cmd_verify(args) -> int:
         A = divisor_from_jsonable(_field(echo, "A", list, "report echo"))
     if mode == "fixed-exponent":
         d = _field(echo, "d", int, "report echo")
+    if not D.is_integral:
+        raise InputError(f"{args.verify}: echo D must have integer coefficients")
     fresh = _report_jsonable(analyze(X, D, A, d), echo)
     cert = data.get("certificate")
     same_verdict = fresh["verdict"] == verdict
@@ -441,35 +441,18 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for ell in ells:
-        fan = Fan([(1, 0), (0, 1), (-1, ell), (0, -1)])
-        X = ToricSurface(fan)
-        _, s_idx, _ = X.hirzebruch_presentation()
-        S = X.generator(s_idx)
-        for a in _grid(a_lo, a_hi, step):
-            if a <= ell:
-                continue
-            for b in _grid(b_lo, b_hi, step):
-                if b <= ell:
-                    continue
-                verdict = hirzebruch_region(ell, a, b)
-                D = X.from_section_fiber(b.denominator, b.numerator)
-                A = X.from_section_fiber(a.denominator, a.numerator)
-                ab = alpha_beta(X, D, S, A)
-                row = {
-                    "ell": ell,
-                    "a": format_rational(a),
-                    "b": format_rational(b),
-                    "verdict": verdict,
-                    "alpha": format_rational(ab.alpha),
-                    "beta": format_rational(ab.beta),
-                    "d0": None,
-                    "strict": None,
-                }
-                if verdict == UNSTABLE_FOR_LARGE_D:
-                    th = d_threshold(X, D, S, A)
-                    row["d0"] = th.d0
-                    row["strict"] = th.strict
-                rows.append(row)
+        a_grid, b_grid = _grid(a_lo, a_hi, step), _grid(b_lo, b_hi, step)
+        for a, b, verdict, ab, th in hirzebruch_rows(ell, a_grid, b_grid):
+            rows.append({
+                "ell": ell,
+                "a": format_rational(a),
+                "b": format_rational(b),
+                "verdict": verdict,
+                "alpha": format_rational(ab.alpha),
+                "beta": format_rational(ab.beta),
+                "d0": None if th is None else th.d0,
+                "strict": None if th is None else th.strict,
+            })
     if not rows:
         raise EmptyGridError(
             "no grid point satisfies the ampleness bounds a, b > ell"

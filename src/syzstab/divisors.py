@@ -10,8 +10,11 @@ anew.  :class:`ToricSurface` is built from a :class:`~syzstab.fan.Fan`;
 there ``h0`` is an exact lattice-point count in the section polygon: for
 nef D by Pick's theorem over the integral corners of the fan's cones, in
 O(n), and for any other D row by row, in time linear in the polygon's
-height, after an O(n^3) integer search for the polygon's vertices; ``shifted_h0(D)`` counts each nef D - S
-from D's corners, re-solving the few that S moves.  The Euler characteristic
+height, after an O(n^3) integer search for the polygon's vertices.  A
+corner is linear in the coefficients, so ``shifted_h0(D)`` counts each
+nef D - S from D's corners, re-solving the few that S moves, and
+``multiple_h0(D, S)`` counts each nef d*D - k*S over the corners
+d*m(D) - k*m(S), with m(D) and m(S) solved once.  The Euler characteristic
 from Riemann-Roch acts as an independent cross-check (they agree on nef
 divisors).  :class:`AbstractSurface` is given by an intersection matrix,
 a canonical class and a declared list of effective-cone generators; there
@@ -288,6 +291,10 @@ class SurfaceModel:
         """combo -> h0(D - shift(combo)) for nef D - S, counted by h0."""
         return lambda combo: self.h0(D - self.shift(combo))
 
+    def multiple_h0(self, D: Divisor, S: Divisor) -> Callable[[int, int], int]:
+        """(d, k) -> h0(d*D - k*S) for nef d*D - k*S, counted by h0."""
+        return lambda d, k: self.h0(d * D - k * S)
+
 
 class ToricSurface(SurfaceModel):
     """Intersection theory of the smooth complete toric surface of a fan."""
@@ -379,6 +386,18 @@ class ToricSurface(SurfaceModel):
             return _pick_count(moved)
 
         return count
+
+    def multiple_h0(self, D: Divisor, S: Divisor) -> Callable[[int, int], int]:
+        """(d, k) -> h0(d*D - k*S) for nef d*D - k*S: Pick over the corners
+        d*m(D) - k*m(S), since a corner is linear in the coefficients, with
+        m(D) and m(S) solved once."""
+        self._check(D)
+        self._check(S)
+        m = self._corners(D.int_coeffs())
+        pairs = list(zip(m, self._corners(S.int_coeffs())))
+        return lambda d, k: _pick_count(
+            [(d * x - k * u, d * y - k * v) for (x, y), (u, v) in pairs]
+        )
 
     def is_effective(self, D: Divisor) -> bool:
         """A nonnegative integral D is a sum of prime invariant curves and

@@ -79,7 +79,7 @@ def format_rational(value) -> str:
     try:
         if type(value) is int:
             return str(value)
-        f = Fraction(value)
+        f = value if type(value) is Fraction else Fraction(value)
         if f.denominator == 1:
             return str(f.numerator)
         return f"{f.numerator}/{f.denominator}"

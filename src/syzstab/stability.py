@@ -27,6 +27,13 @@ entries of the curves' vectors, and v(d*D - S) = v(d*D) - v(C_i) (- v(C_j))
 decides nefness.  A candidate of :func:`scan_candidates` costs a few
 additions, one of :func:`find_destabilizer` one Pick sum over d*D's
 cone corners, found once per search, with two moved per curve of S.
+The four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0
+and d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S):
+corners are linear in the coefficients, and past the first nef multiple
+they are the polygon's vertices.  A row of :func:`hirzebruch_rows`
+reads its seven numbers off the (S, F, K) pairings of its ell and A's
+pairings of its a, and only rows in the instability region build D and
+A, for the threshold.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -35,12 +42,11 @@ call concurrently, including grid sweeps over parameter tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .divisors import (
     AbstractSurface,
@@ -105,9 +111,8 @@ def _require_effective(X: SurfaceModel, S: Divisor) -> None:
         raise NotEffectiveError("candidate S is not effective")
 
 
-def _slope(X: SurfaceModel, D: Divisor, DA: Rat) -> Fraction:
-    """-(D.A)/(h0(D) - 1) from D.A, counting h0(D) once."""
-    h = X.h0(D)
+def _slope(h: int, DA: Rat) -> Fraction:
+    """-(D.A)/(h0(D) - 1) from h = h0(D) and D.A."""
     if h <= 1:
         raise DegenerateBundleError(
             f"h0 = {h} <= 1: no syzygy bundle slope"
@@ -125,7 +130,7 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
     _require_ample(X, A, "polarization")
     if not X.is_nef(D):
         raise NotNefError("divisor defining the bundle is not nef")
-    return _slope(X, D, X.pair(D, A))
+    return _slope(X.h0(D), X.pair(D, A))
 
 
 def _order(mu_sub: Fraction, mu_ambient: Fraction) -> str:
@@ -210,12 +215,14 @@ class Threshold:
 
 
 def _first_nef_multiple(X: SurfaceModel, dv: list[Rat], sv: list[Rat]) -> int:
-    """Smallest d >= 1 with d*D - S nef, for ample D, from v(D) and v(S)."""
-    d = 1
-    for i in X.effective_generators:
-        # need d >= (S.C)/(D.C) against every generator C
-        d = max(d, math.ceil(Fraction(sv[i], dv[i])))
-    return d
+    """Smallest d >= 1 with d*D - S nef, for ample D, from v(D) and v(S):
+    d >= (S.C)/(D.C) against every generator C, by ceiling division."""
+    return max([1] + [-(-sv[i] // dv[i]) for i in X.effective_generators])
+
+
+def _is_multiple(S: Divisor, d: int, D: Divisor) -> bool:
+    """Whether d*D - S is the zero divisor, without building it."""
+    return all(s == d * c for s, c in zip(S.coeffs, D.coeffs))
 
 
 def d_threshold(
@@ -232,8 +239,9 @@ def d_threshold(
     D and A ample, S effective, and q(d) <= 0 for all large d.
 
     Both checks read their slope numerators off D.A and S.A, since
-    (d*D - S).A = d(D.A) - S.A, and need no nef test, since d >= d_nef;
-    :func:`certificate_holds` re-checks a certificate divisor by divisor.
+    (d*D - S).A = d(D.A) - S.A, and their counts off ``X.multiple_h0``;
+    they need no nef test, since d >= d_nef.  :func:`certificate_holds`
+    re-checks a certificate divisor by divisor.
     """
     dv = _require_ample(X, D, "divisor D")
     _require_ample(X, A, "polarization")
@@ -257,16 +265,17 @@ def d_threshold(
         d_sign = 1
         strict = ab.beta < 0
     d0 = max(d_nef, d_sign)
-    while (d0 * D - S).is_zero:
+    while _is_multiple(S, d0, D):
         d0 += 1
+    h0 = X.multiple_h0(D, S)  # (d, k) -> h0(d*D - k*S)
 
     def slopes(d: int) -> tuple[Fraction, Fraction]:
         """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D)."""
-        mu_ambient = _slope(X, d * D, d * DA)
-        return _slope(X, d * D - S, d * DA - SA), mu_ambient
+        mu_ambient = _slope(h0(d, 0), d * DA)
+        return _slope(h0(d, 1), d * DA - SA), mu_ambient
 
     check = d0 - 1
-    if check >= d_nef and not (check * D - S).is_zero:
+    if check >= d_nef and not _is_multiple(S, check, D):
         mu_sub, mu_ambient = slopes(check)
         if mu_sub > mu_ambient:
             raise InternalError(
@@ -326,7 +335,7 @@ def find_destabilizer(
     ambient_v = _require_ample(X, ambient, "d*D")
     av = _require_ample(X, A, "polarization")
     DA = X.pair_with(ambient_v, A)
-    mu_ambient = _slope(X, ambient, DA)
+    mu_ambient = _slope(X.h0(ambient), DA)
     count = X.shifted_h0(ambient)
     curve = _curve_vectors(X)
     best = None
@@ -375,7 +384,11 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
             f"ampleness needs a > {ell} and b > {ell}, "
             f"got a={format_rational(a)}, b={format_rational(b)}"
         )
-    bound = _region_bound(ell, b)
+    return _region_verdict(ell, a, b, _region_bound(ell, b))
+
+
+def _region_verdict(ell: int, a: Rat, b: Rat, bound: Fraction) -> str:
+    """The region test of a and b > ell against b's region bound."""
     if a > bound:
         return UNSTABLE_FOR_LARGE_D
     if a == bound:
@@ -384,6 +397,53 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
         if quad >= 0:
             return UNSTABLE_FOR_LARGE_D
     return NOT_COVERED
+
+
+def hirzebruch_rows(
+    ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
+) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Threshold]]]:
+    """The rows (a, b, verdict, coefficients, threshold) of a region sweep
+    on the ell-th Hirzebruch surface, ell >= 1, for each a of a_values and
+    b of b_values, both > ell, a-major.
+
+    D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
+    S the section and F a fiber, and S is the candidate shift.  The seven
+    intersection numbers of alpha and beta are integer combinations of
+    the (S, F, K) pairings, formed once, of A's pairings with S and F,
+    formed once per a, and of D's, once per b (b_values is read once, at
+    the first a > ell).  Only rows in the instability region build D and A,
+    for :func:`d_threshold`; threshold is None on the others.
+    """
+    if ell < 1:
+        raise PreconditionError("ell must be a positive integer")
+    X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
+    _, s_idx, f_idx = X.hirzebruch_presentation()
+    S = X.generator(s_idx)
+    vs, vf = X.intersections(S), X.intersections(X.generator(f_idx))
+    SS, SF, FF = vs[s_idx], vs[f_idx], vf[f_idx]
+    SK, FK = X.pair_with(vs, X.canonical), X.pair_with(vf, X.canonical)
+    points = None
+    for a in a_values:
+        if a <= ell:
+            continue
+        if points is None:
+            points = []
+            for b in b_values:
+                if b > ell:
+                    b1, b2 = b.denominator, b.numerator
+                    DS, DF = b1 * SS + b2 * SF, b1 * SF + b2 * FF
+                    D2, DK = b1 * DS + b2 * DF, b1 * SK + b2 * FK
+                    points.append((b, b1, b2, D2, DK, DS, _region_bound(ell, b)))
+        a1, a2 = a.denominator, a.numerator
+        AS, AF = a1 * SS + a2 * SF, a1 * SF + a2 * FF
+        for b, b1, b2, D2, DK, DS, bound in points:
+            verdict = _region_verdict(ell, a, b, bound)
+            ab = _alpha_beta(b1 * AS + b2 * AF, D2, DK, DS, AS, SK, SS)
+            th = None
+            if verdict == UNSTABLE_FOR_LARGE_D:
+                D = X.from_section_fiber(b1, b2)
+                th = d_threshold(X, D, S, X.from_section_fiber(a1, a2))
+            yield a, b, verdict, ab, th
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,16 @@ from itertools import product
 import pytest
 
 from syzstab import (
+    UNSTABLE_FOR_LARGE_D,
     AlphaBeta,
     Divisor,
     Fan,
     NotAmpleError,
     NotEffectiveError,
     ToricSurface,
+    alpha_beta,
+    d_threshold,
+    hirzebruch_region,
 )
 from syzstab.fan import det
 
@@ -216,6 +220,28 @@ def nef_threshold(X, D, E):
     curves = map(X.generator, X.effective_generators)
     pairs = [(X.pair(D, C), X.pair(E, C)) for C in curves]
     return min(Fraction(x, e) for x, e in pairs if e > 0)
+
+
+def ref_hirzebruch_rows(ell, a_values, b_values):
+    """Reference for ``hirzebruch_rows``: the per-point path, with the
+    region test, D and A built from section/fiber coordinates, the seven
+    pairings of ``alpha_beta`` and ``d_threshold`` at every grid point."""
+    X = ToricSurface(Fan(hirzebruch_rays(ell)))
+    _, s_idx, _ = X.hirzebruch_presentation()
+    S = X.generator(s_idx)
+    rows = []
+    for a in a_values:
+        for b in b_values:
+            if a <= ell or b <= ell:
+                continue
+            verdict = hirzebruch_region(ell, a, b)
+            D = X.from_section_fiber(b.denominator, b.numerator)
+            A = X.from_section_fiber(a.denominator, a.numerator)
+            th = None
+            if verdict == UNSTABLE_FOR_LARGE_D:
+                th = d_threshold(X, D, S, A)
+            rows.append((a, b, verdict, alpha_beta(X, D, S, A), th))
+    return rows
 
 
 # One fixed ample divisor per fan of Picard rank >= 3: the anticanonical

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzstab import Polytope, cli
+from syzstab import cli, divisors
 from syzstab.cli import main
 from syzstab.errors import InputError
 from syzstab.files import parse_rational
@@ -250,14 +250,16 @@ class TestVerifyRoundTrip:
         fan = tmp_path / "rank6.json"
         fan.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
         report = tmp_path / "report.json"
+        # every lattice count of a nef divisor, d_threshold's and
+        # certificate_holds' alike, ends in one Pick sum
         calls = []
-        count = Polytope.lattice_point_count
+        count = divisors._pick_count
 
-        def counted(poly):
-            calls.append(poly)
-            return count(poly)
+        def counted(corners):
+            calls.append(corners)
+            return count(corners)
 
-        monkeypatch.setattr(Polytope, "lattice_point_count", counted)
+        monkeypatch.setattr(divisors, "_pick_count", counted)
         argv = ["analyze", "--fan", str(fan), "--D", "3,4,2,4,3,3,3,3"]
         assert main(argv + ["--json", "--out", str(report)]) == 0
         analysis = len(calls)

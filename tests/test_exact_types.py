@@ -156,9 +156,10 @@ def test_abstract_surfaces(name, recorder):
 
 
 def test_hirzebruch_region_rows(surfaces, recorder):
-    """The rows of ``sweep``: region verdict, alpha/beta and, in the
+    """The rows of ``sweep``, point by point and from
+    ``hirzebruch_rows``: region verdict, alpha/beta and, in the
     instability region, the threshold."""
-    rows = 0
+    rows, swept = 0, []
     for ell in (1, 2, 3):
         X = surfaces[f"f{ell}"]
         _, s_idx, _ = X.hirzebruch_presentation()
@@ -173,5 +174,7 @@ def test_hirzebruch_region_rows(surfaces, recorder):
                 if verdict == stability.UNSTABLE_FOR_LARGE_D:
                     stability.d_threshold(X, D, S, A)
                     rows += 1
+        swept += list(stability.hirzebruch_rows(ell, grid, grid))
     assert rows
-    check(recorder, [])
+    assert sum(row[4] is not None for row in swept) == rows
+    check(recorder, swept)

@@ -77,6 +77,21 @@ CASES = {
         ["h0", "--surface", "{surface}", "--D", "2,2,3"],
         "h0 by lattice count needs a toric surface (--fan)",
     ),
+    # analyze --verify: a report whose echoed D is fractional
+    "verify-fractional-D": (
+        ["analyze", "--verify", "{bad}"],
+        "{bad}: echo D must have integer coefficients",
+        {
+            "verdict": "NotSemistable",
+            "certificate": None,
+            "assumptions": [],
+            "echo": {
+                "fan": {"rays": hirzebruch_rays(1)},
+                "D": ["1/2", 5, 6, 0],
+                "mode": "driver",
+            },
+        },
+    ),
     # cli.py: sweep arguments
     "sweep-reversed": (
         ["sweep", "--ell", "1", "--a", "3:2", "--b", "2"],
@@ -97,6 +112,21 @@ CASES = {
     "sweep-step": (
         ["sweep", "--ell", "1", "--a", "2:3", "--b", "2", "--step", "0"],
         "--step must be positive",
+    ),
+    # a and b are formatted only once a row exists: a huge a or b that
+    # no row reaches leaves the grid empty, and one that a row reaches
+    # cannot be printed
+    "sweep-huge-a-no-row": (
+        ["sweep", "--ell", "1", "--a", f"1e{LIMIT}", "--b", "1"],
+        "no grid point satisfies the ampleness bounds a, b > ell",
+    ),
+    "sweep-huge-negative-b": (
+        ["sweep", "--ell", "1", "--a", "3", f"--b=-1e{LIMIT}"],
+        "no grid point satisfies the ampleness bounds a, b > ell",
+    ),
+    "sweep-huge-b": (
+        ["sweep", "--ell", "1", "--a", "3", "--b", f"1e{LIMIT}"],
+        TOO_LARGE,
     ),
     # stability.py: the Hirzebruch driver's note on a and the region
     # bound, and the region test's ampleness message

@@ -3,14 +3,15 @@
 ``ToricSurface.shifted_h0(D)`` counts h0(D - S) for every shift S = C_i
 (+ C_j) that leaves D - S nef, without building D - S or its polygon:
 the corners of D's section polygon are linear in D's coefficients, so
-each curve of S moves two of them.  The oracles are ``X.h0`` of the
-built divisor and a bounding-box scan of its polygon, and the scan that
-uses the count, ``find_destabilizer``, must agree with its per-divisor
-form.
+each curve of S moves two of them.  ``ToricSurface.multiple_h0(D, S)``
+counts h0(d*D - k*S) over the corners d*m(D) - k*m(S), the counts
+``d_threshold`` makes.  The oracles are ``X.h0`` of the built divisor
+and a bounding-box scan of its polygon, and the scan that uses the
+count, ``find_destabilizer``, must agree with its per-divisor form.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -131,6 +132,60 @@ class TestCornerMoves:
             f1.shifted_h0(Divisor([1, 1, 1]))
         with pytest.raises(NonIntegralDivisorError):
             f1.shifted_h0(Divisor([1, 1, 1, Fraction(1, 2)]))
+
+
+def check_multiples(X, D, S):
+    """Asserts multiple_h0(D, S) at k = 0 and 1 against both oracles, for
+    d from the first nef multiple of D against S to three past it."""
+    count = X.multiple_h0(D, S)
+    d_nef = 1
+    while not X.is_nef(d_nef * D - S):
+        d_nef += 1
+    for d in range(d_nef, d_nef + 4):
+        for k in (0, 1):
+            E = d * D - k * S
+            assert count(d, k) == X.h0(E) == len(lattice_points(X.polytope(E))), (
+                X.fan.rays, D, S, d, k,
+            )
+    return d_nef
+
+
+class TestMultipleCounts:
+    def test_corpus(self, surfaces):
+        d_nefs = [
+            check_multiples(X, D, X.shift(combo))
+            for X, D, _ in corpus_cases(surfaces)
+            for combo in combos(X)
+        ]
+        assert len(d_nefs) > 500 and max(d_nefs) > 1
+
+    def test_blowup_chains(self):
+        # single curves: the chains' divisors are large, and pairs of
+        # curves are checked on the corpus
+        d_nefs = [
+            check_multiples(X, D, X.generator(i))
+            for X, D, _ in chain_cases()
+            for i in range(X.n)
+        ]
+        assert len(d_nefs) == 47
+
+    def test_abstract_surface_counts_chi(self):
+        X = AbstractSurface(**BL2P2_ABSTRACT)
+        for D in ample_divisors(X, 4, 4):
+            for combo in combos(X):
+                S = X.shift(combo)
+                count = X.multiple_h0(D, S)
+                for d, k in product((1, 2, 3), (0, 1)):
+                    assert count(d, k) == X.chi(d * D - k * S)
+
+    def test_rejects_bad_divisors(self, f1):
+        S = f1.generator(1)
+        with pytest.raises(DimensionMismatchError):
+            f1.multiple_h0(Divisor([1, 1, 1]), S)
+        with pytest.raises(DimensionMismatchError):
+            f1.multiple_h0(Divisor([1, 1, 1, 1]), Divisor([1, 0, 0]))
+        with pytest.raises(NonIntegralDivisorError):
+            f1.multiple_h0(Divisor([1, 1, 1, Fraction(1, 2)]), S)
 
 
 class TestFindDestabilizerAgrees:

@@ -39,6 +39,7 @@ from syzstab import (
     d_threshold,
     find_destabilizer,
     hirzebruch_region,
+    hirzebruch_rows,
     scan_candidates,
     slope_compare,
     syzygy_slope,
@@ -62,7 +63,22 @@ from conftest import (
     nef_threshold,
     q,
     ref_asymptotic,
+    ref_hirzebruch_rows,
 )
+
+
+def spy_counts(monkeypatch):
+    """Lists that collect, from now on, the corners of every Pick sum and
+    the arguments of every Polytope built."""
+    picks, polygons = [], []
+    pick, init = divisors._pick_count, Polytope.__init__
+    monkeypatch.setattr(
+        divisors, "_pick_count", lambda c: picks.append(c) or pick(c)
+    )
+    monkeypatch.setattr(
+        Polytope, "__init__", lambda *a: polygons.append(a) or init(*a)
+    )
+    return picks, polygons
 
 
 def sf(X, s, f):
@@ -248,14 +264,7 @@ class TestFindDestabilizer:
         D = driver_divisor("rank6", X)
         A = construct_polarization(X, D).polarization_integral
         counts = count_calls(monkeypatch, "intersections", "h0")
-        picks, polygons = [], []
-        pick, init = divisors._pick_count, Polytope.__init__
-        monkeypatch.setattr(
-            divisors, "_pick_count", lambda c: picks.append(c) or pick(c)
-        )
-        monkeypatch.setattr(
-            Polytope, "__init__", lambda *a: polygons.append(a) or init(*a)
-        )
+        picks, polygons = spy_counts(monkeypatch)
         find_destabilizer(X, D, A, 2)
         assert counts["intersections"] <= 10
         # 45 lattice counts: one h0, of d*D, and 44 corner counts, one per
@@ -307,6 +316,50 @@ class TestHirzebruchRegion:
     def test_ell_must_be_positive(self):
         with pytest.raises(PreconditionError):
             hirzebruch_region(0, Fraction(2), Fraction(2))
+
+
+def grid(lo, hi, step):
+    """lo, lo + step, ... <= hi, as the sweep walks an axis."""
+    v = lo
+    while v <= hi:
+        yield v
+        v += step
+
+
+class TestHirzebruchRows:
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "step", [Fraction(1, 8), Fraction(1, 3), Fraction(2, 5)], ids=str
+    )
+    def test_rows_match_per_point_path(self, ell, step):
+        # both ranges start below ell, so the ampleness skips, both
+        # verdicts and thresholds all occur; the first value is an int
+        a_values = list(grid(ell - 1, ell + 4, step))
+        b_values = list(grid(ell - 1, ell + 2, step))
+        rows = list(hirzebruch_rows(ell, iter(a_values), iter(b_values)))
+        assert rows == ref_hirzebruch_rows(ell, a_values, b_values)
+        assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
+        assert all((row[4] is None) == (row[2] == NOT_COVERED) for row in rows)
+
+    def test_b_values_read_at_the_first_row(self):
+        reads = []
+
+        def b_values():
+            reads.append(True)
+            yield from (1, Fraction(3, 2), 2)
+
+        # no a > ell: no row, and the b values are never read
+        assert list(hirzebruch_rows(1, [Fraction(1, 2), 1], b_values())) == []
+        assert not reads
+        rows = list(hirzebruch_rows(1, [1, 2, 3], b_values()))
+        assert [row[:2] for row in rows] == [
+            (2, Fraction(3, 2)), (2, 2), (3, Fraction(3, 2)), (3, 2)
+        ]
+        assert reads == [True]
+
+    def test_ell_must_be_positive(self):
+        with pytest.raises(PreconditionError):
+            list(hirzebruch_rows(0, [2], [2]))
 
 
 class TestConstructPolarization:
@@ -491,9 +544,13 @@ class TestToricDriver:
     def test_rank6_call_counts(self, surfaces, monkeypatch):
         X = surfaces["rank6"]
         counts = count_calls(monkeypatch, "intersections", "h0")
+        picks, polygons = spy_counts(monkeypatch)
         toric_driver(X, driver_divisor("rank6", X))
         assert counts["intersections"] <= 12
-        assert counts["h0"] == 4
+        # d_threshold's four lattice counts, of d*D and d*D - S at d0 - 1
+        # and d0, are Pick sums over d*m(D) - k*m(S): no h0, no polygon
+        assert counts["h0"] == 0 and not polygons
+        assert len(picks) == 4
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
     def test_hirzebruch_polarization_in_region(self, surfaces, name):
