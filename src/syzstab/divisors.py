@@ -7,19 +7,21 @@ once for D's length.  A toric surface forms it from the wall relation in
 O(n), an abstract one as a matrix-vector product; the pairing, nefness
 and Riemann-Roch then read it instead of pairing D with each curve
 anew.  :class:`ToricSurface` is built from a :class:`~syzstab.fan.Fan`;
-there ``h0`` is an exact lattice-point count in the section polygon: for
-nef D by Pick's theorem over the integral corners of the fan's cones, in
-O(n), and for any other D row by row, in time linear in the polygon's
-height, after an O(n^3) integer search for the polygon's vertices.  A
-corner is linear in the coefficients, so ``shifted_h0(D)`` counts each
-nef D - S from D's corners, re-solving the few that S moves, and
-``multiple_h0(D, S)`` counts each nef d*D - k*S over the corners
-d*m(D) - k*m(S), with m(D) and m(S) solved once.  The Euler characteristic
-from Riemann-Roch acts as an independent cross-check (they agree on nef
-divisors).  :class:`AbstractSurface` is given by an intersection matrix,
-a canonical class and a declared list of effective-cone generators; there
-``h0`` falls back to the Euler characteristic and callers must surface
-that assumption (``uses_chi_for_h0`` is True).
+there ``h0`` is an exact lattice-point count in the section polygon: the
+integral corners of the fan's cones show whether D is nef, and a nef D
+is counted by Pick's theorem over them, in O(n); any other D builds a
+:class:`Polytope`, counted row by row in time linear in the polygon's
+height, after an O(n^3) integer search for its vertices.  A corner is
+linear in the coefficients, so ``shifted_h0(D)`` counts each D - S from
+nef D's corners, re-solving the few that S moves, or returns None when a
+wall that S touches turns negative; ``multiple_h0(D, S)`` counts each nef
+d*D - k*S over the corners d*m(D) - k*m(S), with m(D) and m(S) solved
+once.  The Euler characteristic from Riemann-Roch acts as an independent
+cross-check (they agree on nef divisors).  :class:`AbstractSurface` is
+given by an intersection matrix, a canonical class and a declared list of
+effective-cone generators; there ``h0`` falls back to the Euler
+characteristic and callers must surface that assumption
+(``uses_chi_for_h0`` is True).
 
 All arithmetic is exact: divisor coefficients are ints when integral and
 `fractions.Fraction` otherwise, quotients are built as ``Fraction(p, q)``,
@@ -148,35 +150,26 @@ def _pick_count(corners: Sequence[tuple[int, int]]) -> int:
 class Polytope:
     """Intersection of closed half-planes ``ux*x + uy*y >= rhs`` in the plane.
 
-    Built from the section constraints of a divisor on a complete fan, so
-    the region is always bounded.  A nef divisor's polygon is given its
-    integer cone corners in fan order, repeats kept, which walk the
-    boundary once, and is counted by Pick's theorem in O(n).  Any other
-    polygon finds its vertices by exact pairwise line intersection, tested
-    against every half-plane in integers, and is counted one integral row
-    at a time with integer floor/ceil arithmetic.
+    Built from the section constraints of a non-nef divisor on a complete
+    fan, so the region is always bounded.  Its vertices come from exact
+    pairwise line intersection, tested against every half-plane in
+    integers, and it is counted one integral row at a time with integer
+    floor/ceil arithmetic.
     """
 
-    __slots__ = ("halfplanes", "_vertices", "_searched")
+    __slots__ = ("halfplanes", "_searched")
 
-    def __init__(
-        self,
-        halfplanes: Sequence[tuple[int, int, int]],
-        vertices: tuple[tuple[int, int], ...] | None = None,
-    ):
+    def __init__(self, halfplanes: Sequence[tuple[int, int, int]]):
         object.__setattr__(self, "halfplanes", tuple(halfplanes))
-        object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_searched", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polytope is immutable")
 
     @property
-    def vertices(self) -> tuple[tuple[Rat, Rat], ...]:
-        """All extreme points: the given int corners in boundary order,
-        repeats kept, or Fractions from the O(n^3) pairwise search, sorted."""
-        if self._vertices is not None:
-            return self._vertices
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """All extreme points as Fractions, from the O(n^3) pairwise
+        search, sorted."""
         if self._searched is not None:
             return self._searched
         hps = self.halfplanes
@@ -202,10 +195,8 @@ class Polytope:
         return verts
 
     def lattice_point_count(self) -> int:
-        """Integer points: by Pick over given corners, else row by row."""
+        """Integer points, counted row by row."""
         verts = self.vertices
-        if self._vertices is not None:
-            return _pick_count(verts)
         if not verts:
             return 0
         ymin = math.ceil(min(v[1] for v in verts))
@@ -287,9 +278,15 @@ class SurfaceModel:
         """The sum of the basis curves that combo indexes, repeats adding."""
         return Divisor([combo.count(i) for i in range(self.n)])
 
-    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int]:
-        """combo -> h0(D - shift(combo)) for nef D - S, counted by h0."""
-        return lambda combo: self.h0(D - self.shift(combo))
+    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int | None]:
+        """combo -> h0(D - shift(combo)), counted by h0, or None when
+        D - S is not nef."""
+
+        def count(combo: Sequence[int]) -> int | None:
+            E = D - self.shift(combo)
+            return self.h0(E) if self.is_nef(E) else None
+
+        return count
 
     def multiple_h0(self, D: Divisor, S: Divisor) -> Callable[[int, int], int]:
         """(d, k) -> h0(d*D - k*S) for nef d*D - k*S, counted by h0."""
@@ -344,12 +341,14 @@ class ToricSurface(SurfaceModel):
             for i, u in enumerate(rays)
         ]
 
-    def polytope(self, D: Divisor) -> Polytope:
-        """The section polygon { m : <m, u_i> >= -a_i } of an integral divisor.
+    def h0(self, D: Divisor) -> int:
+        """Dimension of the space of sections: the exact lattice-point
+        count of the polygon { m : <m, u_i> >= -a_i }, for any integral D.
 
         Each cone (u_{i-1}, u_i) has an integer corner m_i; since
         u_{i+1} = c_i*u_i - u_{i-1}, m_i is in ray i + 1's half-plane
-        exactly when D.C_i >= 0, so the corners are the vertices iff D is nef.
+        exactly when D.C_i >= 0.  So the corners are the vertices, counted
+        by Pick, iff all pass; else a :class:`Polytope` counts the rows.
         """
         self._check(D)
         a = D.int_coeffs()
@@ -358,29 +357,25 @@ class ToricSurface(SurfaceModel):
         corners = self._corners(a)
         nxt = zip(corners, halfplanes[1:] + halfplanes[:1])
         if all(ux * x + uy * y >= r for (x, y), (ux, uy, r) in nxt):
-            return Polytope(halfplanes, tuple(corners))
-        return Polytope(halfplanes)
+            return _pick_count(corners)
+        return Polytope(halfplanes).lattice_point_count()
 
-    def h0(self, D: Divisor) -> int:
-        """Dimension of the space of sections: an exact lattice-point count.
-
-        Valid for every integral divisor on a complete toric surface, nef
-        or not; linear equivalence only translates the polygon, so any
-        coefficient representative of a class gives the same count.
-        """
-        return self.polytope(D).lattice_point_count()
-
-    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int]:
-        """combo -> h0(D - S) for nef D - S: Pick over D's cone corners,
-        formed once, with m_i and m_{i+1} re-solved for each C_i in S."""
+    def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int | None]:
+        """combo -> h0(D - S) for nef D, or None when D - S is not nef:
+        only the at most three walls each C_i in S touches can turn
+        negative, and Pick counts over D's cone corners, formed once, with
+        m_i and m_{i+1} re-solved for each C_i in S."""
         self._check(D)
-        a, r, n = D.int_coeffs(), self.fan.rays, self.n
+        a, r, n, w = D.int_coeffs(), self.fan.rays, self.n, self.walls
         corners = self._corners(a)
 
-        def count(combo: Sequence[int]) -> int:
+        def count(combo: Sequence[int]) -> int | None:
             b, moved = list(a), corners[:]
             for i in combo:
                 b[i] -= 1
+            walls = {j % n for i in combo for j in (i - 1, i, i + 1)}
+            if any(b[k - 1] + b[(k + 1) % n] < w[k] * b[k] for k in walls):
+                return None
             for k in {j % n for i in combo for j in (i, i + 1)}:
                 moved[k] = _solve_cone(r[k - 1], r[k], -b[k - 1], -b[k])
             return _pick_count(moved)

@@ -22,11 +22,13 @@ certificate reports.
 Every number above is bilinear in intersection numbers, so an analysis
 forms the intersection vector v(.) of D, A and K once, and of each basis
 curve C_i on first use, and reads each candidate S = C_i (+ C_j) off them:
-S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), S^2 sums
-entries of the curves' vectors, and v(d*D - S) = v(d*D) - v(C_i) (- v(C_j))
-decides nefness.  A candidate of :func:`scan_candidates` costs a few
-additions, one of :func:`find_destabilizer` one Pick sum over d*D's
-cone corners, found once per search, with two moved per curve of S.
+S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), and S^2
+sums entries of the curves' vectors.  A candidate of
+:func:`scan_candidates` costs a few additions, one of
+:func:`find_destabilizer` what ``X.shifted_h0(d*D)`` asks, which also
+decides whether d*D - S is nef: on a toric surface a test of the walls
+that S touches, then one Pick sum over d*D's cone corners, found once
+per search, two moved per curve of S.
 The four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0
 and d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S):
 corners are linear in the coefficients, and past the first nef multiple
@@ -236,7 +238,8 @@ def d_threshold(
     decides every comparison there.  Exact slope comparisons confirm the
     violation at d0, and its absence at d0 - 1 whenever d0 - 1 is at
     least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
-    D and A ample, S effective, and q(d) <= 0 for all large d.
+    D and A ample, S effective of nonzero class, and q(d) <= 0 for all
+    large d.
 
     Both checks read their slope numerators off D.A and S.A, since
     (d*D - S).A = d(D.A) - S.A, and their counts off ``X.multiple_h0``;
@@ -247,6 +250,10 @@ def d_threshold(
     _require_ample(X, A, "polarization")
     _require_effective(X, S)
     ab, sv, DA, SA = _coefficients(X, dv, D, S, A)
+    if not any(sv):
+        raise PreconditionError(
+            "candidate S has class zero: its subbundle is the whole bundle"
+        )
     if not _unstable(ab):
         raise PreconditionError(
             "asymptotic condition is StablePossible: no threshold exists "
@@ -302,11 +309,6 @@ class Destabilizer:
     strict: bool
 
 
-def _curve_vectors(X: SurfaceModel):
-    """i -> v(C_i) for the basis curves, each formed on first use."""
-    return cache(lambda i: X.intersections(X.generator(i)))
-
-
 def _combos(X: SurfaceModel):
     """S's curve indices in scan order: each generator, then pairs i <= j."""
     for r in (1, 2):
@@ -326,25 +328,20 @@ def find_destabilizer(
 
     Candidates must leave d*D - S nef with h0 >= 2.  Returns the first
     strict violator in scan order, falling back to the first tie; None
-    when no candidate of this shape works.  v(d*D - S) and (d*D - S).A
-    follow by linearity, ``X.shifted_h0`` counts, and slopes compare by
-    cross-multiplication: only the returned S and slopes are built.
+    when no candidate of this shape works.  (d*D - S).A follows by
+    linearity, ``X.shifted_h0`` tests nefness and counts, and slopes
+    compare by cross-multiplication: only the returned S and slopes are built.
     """
-    gens = X.effective_generators
     ambient = d * D
     ambient_v = _require_ample(X, ambient, "d*D")
     av = _require_ample(X, A, "polarization")
     DA = X.pair_with(ambient_v, A)
-    mu_ambient = _slope(X.h0(ambient), DA)
     count = X.shifted_h0(ambient)
-    curve = _curve_vectors(X)
+    mu_ambient = _slope(count(()), DA)
     best = None
     for combo in _combos(X):
-        sv = [sum(col) for col in zip(*map(curve, combo))]
-        if any(ambient_v[k] < sv[k] for k in gens):
-            continue
         h = count(combo)
-        if h <= 1:
+        if h is None or h <= 1:
             continue
         num = DA - sum(av[i] for i in combo)
         gap = _slope_gap(num, h, mu_ambient)
@@ -599,7 +596,7 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
     av = _require_ample(X, A, "polarization")
     kv = X.intersections(X.canonical)
     DA, D2, DK = (X.pair_with(v, D) for v in (av, dv, kv))
-    curve = _curve_vectors(X)
+    curve = cache(lambda i: X.intersections(X.generator(i)))  # v(C_i)
     for combo in _combos(X):
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(curve(i)[j] for i in combo for j in combo)
@@ -697,9 +694,10 @@ def certificate_holds(
     the ambient bundle, against A, are in the order the verdict promises:
     greater for NotSemistable, equal for NotStable.  False when a slope
     does not exist: A not ample, S not effective, d0*D - S not nef, or a
-    bundle with at most one section."""
+    bundle with at most one section; and False when S has class zero, as
+    its subbundle is then the whole bundle."""
     try:
         order = slope_compare(X, D, S, A, d0)
     except (NotAmpleError, NotEffectiveError, NotNefError, DegenerateBundleError):
         return False
-    return order == _PROMISED_ORDER.get(verdict)
+    return order == _PROMISED_ORDER.get(verdict) and any(X.intersections(S))

@@ -14,6 +14,7 @@ from syzstab import (
     Fan,
     NotAmpleError,
     NotEffectiveError,
+    Polytope,
     ToricSurface,
     alpha_beta,
     d_threshold,
@@ -103,6 +104,14 @@ def blowup_chain_divisors(seed, size):
         ample = [2 * a for a in ample]
         ample.insert(i + 1, new)
     return Fan(rays), Divisor(pulled), Divisor(ample)
+
+
+def section_polygon(X, D):
+    """The half-plane ``Polytope`` { m : <m, u_i> >= -a_i } of an integral
+    divisor on a toric surface, whatever route ``X.h0`` takes: the
+    oracles' input, with its vertices from the pairwise search."""
+    a = D.int_coeffs()
+    return Polytope([(u[0], u[1], -c) for u, c in zip(X.fan.rays, a)])
 
 
 def lattice_points(poly):

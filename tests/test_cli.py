@@ -327,6 +327,27 @@ class TestVerifyRoundTrip:
         assert result["certificate_matches"] is False
         assert result["certificate_slopes_check"] is True
 
+    @pytest.mark.parametrize(
+        "S", [[0, 0, 0, 0, 0], [1, 0, -1, -1, 0]], ids=["zero", "principal"]
+    )
+    def test_zero_class_shift_fails_slopes_check(self, tmp_path, capsys, S):
+        # S of class zero: the subbundle from d0*D - S is the whole bundle,
+        # and its slope ties with the ambient one vacuously
+        fan = tmp_path / "bl2p2.json"
+        fan.write_text(json.dumps({"rays": [list(r) for r in BL2P2_RAYS]}))
+        report = tmp_path / "report.json"
+        argv = ["analyze", "--fan", str(fan), "--D", "1,1,1,1,1", "--json"]
+        assert main(argv + ["--out", str(report)]) == 0
+        data = json.loads(report.read_text())
+        data["verdict"] = "NotStable"
+        data["certificate"].update(A=[2, 1, 1, 1, 1], S=S, d0=1)
+        report.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["analyze", "--verify", str(report), "--json"]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["certificate_matches"] is False
+        assert result["certificate_slopes_check"] is False
+
     def test_wrong_length_shift_is_input_error(self, tmp_path):
         report = self.rank6_report(tmp_path)
         data = json.loads(report.read_text())

@@ -21,6 +21,7 @@ from syzstab import (
     reduce_to_minimal,
     toric_driver,
 )
+from syzstab import divisors
 from syzstab.files import divisor_to_jsonable
 from syzstab.stability import alpha_beta
 
@@ -32,6 +33,7 @@ from conftest import (
     driver_divisor,
     lattice_points,
     pairing_matrix,
+    section_polygon,
 )
 
 
@@ -155,7 +157,7 @@ class TestIntersections:
             ]
             if isinstance(X, ToricSurface):
                 calls += [
-                    lambda: X.polytope(wrong),
+                    lambda: X.shifted_h0(wrong),
                     lambda: X.is_effective(wrong),
                 ]
             for call in calls:
@@ -218,21 +220,23 @@ class TestPositivity:
 
 class TestPolytopeAndSections:
     def test_plane_conic_triangle(self, p2):
-        poly = p2.polytope(Divisor([2, 0, 0]))
+        D = Divisor([2, 0, 0])
+        poly = section_polygon(p2, D)
         assert len(poly.vertices) == 3
-        assert poly.lattice_point_count() == 6
+        assert p2.h0(D) == poly.lattice_point_count() == 6
         assert len(lattice_points(poly)) == 6
 
     def test_zero_divisor_single_point(self, surfaces):
         for X in surfaces.values():
-            poly = X.polytope(Divisor([0] * X.n))
-            assert poly.lattice_point_count() == 1
-            assert lattice_points(poly) == [(0, 0)]
+            D = Divisor([0] * X.n)
+            assert X.h0(D) == section_polygon(X, D).lattice_point_count() == 1
+            assert lattice_points(section_polygon(X, D)) == [(0, 0)]
 
     def test_empty_polytope(self, f1):
-        poly = f1.polytope(sf(f1, 1, -1))
+        D = sf(f1, 1, -1)
+        poly = section_polygon(f1, D)
         assert not poly.vertices
-        assert poly.lattice_point_count() == 0
+        assert f1.h0(D) == poly.lattice_point_count() == 0
 
     @pytest.mark.parametrize("d", range(7))
     def test_plane_degree_d_count(self, p2, d):
@@ -244,27 +248,34 @@ class TestPolytopeAndSections:
     def test_both_counting_routes_agree(self, surfaces):
         for X in surfaces.values():
             for coeffs in ([2] * X.n, [0] * X.n, [3] + [1] * (X.n - 1)):
-                poly = X.polytope(Divisor(coeffs))
-                assert poly.lattice_point_count() == len(lattice_points(poly))
+                D = Divisor(coeffs)
+                assert X.h0(D) == len(lattice_points(section_polygon(X, D)))
 
     def test_vertex_count_bounded_for_nef(self, surfaces):
         for name, X in surfaces.items():
             D = ample_on(name, X)
-            assert len(X.polytope(D).vertices) <= X.n
+            assert len(section_polygon(X, D).vertices) <= X.n
 
     def test_h0_rejects_fractional(self, f1):
         with pytest.raises(NonIntegralDivisorError):
             f1.h0(Divisor([Fraction(1, 2), 0, 0, 0]))
 
 
-def _searched(poly):
-    """The same polygon with its vertices found by the pairwise search."""
-    return Polytope(poly.halfplanes)
-
-
 class TestConeCorners:
-    """For nef D the polygon's vertices are the integer cone corners; the
-    pairwise line-intersection search is the oracle."""
+    """For nef D the polygon's vertices are the integer cone corners and
+    ``h0`` is their Pick count; the half-plane polygon's pairwise
+    line-intersection search and row count are the oracles."""
+
+    @staticmethod
+    def assert_corners(X, D, count=True):
+        corners = X._corners(D.int_coeffs())
+        assert all(type(c) is int for m in corners for c in m)
+        oracle = section_polygon(X, D)
+        assert set(corners) == set(oracle.vertices), (X.fan.rays, D)
+        if count:
+            assert divisors._pick_count(corners) == X.h0(D) == (
+                oracle.lattice_point_count()
+            ), (X.fan.rays, D)
 
     def test_corpus_nef_divisors(self, surfaces):
         for name, X in surfaces.items():
@@ -278,11 +289,7 @@ class TestConeCorners:
             if name != "p2":  # there every nonzero nef divisor is ample
                 assert any(not X.is_ample(D) and not D.is_zero for D in nef)
             for D in nef:
-                poly = X.polytope(D)
-                oracle = _searched(poly)
-                assert set(poly.vertices) == set(oracle.vertices), (name, D)
-                assert all(type(c) is int for v in poly.vertices for c in v)
-                assert poly.lattice_point_count() == oracle.lattice_point_count()
+                self.assert_corners(X, D)
 
     def test_blowup_chains(self):
         for seed in range(120):
@@ -293,24 +300,33 @@ class TestConeCorners:
             # the pullback's polygon is that of the starting fan, so its
             # count is cheap; the ample one doubles at each blow-up, so it
             # is counted only on short chains
-            for D in (pulled, ample):
-                poly = X.polytope(D)
-                oracle = _searched(poly)
-                assert set(poly.vertices) == set(oracle.vertices), (seed, D)
-                if D is pulled or X.n <= 12:
-                    assert poly.lattice_point_count() == (
-                        oracle.lattice_point_count()
-                    )
+            self.assert_corners(X, pulled)
+            self.assert_corners(X, ample, X.n <= 12)
 
-    def test_route_is_nefness(self, surfaces):
-        # the corners are kept exactly when D is nef: every D with
+    def test_route_is_nefness(self, surfaces, monkeypatch):
+        # h0 builds a Polytope exactly when D is not nef: every D with
         # coefficients -2..3 on the corpus fans of at most 6 rays, and
-        # ample - k*C_i on seeded chains
-        def wrong_route(X, divisors):
-            return [
-                D for D in divisors
-                if (X.polytope(D)._vertices is not None) != X.is_nef(D)
-            ]
+        # ample - k*C_i on seeded chains; the stand-in Polytope records the
+        # route without counting
+        built = []
+
+        class Recorder:
+            def __init__(self, halfplanes):
+                built.append(halfplanes)
+
+            def lattice_point_count(self):
+                return 0
+
+        monkeypatch.setattr(divisors, "Polytope", Recorder)
+
+        def wrong_route(X, candidates):
+            wrong = []
+            for D in candidates:
+                built.clear()
+                X.h0(D)
+                if bool(built) == X.is_nef(D):
+                    wrong.append(D)
+            return wrong
 
         for X in surfaces.values():
             if X.n <= 6:
@@ -335,8 +351,8 @@ class TestConeCorners:
         assert X.is_ample(D) and not X.is_nef(not_nef)
         counts = count_calls(monkeypatch, "intersections")
         for E in (D, not_nef):
-            X.polytope(E)
             X.h0(E)
+        X.shifted_h0(D)((0, 0, 1))
         assert counts == {"intersections": 0}
 
     def test_rank6_driver_runs_no_pairwise_search(self, surfaces, monkeypatch):
@@ -344,8 +360,7 @@ class TestConeCorners:
         vertices = Polytope.__dict__["vertices"].fget
 
         def counted(poly):
-            if poly._vertices is None:
-                searches.append(poly.halfplanes)
+            searches.append(poly.halfplanes)
             return vertices(poly)
 
         monkeypatch.setattr(Polytope, "vertices", property(counted))
@@ -356,15 +371,12 @@ class TestConeCorners:
 
 
 class TestPickCount:
-    """The Pick count over the cone corners against the row count of the
-    same half-planes, at multiples where the polygon is large."""
+    """``h0``'s Pick count over the cone corners against the row count of
+    the same half-planes, at multiples where the polygon is large."""
 
     @staticmethod
     def assert_counts_agree(X, D):
-        poly = X.polytope(D)
-        assert poly.lattice_point_count() == (
-            Polytope(poly.halfplanes).lattice_point_count()
-        ), D
+        assert X.h0(D) == section_polygon(X, D).lattice_point_count(), D
 
     def test_corpus_multiples(self, surfaces):
         for name, X in surfaces.items():
@@ -628,7 +640,7 @@ class TestImmutability:
             D.coeffs = (0, 0)
 
     def test_polytope(self, f1):
-        poly = f1.polytope(Divisor([1, 1, 1, 1]))
+        poly = section_polygon(f1, Divisor([1, 1, 1, 1]))
         with pytest.raises(AttributeError, match="Polytope is immutable"):
             poly.halfplanes = ()
 

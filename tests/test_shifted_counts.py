@@ -1,13 +1,15 @@
 """Section counts of d*D - S read off d*D's moved cone corners.
 
 ``ToricSurface.shifted_h0(D)`` counts h0(D - S) for every shift S = C_i
-(+ C_j) that leaves D - S nef, without building D - S or its polygon:
-the corners of D's section polygon are linear in D's coefficients, so
-each curve of S moves two of them.  ``ToricSurface.multiple_h0(D, S)``
-counts h0(d*D - k*S) over the corners d*m(D) - k*m(S), the counts
-``d_threshold`` makes.  The oracles are ``X.h0`` of the built divisor
-and a bounding-box scan of its polygon, and the scan that uses the
-count, ``find_destabilizer``, must agree with its per-divisor form.
+(+ C_j) that leaves D - S nef, and gives None for every other, without
+building D - S or its polygon: the corners of D's section polygon are
+linear in D's coefficients, so each curve of S moves two of them, and
+only the walls S touches can turn negative.
+``ToricSurface.multiple_h0(D, S)`` counts h0(d*D - k*S) over the
+corners d*m(D) - k*m(S), the counts ``d_threshold`` makes.  The oracles
+are ``X.h0`` of the built divisor and a bounding-box scan of its polygon,
+and the scan that uses the count, ``find_destabilizer``, must agree with
+its per-divisor form.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from conftest import (
     BL2P2_ABSTRACT,
     blowup_chain_divisors,
     lattice_points,
+    section_polygon,
 )
 from test_linear_candidates import (
     ample_divisors,
@@ -45,8 +48,8 @@ def combos(X):
 
 
 def check_counts(X, D, d):
-    """Asserts the count of every nef d*D - S against both oracles and
-    returns how many candidates were nef."""
+    """Asserts the count of every nef d*D - S against both oracles, and
+    None for every other, and returns how many candidates were nef."""
     ambient = d * D
     count = X.shifted_h0(ambient)
     nef = 0
@@ -55,10 +58,11 @@ def check_counts(X, D, d):
         assert X.shift(combo) == S
         sub = ambient - S
         if not X.is_nef(sub):
+            assert count(combo) is None, (X.fan.rays, D, d, combo)
             continue
         nef += 1
-        h = X.h0(sub)
-        assert count(combo) == h == len(lattice_points(X.polytope(sub))), (
+        points = lattice_points(section_polygon(X, sub))
+        assert count(combo) == X.h0(sub) == len(points), (
             X.fan.rays, D, d, combo,
         )
     return nef
@@ -119,13 +123,18 @@ class TestCornerMoves:
         count = p2.shifted_h0(Divisor([1, 0, 0]))
         assert count((0,)) == count((1,)) == 1
         assert count(()) == 3
+        assert count((1, 2)) is None
 
     def test_abstract_surface_counts_chi(self):
         X = AbstractSurface(**BL2P2_ABSTRACT)
-        for D in ample_divisors(X, 4, 4):
-            count = X.shifted_h0(2 * D)
+        nef = []
+        for D, d in product(ample_divisors(X, 4, 4), (1, 2)):
+            count = X.shifted_h0(d * D)
             for combo in combos(X):
-                assert count(combo) == X.chi(2 * D - X.shift(combo))
+                E = d * D - X.shift(combo)
+                nef.append(X.is_nef(E))
+                assert count(combo) == (X.chi(E) if nef[-1] else None)
+        assert any(nef) and not all(nef)
 
     def test_rejects_bad_divisors(self, f1):
         with pytest.raises(DimensionMismatchError):
@@ -144,7 +153,8 @@ def check_multiples(X, D, S):
     for d in range(d_nef, d_nef + 4):
         for k in (0, 1):
             E = d * D - k * S
-            assert count(d, k) == X.h0(E) == len(lattice_points(X.polytope(E))), (
+            points = lattice_points(section_polygon(X, E))
+            assert count(d, k) == X.h0(E) == len(points), (
                 X.fan.rays, D, S, d, k,
             )
     return d_nef

@@ -203,6 +203,26 @@ class TestThreshold:
         with pytest.raises(PreconditionError):
             d_threshold(p2, H, H, H)
 
+    @pytest.mark.parametrize(
+        "S", [(0, 0, 0, 0, 0), (1, 0, -1, -1, 0)], ids=["zero", "principal"]
+    )
+    def test_zero_class_shift_is_precondition_error(self, surfaces, S):
+        # d*D - S is d*D up to linear equivalence: the "subbundle" is the
+        # whole bundle, and its slopes tie with the ambient ones vacuously
+        X = surfaces["bl2p2"]
+        D, A, S = Divisor([1] * 5), Divisor([2, 1, 1, 1, 1]), Divisor(S)
+        assert X.is_effective(S) and not any(X.intersections(S))
+        assert slope_compare(X, D, S, A, 1) == EQUAL
+        with pytest.raises(PreconditionError, match="class zero"):
+            d_threshold(X, D, S, A)
+        assert not certificate_holds(X, D, NOT_STABLE, A, S, 1)
+        # after the ampleness checks, in their order
+        not_ample = Divisor([1, 0, 0, 0, 0])
+        with pytest.raises(NotAmpleError, match="divisor D"):
+            d_threshold(X, not_ample, S, not_ample)
+        with pytest.raises(NotAmpleError, match="polarization"):
+            d_threshold(X, D, S, not_ample)
+
     def test_zero_bundle_raises_d0(self):
         # D = S = A with D^2 = D.A = 0: q vanishes, d*D - S is zero at
         # d = 1, so d0 moves to 2 and the check at d0 - 1 is skipped
@@ -267,9 +287,10 @@ class TestFindDestabilizer:
         picks, polygons = spy_counts(monkeypatch)
         find_destabilizer(X, D, A, 2)
         assert counts["intersections"] <= 10
-        # 45 lattice counts: one h0, of d*D, and 44 corner counts, one per
-        # nef candidate, with no polygon built for a candidate
-        assert counts["h0"] == 1 and len(polygons) == 1
+        # 45 lattice counts, all Pick sums over d*D's corners: one of d*D
+        # itself and 44, one per nef candidate; shifted_h0 decides nefness,
+        # so no h0 call and no polygon
+        assert counts["h0"] == 0 and not polygons
         assert len(picks) == 45
 
     def test_power_family_at_threshold(self, power_family):
