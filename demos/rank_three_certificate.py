@@ -10,9 +10,8 @@ from syzstab import (
     AbstractSurface,
     Fan,
     ToricSurface,
-    abstract_driver,
+    analyze,
     construct_polarization,
-    toric_driver,
 )
 
 fan = Fan([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)])
@@ -26,7 +25,7 @@ print(
     f"nef threshold {pol.threshold}, epsilon {pol.epsilon}, "
     f"alpha {pol.alpha}"
 )
-report = toric_driver(fan, D)
+report = analyze(X, D)
 cert = report.certificate
 print(f"  verdict {report.verdict} at d0 = {cert.d0}")
 print(f"  polarization {list(cert.polarization.int_coeffs())}")
@@ -46,7 +45,7 @@ Y = AbstractSurface(
 )
 ok, problems = Y.check_hypotheses()
 print("abstract route: hypotheses pass:", ok, problems or "")
-report2 = abstract_driver(Y, -1 * Y.canonical)
+report2 = analyze(Y, -1 * Y.canonical)
 cert2 = report2.certificate
 print(f"  verdict {report2.verdict} at d0 = {cert2.d0}")
 print(

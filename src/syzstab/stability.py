@@ -68,7 +68,7 @@ from .errors import (
     OutOfTheoremScopeError,
     PreconditionError,
 )
-from .fan import Fan, HIRZEBRUCH, PROJECTIVE_PLANE
+from .fan import Fan, PROJECTIVE_PLANE
 from .files import format_rational
 
 GREATER = "greater"
@@ -97,7 +97,7 @@ LOW_RANK_NOTE = (
     "Picard rank below 3: outside the construction's hypotheses, "
     "result is informational"
 )
-# largest denominator of the Hirzebruch driver's polarization slope
+# largest denominator of the driver's polarization slope on F_ell
 _MAX_DENOMINATOR = 8
 
 def _require_ample(X: SurfaceModel, D: Divisor, what: str) -> list[Rat]:
@@ -332,6 +332,8 @@ def find_destabilizer(
     linearity, ``X.shifted_h0`` tests nefness and counts, and slopes
     compare by cross-multiplication: only the returned S and slopes are built.
     """
+    if d < 1:
+        raise PreconditionError("the exponent d must be a positive integer")
     ambient = d * D
     ambient_v = _require_ample(X, ambient, "d*D")
     av = _require_ample(X, A, "polarization")
@@ -615,69 +617,47 @@ def _smallest_exceeding_rational(bound: Fraction) -> Fraction:
     )
 
 
-def toric_driver(fan_or_surface: Fan | ToricSurface, D: Divisor) -> StabilityReport:
-    """End-to-end instability certificate for an ample divisor on a toric
-    surface other than the plane and the quadric.
-
-    Hirzebruch surfaces get the polarization S + a*F with a the smallest
-    rational of denominator at most 8 beyond the region bound, scaled to
-    a primitive integral divisor; higher Picard rank delegates to
-    :func:`abstract_driver`.  The certificate is re-verified by exact
-    slope comparison before it is returned.
-    """
-    X = (
-        fan_or_surface
-        if isinstance(fan_or_surface, ToricSurface)
-        else ToricSurface(fan_or_surface)
-    )
-    st = X.fan.surface_type()
-    if st.kind == PROJECTIVE_PLANE or (st.kind == HIRZEBRUCH and st.ell == 0):
-        raise OutOfTheoremScopeError(
-            f"no destabilizing polarization is constructed for {st}"
-        )
-    if st.kind != HIRZEBRUCH:
-        # construct_polarization requires D ample first thing
-        return abstract_driver(X, D)
-    _require_ample(X, D, "divisor D")
-    ell, s_idx, _ = X.hirzebruch_presentation()
-    b1, b2 = X.to_section_fiber(D)
-    bound = _region_bound(ell, Fraction(b2, b1))
-    a = _smallest_exceeding_rational(bound)
-    A = X.from_section_fiber(a.denominator, a.numerator)
-    # format_rational refuses a bound too long to print with InputError
-    note = (
-        f"polarization slope a = {format_rational(a)} chosen with denominator"
-        f" <= {_MAX_DENOMINATOR} just beyond the region bound "
-        f"{format_rational(bound)}"
-    )
-    return _certified_report(X, D, X.generator(s_idx), A, [note])
-
-
-def abstract_driver(X: SurfaceModel, D: Divisor) -> StabilityReport:
-    """Instability certificate from :func:`construct_polarization`, on an
-    abstract surface model or a toric surface of Picard rank >= 3.
-
-    On an abstract surface, section counts are Euler characteristics and
-    the report records that assumption.
-    """
-    pol = construct_polarization(X, D)
-    return _certified_report(
-        X, D, pol.generator, pol.polarization_integral, list(pol.notes)
-    )
-
-
 def analyze(
     X: SurfaceModel, D: Divisor, A: Optional[Divisor] = None, d: Optional[int] = None
 ) -> StabilityReport:
-    """Stability report for the ample divisor D: the surface's driver
-    without A, :func:`scan_candidates` with A, and with A and d the
-    :func:`find_destabilizer` search at the fixed exponent d."""
+    """Stability report for the ample divisor D in one of three modes:
+    the driver without A, :func:`scan_candidates` with A, and with A and d
+    the :func:`find_destabilizer` search at the fixed exponent d.
+
+    The driver picks A and the shift S, then certifies them with
+    :func:`d_threshold`.  It raises OutOfTheoremScopeError on the plane
+    and on P1 x P1.  On F_ell, ell >= 1, A is S + a*F, scaled to be
+    primitive integral, with a the smallest rational of denominator at
+    most 8 past the region bound, and S is the section.  On every other
+    surface, toric or abstract, A and S are the integral polarization and
+    the generator of :func:`construct_polarization`.
+    """
     if A is None:
         if d is not None:
             raise PreconditionError("a fixed exponent d needs a polarization A")
-        if isinstance(X, ToricSurface):
-            return toric_driver(X, D)
-        return abstract_driver(X, D)
+        if isinstance(X, ToricSurface) and X.n < 5:
+            st = X.fan.surface_type()
+            if st.kind == PROJECTIVE_PLANE or st.ell == 0:
+                raise OutOfTheoremScopeError(
+                    f"no destabilizing polarization is constructed for {st}"
+                )
+            _require_ample(X, D, "divisor D")
+            ell, s_idx, _ = X.hirzebruch_presentation()
+            b1, b2 = X.to_section_fiber(D)
+            bound = _region_bound(ell, Fraction(b2, b1))
+            a = _smallest_exceeding_rational(bound)
+            A = X.from_section_fiber(a.denominator, a.numerator)
+            # format_rational refuses a bound too long to print with InputError
+            note = (
+                f"polarization slope a = {format_rational(a)} chosen with "
+                f"denominator <= {_MAX_DENOMINATOR} just beyond the region "
+                f"bound {format_rational(bound)}"
+            )
+            return _certified_report(X, D, X.generator(s_idx), A, [note])
+        pol = construct_polarization(X, D)
+        return _certified_report(
+            X, D, pol.generator, pol.polarization_integral, list(pol.notes)
+        )
     if d is None:
         return scan_candidates(X, D, A)
     found = find_destabilizer(X, D, A, d)

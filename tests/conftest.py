@@ -106,6 +106,68 @@ def blowup_chain_divisors(seed, size):
     return Fan(rays), Divisor(pulled), Divisor(ample)
 
 
+def _least_form(cycle):
+    """The least rotation or reflection of a cyclic sequence."""
+    n = len(cycle)
+    return min(c[i:] + c[:i] for c in (cycle, cycle[::-1]) for i in range(n))
+
+
+def rays_of_cycle(cycle):
+    """The rays of a smooth complete fan with the given cyclic sequence of
+    self-intersections, from u_0 = (1, 0), u_1 = (0, 1) and
+    u_{i+1} = c_i*u_i - u_{i-1}, where c_i = -cycle[i] is the wall
+    coefficient."""
+    rays = [(1, 0), (0, 1)]
+    for c in cycle[1:-1]:
+        (x0, y0), (x1, y1) = rays[-2], rays[-1]
+        rays.append((-c * x1 - x0, -c * y1 - y0))
+    return rays
+
+
+def every_smooth_surface(max_rays):
+    """Every smooth complete toric surface of at most ``max_rays`` rays that
+    blow-ups of the plane, cycle (1, 1, 1), and of F_a, cycle
+    (a, 0, -a, 0) with a <= 3, reach, each once up to rotation and
+    reflection of its cycle of self-intersections, with an ample D.
+
+    A blow-up inserts a -1 between two neighbours and lowers both by one.
+    Cycles come breadth-first, so each is kept as the first blow-up path
+    reaches it.  D starts as the first ample divisor with coefficients in
+    [1, 6] on the starting fan and follows that path by the recipe of
+    ``bench/workloads.blowup_chain``: each blow-up doubles D and gives the
+    new ray 2(a_i + a_{i+1}) - 1.  Returns [(cycle, X, D)]."""
+    level = []
+    for cycle in [(1, 1, 1)] + [(a, 0, -a, 0) for a in range(4)]:
+        X = ToricSurface(Fan(rays_of_cycle(cycle)))
+        D = next(
+            c for c in product(range(1, 7), repeat=X.n) if X.is_ample(Divisor(c))
+        )
+        level.append((cycle, D))
+    seen = {_least_form(cycle) for cycle, _ in level}
+    found = list(level)
+    while level and len(level[0][0]) < max_rays:
+        grown = []
+        for cycle, D in level:
+            n = len(cycle)
+            for i in range(n):
+                j = (i + 1) % n
+                c, a = list(cycle), [2 * x for x in D]
+                c[i] -= 1
+                c[j] -= 1
+                c.insert(i + 1, -1)
+                a.insert(i + 1, 2 * (D[i] + D[j]) - 1)
+                key = _least_form(tuple(c))
+                if key not in seen:
+                    seen.add(key)
+                    grown.append((tuple(c), tuple(a)))
+        found += grown
+        level = grown
+    return [
+        (cycle, ToricSurface(Fan(rays_of_cycle(cycle))), Divisor(D))
+        for cycle, D in found
+    ]
+
+
 def section_polygon(X, D):
     """The half-plane ``Polytope`` { m : <m, u_i> >= -a_i } of an integral
     divisor on a toric surface, whatever route ``X.h0`` takes: the

@@ -27,6 +27,7 @@ from syzstab import (
     ToricSurface,
     UNSTABLE_FOR_LARGE_D,
     alpha_beta,
+    analyze,
     certificate_holds,
     construct_polarization,
     d_threshold,
@@ -35,7 +36,6 @@ from syzstab import (
     reduce_to_minimal,
     slope_compare,
     syzygy_slope,
-    toric_driver,
 )
 from syzstab.cli import main
 
@@ -226,7 +226,7 @@ def test_acceptance_6_end_to_end_certificates(corpus, surfaces):
             minus_k = -1 * X.canonical
             D = minus_k if X.is_ample(minus_k) else Divisor(AMPLE_FOR_DRIVER[name])
             assert X.is_ample(D)
-            report = toric_driver(fan, D)
+            report = analyze(X, D)
             cert = report.certificate
             assert cert is not None
             expected = GREATER if report.verdict == NOT_SEMISTABLE else EQUAL
@@ -334,8 +334,8 @@ LARGE_THRESHOLD_D = (32, 137, 106, 76, 48, 32, 56, 32, 32)
 def test_acceptance_8_large_threshold_driver():
     """The driver's counts at d0 = 184,261 take time in n, not in d0."""
     with timed(1.0) as t:
-        report = toric_driver(
-            Fan(LARGE_THRESHOLD_FAN), Divisor(LARGE_THRESHOLD_D)
+        report = analyze(
+            ToricSurface(Fan(LARGE_THRESHOLD_FAN)), Divisor(LARGE_THRESHOLD_D)
         )
         assert report.verdict == NOT_SEMISTABLE
         assert report.certificate.d0 == 184261
@@ -377,7 +377,7 @@ def test_acceptance_10_blowup_chain_certificates():
         for seed in range(120):
             fan, _, D = blowup_chain_divisors(seed, 5 + seed % 60)
             X = ToricSurface(fan)
-            report = toric_driver(X, D)
+            report = analyze(X, D)
             c = report.certificate
             assert certificate_holds(
                 X, D, report.verdict, c.polarization, c.shift, c.d0

@@ -17,9 +17,9 @@ from syzstab import (
     NotAmpleError,
     Polytope,
     ToricSurface,
+    analyze,
     construct_polarization,
     reduce_to_minimal,
-    toric_driver,
 )
 from syzstab import divisors
 from syzstab.files import divisor_to_jsonable
@@ -365,7 +365,7 @@ class TestConeCorners:
 
         monkeypatch.setattr(Polytope, "vertices", property(counted))
         X = surfaces["rank6"]
-        report = toric_driver(X, driver_divisor("rank6", X))
+        report = analyze(X, driver_divisor("rank6", X))
         assert report.certificate.d0 == 60
         assert searches == []
 

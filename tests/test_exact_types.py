@@ -121,7 +121,7 @@ def test_toric_corpus(surfaces, recorder):
         if name in ("p2", "f0"):
             A = D + X.generator(0)
         else:
-            driver = stability.toric_driver(X, D)
+            driver = stability.analyze(X, D)
             reports.append(driver)
             A = driver.certificate.polarization
             assert holds(X, D, driver), name
@@ -146,7 +146,7 @@ def test_abstract_surfaces(name, recorder):
         data["effective_generators"],
     )
     D = Divisor([2, 2, 3])
-    reports = [stability.abstract_driver(X, D)]
+    reports = [stability.analyze(X, D)]
     assert holds(X, D, reports[0])
     if name == "bl2p2":
         reports += analyses(X, D, reports[0].certificate.polarization)

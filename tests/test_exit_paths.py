@@ -142,6 +142,16 @@ CASES = {
         ["hirzebruch", "--ell", "1", f"--a=-1e{LIMIT}", "--b", "3"],
         TOO_LARGE,
     ),
+    # find_destabilizer's exponent, refused before d*D is built: 5S + 6F
+    # is ample on F_1, 0*D and -1*D are not
+    "exponent-zero": (
+        ["analyze", "--fan", "{fan}", "--D", "5,6", "--A", "2,3", "--d", "0"],
+        "the exponent d must be a positive integer",
+    ),
+    "exponent-negative": (
+        ["analyze", "--fan", "{fan}", "--D", "5,6", "--A", "2,3", "--d", "-1"],
+        "the exponent d must be a positive integer",
+    ),
     # files.py
     "malformed-divisor": (
         ["h0", "--fan", "{fan}", "--D", "1,,1"],

@@ -43,7 +43,6 @@ from syzstab import (
     slope_compare,
     syzygy_slope,
     stability,
-    toric_driver,
 )
 from syzstab.stability import _PROMISED_ORDER, _VERDICT, _order
 
@@ -265,7 +264,7 @@ class TestAgainstPerDivisorScans:
         for seed in range(16):
             fan, pulled, D = blowup_chain_divisors(seed, 5 + seed % 8)
             X = ToricSurface(fan)
-            A = toric_driver(X, D).certificate.polarization
+            A = analyze(X, D).certificate.polarization
             for pol in (A, D + pulled):
                 seen.update(compare(X, D, pol, exponents=(1, 2)))
         assert ("scan_candidates", NOT_SEMISTABLE) in seen

@@ -31,7 +31,6 @@ from syzstab import (
     PreconditionError,
     StabilityReport,
     ToricSurface,
-    abstract_driver,
     alpha_beta,
     analyze,
     certificate_holds,
@@ -43,10 +42,15 @@ from syzstab import (
     scan_candidates,
     slope_compare,
     syzygy_slope,
-    toric_driver,
 )
 from syzstab import divisors
-from syzstab.stability import LOW_RANK_NOTE, NEGATIVE_GENERATOR_NOTE, _unstable
+from syzstab.stability import (
+    LOW_RANK_NOTE,
+    NEGATIVE_GENERATOR_NOTE,
+    _region_bound,
+    _smallest_exceeding_rational,
+    _unstable,
+)
 
 from conftest import (
     AMPLE_FOR_DRIVER,
@@ -304,6 +308,14 @@ class TestFindDestabilizer:
         with pytest.raises(NotAmpleError):
             find_destabilizer(f1, sf(f1, 0, 1), sf(f1, 2, 3), 1)
 
+    def test_exponent_below_one(self, f1):
+        # D is ample, so the error is about d, not about d*D
+        for d in (0, -1):
+            with pytest.raises(
+                PreconditionError, match="^the exponent d must be a positive integer$"
+            ):
+                find_destabilizer(f1, sf(f1, 5, 6), sf(f1, 2, 3), d)
+
 
 class TestHirzebruchRegion:
     def test_example_point(self):
@@ -510,7 +522,7 @@ class TestPolarizationAgainstLadder:
 
 class TestToricDriver:
     def test_blown_up_plane_power_family(self, f1):
-        report = toric_driver(f1, sf(f1, 5, 6))
+        report = analyze(f1, sf(f1, 5, 6))
         assert report.verdict == NOT_SEMISTABLE
         cert = report.certificate
         assert cert.polarization == sf(f1, 2, 3)
@@ -519,17 +531,17 @@ class TestToricDriver:
 
     def test_plane_out_of_scope(self, p2):
         with pytest.raises(OutOfTheoremScopeError):
-            toric_driver(p2, Divisor([1, 0, 0]))
+            analyze(p2, Divisor([1, 0, 0]))
 
     def test_quadric_out_of_scope(self, surfaces):
         X = surfaces["f0"]
         with pytest.raises(OutOfTheoremScopeError):
-            toric_driver(X, Divisor([1, 1, 1, 1]))
+            analyze(X, Divisor([1, 1, 1, 1]))
 
     def test_bl2p2_anticanonical(self):
         fan = Fan(BL2P2_RAYS)
         X = ToricSurface(fan)
-        report = toric_driver(fan, -1 * X.canonical)
+        report = analyze(X, -1 * X.canonical)
         assert report.verdict == NOT_SEMISTABLE
         cert = report.certificate
         assert cert.d0 == 1
@@ -544,13 +556,13 @@ class TestToricDriver:
     def test_del_pezzo_six(self):
         fan = Fan(DP6_RAYS)
         X = ToricSurface(fan)
-        report = toric_driver(fan, -1 * X.canonical)
+        report = analyze(X, -1 * X.canonical)
         assert report.verdict == NOT_SEMISTABLE
         assert report.certificate.d0 == 1
 
     def test_driver_requires_ample(self, f1):
         with pytest.raises(NotAmpleError):
-            toric_driver(f1, sf(f1, 1, 0))
+            analyze(f1, sf(f1, 1, 0))
 
     @pytest.mark.parametrize(
         "name", ["f1", "f2", "f3", "f4", "bl2p2", "dp6", "rank5", "rank6"]
@@ -560,13 +572,13 @@ class TestToricDriver:
         ample = ample_on(name, X)
         for D in (0 * ample, ample - X.generator(0), X.generator(0)):
             with pytest.raises(NotAmpleError, match="^divisor D is not ample$"):
-                toric_driver(X, D)
+                analyze(X, D)
 
     def test_rank6_call_counts(self, surfaces, monkeypatch):
         X = surfaces["rank6"]
         counts = count_calls(monkeypatch, "intersections", "h0")
         picks, polygons = spy_counts(monkeypatch)
-        toric_driver(X, driver_divisor("rank6", X))
+        analyze(X, driver_divisor("rank6", X))
         assert counts["intersections"] <= 12
         # d_threshold's four lattice counts, of d*D and d*D - S at d0 - 1
         # and d0, are Pick sums over d*m(D) - k*m(S): no h0, no polygon
@@ -581,7 +593,7 @@ class TestToricDriver:
         ell = X.fan.surface_type().ell
         for b1 in range(1, 4):
             for b2 in range(ell * b1 + 1, ell * b1 + 7):
-                cert = toric_driver(X, sf(X, b1, b2)).certificate
+                cert = analyze(X, sf(X, b1, b2)).certificate
                 a1, a2 = X.to_section_fiber(cert.polarization)
                 a, b = Fraction(a2, a1), Fraction(b2, b1)
                 assert hirzebruch_region(ell, a, b) == UNSTABLE_FOR_LARGE_D, b
@@ -595,7 +607,7 @@ class TestAbstractDriver:
             BL2P2_ABSTRACT["canonical"],
             BL2P2_ABSTRACT["effective_generators"],
         )
-        report = abstract_driver(X, -1 * X.canonical)
+        report = analyze(X, -1 * X.canonical)
         assert report.verdict == NOT_SEMISTABLE
         assert CHI_ASSUMPTION in report.assumptions
         cert = report.certificate
@@ -609,7 +621,7 @@ class TestAbstractDriver:
             ["S", "F"], [[-1, 1], [1, 0]], [-2, -3], [0, 1]
         )
         with pytest.raises(HypothesesViolatedError):
-            abstract_driver(X, Divisor([1, 2]))
+            analyze(X, Divisor([1, 2]))
         # the low-rank waiver covers the rank and the generator count only,
         # whatever the labels say
         D = Divisor([2, 2, 3])
@@ -650,6 +662,24 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def driver_reference(X, D):
+    """The driver's verdict and certificate, rebuilt here from their parts:
+    at rank >= 3 construct_polarization's generator and integral A, on
+    F_ell the section and S + a*F with a just past the region bound."""
+    if X.picard_rank >= 3:
+        pol = construct_polarization(X, D)
+        S, A = pol.generator, pol.polarization_integral
+    else:
+        ell, s_idx, _ = X.hirzebruch_presentation()
+        b1, b2 = X.to_section_fiber(D)
+        a = _smallest_exceeding_rational(_region_bound(ell, Fraction(b2, b1)))
+        S = X.generator(s_idx)
+        A = X.from_section_fiber(a.denominator, a.numerator)
+    th = d_threshold(X, D, S, A)
+    cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
+    return NOT_SEMISTABLE if th.strict else NOT_STABLE, cert
+
+
 def fixed_exponent_report(X, D, A, d):
     """The fixed-exponent report, built here from find_destabilizer."""
     found = find_destabilizer(X, D, A, d)
@@ -663,7 +693,8 @@ def fixed_exponent_report(X, D, A, d):
 
 class TestAnalyze:
     def test_matches_entry_points(self, surfaces):
-        """Every mode of analyze returns what its entry point returns, and
+        """The driver returns the certificate rebuilt from its parts, the
+        other modes of analyze return what their entry points return, and
         certificate_holds accepts every certificate among them."""
         cases = [
             (name, X, ample_on(name, X))
@@ -677,10 +708,11 @@ class TestAnalyze:
         )
         kinds = set()
         for name, X, D in cases:
-            toric = isinstance(X, ToricSurface)
-            driver = outcome(toric_driver if toric else abstract_driver, X, D)
-            assert outcome(analyze, X, D) == driver, name
+            driver = outcome(analyze, X, D)
             if isinstance(driver, StabilityReport):
+                assert (driver.verdict, driver.certificate) == driver_reference(
+                    X, D
+                ), name
                 A = driver.certificate.polarization
             else:  # the quadric: no polarization is constructed
                 assert driver[0] is OutOfTheoremScopeError, name
@@ -736,7 +768,7 @@ class TestThresholdMinimality:
         for name in AMPLE_FOR_DRIVER:
             X = surfaces[name]
             D = driver_divisor(name, X)
-            cert = toric_driver(X, D).certificate
+            cert = analyze(X, D).certificate
             cases.append((X, D, cert.shift, cert.polarization))
         walked = [assert_threshold_minimal(*case) for case in cases]
         # rank5, rank6 and the power family reach d0 well past d_nef
@@ -750,7 +782,7 @@ class TestThresholdMinimality:
             BL2P2_ABSTRACT["effective_generators"],
         )
         D = -1 * X.canonical
-        cert = abstract_driver(X, D).certificate
+        cert = analyze(X, D).certificate
         assert_threshold_minimal(X, D, cert.shift, cert.polarization)
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "f4"])
