@@ -509,9 +509,11 @@ class AbstractSurface(SurfaceModel):
             raise DimensionMismatchError(
                 "canonical class length does not match labels"
             )
-        gens = tuple([int(i) for i in effective_generators])
+        gens = tuple(effective_generators)
         if not gens:
             raise InputError("declare at least one effective generator")
+        if any(type(i) is not int for i in gens):
+            raise InputError("effective generator indices must be integers")
         if any(i < 0 or i >= n for i in gens):
             raise InputError("effective generator index out of range")
         if len(set(gens)) != len(gens):

@@ -99,9 +99,10 @@ class Fan:
     __slots__ = ("rays", "_walls")
 
     def __init__(self, rays):
-        given = [tuple([int(x) for x in r]) for r in rays]
+        given = [tuple(r) for r in rays]
         for idx, r in enumerate(given):
-            if len(r) != 2:
+            # exactly int: a float, Fraction, str or bool is refused, not cut
+            if len(r) != 2 or type(r[0]) is not int or type(r[1]) is not int:
                 raise NonPrimitiveRayError(
                     f"ray {idx} must have exactly 2 integer components", idx
                 )

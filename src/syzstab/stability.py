@@ -17,7 +17,8 @@ nef divisors (Demazure vanishing), so for d past the first nef multiple
 the sign of q(d) decides each comparison exactly: :func:`d_threshold`
 reads d0 off the root of q and confirms it with exact lattice-count
 slopes at d0 and at d0 - 1, and those verified slopes are the ones the
-certificate reports.
+certificate reports.  Each search returns a :class:`Certificate`, and
+:func:`analyze` alone turns one into a :class:`StabilityReport`.
 
 Every number above is bilinear in intersection numbers, so an analysis
 forms the intersection vector v(.) of D, A and K once, and of each basis
@@ -97,6 +98,7 @@ LOW_RANK_NOTE = (
     "Picard rank below 3: outside the construction's hypotheses, "
     "result is informational"
 )
+SCAN_NOTE = "every scanned candidate shift admits stability asymptotically"
 # largest denominator of the driver's polarization slope on F_ell
 _MAX_DENOMINATOR = 8
 
@@ -200,20 +202,17 @@ def _unstable(ab: AlphaBeta) -> bool:
 
 
 @dataclass(frozen=True)
-class Threshold:
-    """Smallest verified exponent where the slope violation holds.
+class Certificate:
+    """Re-verifiable witness of a slope violation at exponent d0: strict
+    (not semistable) or a permanent tie (not stable), with the two slopes
+    compared there."""
 
-    ``strict`` distinguishes a strict violation (not semistable) from a
-    permanent tie (not stable).  ``first_nef_d`` records where d*D - S
-    enters the nef cone; the two slopes are the ones compared at d0.
-    """
-
+    polarization: Divisor  # A
+    shift: Divisor  # effective S; the subbundle comes from d0*D - S
     d0: int
-    strict: bool
-    first_nef_d: int
-    coefficients: AlphaBeta
     subbundle_slope: Fraction
     ambient_slope: Fraction
+    strict: bool
 
 
 def _first_nef_multiple(X: SurfaceModel, dv: list[Rat], sv: list[Rat]) -> int:
@@ -229,9 +228,10 @@ def _is_multiple(S: Divisor, d: int, D: Divisor) -> bool:
 
 def d_threshold(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
-) -> Threshold:
-    """Smallest d >= 1 with d*D - S nef and the subbundle slope >= the
-    ambient slope, with strictness where attainable.
+) -> Certificate:
+    """The certificate (A, S, d0) for the smallest d0 >= 1 with d0*D - S
+    nef and the subbundle slope >= the ambient slope, strict where
+    attainable, with the two slopes at d0.
 
     d0 comes from the root of q(d).  For d at or past the first nef
     multiple, h0 equals the Euler characteristic, so the sign of q(d)
@@ -296,17 +296,7 @@ def d_threshold(
             f"sign polynomial predicted {expected} slopes at d = {d0}, "
             f"exact comparison returned {order}"
         )
-    return Threshold(d0, strict, d_nef, ab, mu_sub, mu_ambient)
-
-
-@dataclass(frozen=True)
-class Destabilizer:
-    """A verified destabilizing candidate at a fixed exponent."""
-
-    shift: Divisor  # the effective S with subbundle from d*D - S
-    subbundle_slope: Fraction
-    ambient_slope: Fraction
-    strict: bool
+    return Certificate(A, S, d0, mu_sub, mu_ambient, strict)
 
 
 def _combos(X: SurfaceModel):
@@ -322,15 +312,16 @@ def _slope_gap(num: Rat, h: int, mu: Fraction) -> Rat:
 
 def find_destabilizer(
     X: SurfaceModel, D: Divisor, A: Divisor, d: int
-) -> Optional[Destabilizer]:
+) -> Optional[Certificate]:
     """Scan sums of one or two effective-cone generators S for a subbundle
     of slope >= the ambient slope at exponent d.
 
-    Candidates must leave d*D - S nef with h0 >= 2.  Returns the first
-    strict violator in scan order, falling back to the first tie; None
-    when no candidate of this shape works.  (d*D - S).A follows by
-    linearity, ``X.shifted_h0`` tests nefness and counts, and slopes
-    compare by cross-multiplication: only the returned S and slopes are built.
+    Candidates must leave d*D - S nef with h0 >= 2.  Returns the
+    certificate (A, S, d) of the first strict violator in scan order,
+    falling back to the first tie; None when no candidate of this shape
+    works.  (d*D - S).A follows by linearity, ``X.shifted_h0`` tests
+    nefness and counts, and slopes compare by cross-multiplication: only
+    the returned S and slopes are built.
     """
     if d < 1:
         raise PreconditionError("the exponent d must be a positive integer")
@@ -354,7 +345,9 @@ def find_destabilizer(
     if best is None:
         return None
     combo, num, h, strict = best
-    return Destabilizer(X.shift(combo), Fraction(-num, h - 1), mu_ambient, strict)
+    return Certificate(
+        A, X.shift(combo), d, Fraction(-num, h - 1), mu_ambient, strict
+    )
 
 
 def _region_bound(ell: int, b: Fraction) -> Fraction:
@@ -400,8 +393,8 @@ def _region_verdict(ell: int, a: Rat, b: Rat, bound: Fraction) -> str:
 
 def hirzebruch_rows(
     ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
-) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Threshold]]]:
-    """The rows (a, b, verdict, coefficients, threshold) of a region sweep
+) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Certificate]]]:
+    """The rows (a, b, verdict, coefficients, certificate) of a region sweep
     on the ell-th Hirzebruch surface, ell >= 1, for each a of a_values and
     b of b_values, both > ell, a-major.
 
@@ -411,7 +404,7 @@ def hirzebruch_rows(
     the (S, F, K) pairings, formed once, of A's pairings with S and F,
     formed once per a, and of D's, once per b (b_values is read once, at
     the first a > ell).  Only rows in the instability region build D and A,
-    for :func:`d_threshold`; threshold is None on the others.
+    for :func:`d_threshold`; the certificate is None on the others.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
@@ -438,11 +431,11 @@ def hirzebruch_rows(
         for b, b1, b2, D2, DK, DS, bound in points:
             verdict = _region_verdict(ell, a, b, bound)
             ab = _alpha_beta(b1 * AS + b2 * AF, D2, DK, DS, AS, SK, SS)
-            th = None
+            cert = None
             if verdict == UNSTABLE_FOR_LARGE_D:
                 D = X.from_section_fiber(b1, b2)
-                th = d_threshold(X, D, S, X.from_section_fiber(a1, a2))
-            yield a, b, verdict, ab, th
+                cert = d_threshold(X, D, S, X.from_section_fiber(a1, a2))
+            yield a, b, verdict, ab, cert
 
 
 @dataclass(frozen=True)
@@ -544,17 +537,6 @@ def construct_polarization(
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Re-verifiable witness of a slope violation at exponent d0."""
-
-    polarization: Divisor  # primitive integral A
-    shift: Divisor  # effective S; the subbundle comes from d0*D - S
-    d0: int
-    subbundle_slope: Fraction
-    ambient_slope: Fraction
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Verdict plus certificate (when found) and recorded assumptions."""
 
@@ -563,36 +545,14 @@ class StabilityReport:
     assumptions: tuple[str, ...] = ()
 
 
-def _report(
-    X: SurfaceModel,
-    assumptions: list[str],
-    certificate: Optional[Certificate] = None,
-    strict: bool = True,
-) -> StabilityReport:
-    """The report on a verified certificate, or NoDestabilizerFound."""
-    verdict = NO_DESTABILIZER if certificate is None else _VERDICT[strict]
-    if X.uses_chi_for_h0:
-        assumptions = assumptions + [CHI_ASSUMPTION]
-    return StabilityReport(verdict, certificate, tuple(assumptions))
-
-
-def _certified_report(
-    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, assumptions: list[str]
-) -> StabilityReport:
-    # d_threshold raises unless the exact slopes at d0 confirm the verdict
-    th = d_threshold(X, D, S, A)
-    cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
-    return _report(X, assumptions, cert, th.strict)
-
-
-def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
+def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certificate]:
     """Asymptotic candidate scan for a fixed polarization.
 
     Walks shifts S over sums of one or two effective-cone generators; the
-    first one with q(d) <= 0 for all large d is turned into a verified
-    threshold certificate.  When every candidate admits
-    stability asymptotically the verdict is NoDestabilizerFound (which
-    never claims stability, only that this family is exhausted).
+    first one with q(d) <= 0 for all large d is certified by
+    :func:`d_threshold`.  None when every candidate admits stability
+    asymptotically (which never claims stability, only that this family
+    is exhausted).
     """
     dv = _require_ample(X, D, "divisor D")
     av = _require_ample(X, A, "polarization")
@@ -603,10 +563,8 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> StabilityReport:
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(curve(i)[j] for i in combo for j in combo)
         if _unstable(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)):
-            return _certified_report(X, D, X.shift(combo), A, [])
-    return _report(
-        X, ["every scanned candidate shift admits stability asymptotically"]
-    )
+            return d_threshold(X, D, X.shift(combo), A)
+    return None
 
 
 def _smallest_exceeding_rational(bound: Fraction) -> Fraction:
@@ -631,40 +589,50 @@ def analyze(
     most 8 past the region bound, and S is the section.  On every other
     surface, toric or abstract, A and S are the integral polarization and
     the generator of :func:`construct_polarization`.
+
+    Each search returns a :class:`Certificate` or None, and this is the
+    one place a report is built: NoDestabilizerFound without a
+    certificate, else NotSemistable or NotStable as it is strict or a
+    tie.  Its notes are the driver's, the scan's when it finds nothing,
+    and CHI_ASSUMPTION where h0 is the Euler characteristic.
     """
-    if A is None:
+    notes: list[str] = []
+    if A is not None:
         if d is not None:
-            raise PreconditionError("a fixed exponent d needs a polarization A")
-        if isinstance(X, ToricSurface) and X.n < 5:
-            st = X.fan.surface_type()
-            if st.kind == PROJECTIVE_PLANE or st.ell == 0:
-                raise OutOfTheoremScopeError(
-                    f"no destabilizing polarization is constructed for {st}"
-                )
-            _require_ample(X, D, "divisor D")
-            ell, s_idx, _ = X.hirzebruch_presentation()
-            b1, b2 = X.to_section_fiber(D)
-            bound = _region_bound(ell, Fraction(b2, b1))
-            a = _smallest_exceeding_rational(bound)
-            A = X.from_section_fiber(a.denominator, a.numerator)
-            # format_rational refuses a bound too long to print with InputError
-            note = (
-                f"polarization slope a = {format_rational(a)} chosen with "
-                f"denominator <= {_MAX_DENOMINATOR} just beyond the region "
-                f"bound {format_rational(bound)}"
+            cert = find_destabilizer(X, D, A, d)
+        else:
+            cert = scan_candidates(X, D, A)
+            if cert is None:
+                notes.append(SCAN_NOTE)
+    elif d is not None:
+        raise PreconditionError("a fixed exponent d needs a polarization A")
+    elif isinstance(X, ToricSurface) and X.n < 5:
+        st = X.fan.surface_type()
+        if st.kind == PROJECTIVE_PLANE or st.ell == 0:
+            raise OutOfTheoremScopeError(
+                f"no destabilizing polarization is constructed for {st}"
             )
-            return _certified_report(X, D, X.generator(s_idx), A, [note])
-        pol = construct_polarization(X, D)
-        return _certified_report(
-            X, D, pol.generator, pol.polarization_integral, list(pol.notes)
+        _require_ample(X, D, "divisor D")
+        ell, s_idx, _ = X.hirzebruch_presentation()
+        b1, b2 = X.to_section_fiber(D)
+        bound = _region_bound(ell, Fraction(b2, b1))
+        a = _smallest_exceeding_rational(bound)
+        # format_rational refuses a bound too long to print with InputError
+        notes.append(
+            f"polarization slope a = {format_rational(a)} chosen with "
+            f"denominator <= {_MAX_DENOMINATOR} just beyond the region "
+            f"bound {format_rational(bound)}"
         )
-    if d is None:
-        return scan_candidates(X, D, A)
-    found = find_destabilizer(X, D, A, d)
-    if found is None:
-        return _report(X, [])
-    cert = Certificate(A, found.shift, d, found.subbundle_slope, found.ambient_slope)
-    return _report(X, [], cert, found.strict)
+        A = X.from_section_fiber(a.denominator, a.numerator)
+        cert = d_threshold(X, D, X.generator(s_idx), A)
+    else:
+        pol = construct_polarization(X, D)
+        notes += pol.notes
+        cert = d_threshold(X, D, pol.generator, pol.polarization_integral)
+    if X.uses_chi_for_h0:
+        notes.append(CHI_ASSUMPTION)
+    verdict = NO_DESTABILIZER if cert is None else _VERDICT[cert.strict]
+    return StabilityReport(verdict, cert, tuple(notes))
 
 
 def certificate_holds(

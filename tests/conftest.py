@@ -8,6 +8,10 @@ from itertools import product
 import pytest
 
 from syzstab import (
+    CHI_ASSUMPTION,
+    NO_DESTABILIZER,
+    NOT_SEMISTABLE,
+    NOT_STABLE,
     UNSTABLE_FOR_LARGE_D,
     AlphaBeta,
     Divisor,
@@ -15,6 +19,7 @@ from syzstab import (
     NotAmpleError,
     NotEffectiveError,
     Polytope,
+    StabilityReport,
     ToricSurface,
     alpha_beta,
     d_threshold,
@@ -291,6 +296,27 @@ def nef_threshold(X, D, E):
     curves = map(X.generator, X.effective_generators)
     pairs = [(X.pair(D, C), X.pair(E, C)) for C in curves]
     return min(Fraction(x, e) for x, e in pairs if e > 0)
+
+
+def first_nef_multiple(X, D, S):
+    """The least d >= 1 with d*D - S nef, for ample D, walked one d at a
+    time: the oracle for where a threshold's search may start."""
+    d = 1
+    while not X.is_nef(d * D - S):
+        d += 1
+    return d
+
+
+def report_of(X, cert, notes=()):
+    """The report ``analyze`` builds on a search's certificate: its
+    verdict from ``strict``, then the notes and the Euler
+    characteristic's."""
+    if cert is None:
+        verdict = NO_DESTABILIZER
+    else:
+        verdict = NOT_SEMISTABLE if cert.strict else NOT_STABLE
+    chi = (CHI_ASSUMPTION,) if X.uses_chi_for_h0 else ()
+    return StabilityReport(verdict, cert, tuple(notes) + chi)
 
 
 def ref_hirzebruch_rows(ell, a_values, b_values):

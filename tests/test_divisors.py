@@ -628,6 +628,16 @@ class TestAbstractSurface:
         with pytest.raises(InputError):
             self.make(effective_generators=[0, 3])
 
+    @pytest.mark.parametrize(
+        "bad", [1.7, Fraction(1), "1", True], ids=repr
+    )
+    def test_non_int_generator_index_refused(self, bad):
+        # int() would make [0, 1.7, 2] the generators (0, 1, 2)
+        with pytest.raises(
+            InputError, match="^effective generator indices must be integers$"
+        ):
+            self.make(effective_generators=[0, bad, 2])
+
     def test_non_square_pairing(self):
         with pytest.raises(DimensionMismatchError):
             self.make(pairing=[[-1, 0], [0, -1]])

@@ -108,7 +108,7 @@ def holds(X, D, report):
 
 
 def analyses(X, D, A):
-    """Scan and fixed-exponent reports for (X, D, A)."""
+    """Scan and fixed-exponent certificates for (X, D, A)."""
     out = [stability.scan_candidates(X, D, A)]
     out += [stability.find_destabilizer(X, D, A, d) for d in (1, 2)]
     return out

@@ -1,5 +1,7 @@
 """Fan validation, intersection data and classification."""
 
+from fractions import Fraction
+
 import pytest
 
 from syzstab import (
@@ -50,6 +52,21 @@ class TestValidation:
         with pytest.raises(NonPrimitiveRayError) as exc:
             Fan([(0, 1), (2, 0), (-1, -1)])
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize(
+        "bad", [1.9, Fraction(3, 2), "1", True, 1.0], ids=repr
+    )
+    def test_non_int_component_refused_not_truncated(self, bad):
+        # int() would make (1.9, 0) the ray (1, 0) and build the plane
+        for idx in range(3):
+            rays = [[1, 0], [0, 1], [-1, -1]]
+            rays[idx][idx % 2] = bad
+            with pytest.raises(NonPrimitiveRayError) as exc:
+                Fan(rays)
+            assert exc.value.index == idx
+            assert str(exc.value) == (
+                f"ray {idx} must have exactly 2 integer components"
+            )
 
     def test_zero_ray_rejected(self):
         with pytest.raises(NonPrimitiveRayError):

@@ -17,14 +17,10 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from syzstab import (
-    CHI_ASSUMPTION,
-    NO_DESTABILIZER,
-    NOT_SEMISTABLE,
     AbstractSurface,
     AlphaBeta,
     Certificate,
     DegenerateBundleError,
-    Destabilizer,
     Divisor,
     InternalError,
     NotAmpleError,
@@ -33,8 +29,8 @@ from syzstab import (
     PreconditionError,
     StabilityReport,
     SyzstabError,
-    Threshold,
     ToricSurface,
+    alpha_beta,
     analyze,
     construct_polarization,
     d_threshold,
@@ -52,6 +48,7 @@ from conftest import (
     ample_on,
     blowup_chain_divisors,
     ref_asymptotic,
+    report_of,
 )
 
 SCAN_NOTE = "every scanned candidate shift admits stability asymptotically"
@@ -103,9 +100,9 @@ def ref_find_destabilizer(X, D, A, d):
         except DegenerateBundleError:
             continue
         if mu_sub > mu_ambient:
-            return Destabilizer(S, mu_sub, mu_ambient, True)
+            return Certificate(A, S, d, mu_sub, mu_ambient, True)
         if mu_sub == mu_ambient and tie is None:
-            tie = Destabilizer(S, mu_sub, mu_ambient, False)
+            tie = Certificate(A, S, d, mu_sub, mu_ambient, False)
     return tie
 
 
@@ -145,7 +142,7 @@ def ref_d_threshold(X, D, S, A):
             f"sign polynomial predicted {expected} slopes at d = {d0}, "
             f"exact comparison returned {order}"
         )
-    return Threshold(d0, strict, d_nef, ab, mu_sub, mu_ambient)
+    return Certificate(A, S, d0, mu_sub, mu_ambient, strict)
 
 
 def ref_scan_candidates(X, D, A):
@@ -153,13 +150,16 @@ def ref_scan_candidates(X, D, A):
         raise NotAmpleError("divisor D is not ample")
     if not X.is_ample(A):
         raise NotAmpleError("polarization is not ample")
-    chi = (CHI_ASSUMPTION,) if X.uses_chi_for_h0 else ()
     for S in ref_shifts(X):
         if ref_asymptotic(X, D, S, A)[0] != STABLE_POSSIBLE:
-            th = ref_d_threshold(X, D, S, A)
-            cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
-            return StabilityReport(_VERDICT[th.strict], cert, chi)
-    return StabilityReport(NO_DESTABILIZER, None, (SCAN_NOTE,) + chi)
+            return ref_d_threshold(X, D, S, A)
+    return None
+
+
+def ref_scan_report(X, D, A):
+    """The report of analyze(X, D, A), built on the per-divisor scan."""
+    cert = ref_scan_candidates(X, D, A)
+    return report_of(X, cert, () if cert else (SCAN_NOTE,))
 
 
 # -- comparison ---------------------------------------------------------------
@@ -183,18 +183,20 @@ def summary(result):
     value = result[1]
     if value is None:
         return "None"
-    if isinstance(value, Destabilizer):
-        return "strict" if value.strict else "tie"
     if isinstance(value, StabilityReport):
         return value.verdict
     return "strict" if value.strict else "tie"
 
 
 def compare(X, D, A, exponents=(1, 2, 3), thresholds=True):
-    """Labels of the outcomes of the three scans on (X, D, A), after
-    asserting that each equals its per-divisor form."""
+    """Labels of the outcomes of the three scans on (X, D, A), and of the
+    scan's report, after asserting that each equals its per-divisor form,
+    and that each threshold's candidate has alpha_beta's coefficients."""
     seen = []
-    pairs = [(scan_candidates, ref_scan_candidates, (X, D, A))]
+    pairs = [
+        (scan_candidates, ref_scan_candidates, (X, D, A)),
+        (analyze, ref_scan_report, (X, D, A)),
+    ]
     pairs += [
         (find_destabilizer, ref_find_destabilizer, (X, D, A, d))
         for d in exponents
@@ -206,6 +208,8 @@ def compare(X, D, A, exponents=(1, 2, 3), thresholds=True):
     for fn, ref, args in pairs:
         got = outcome(fn, *args)
         assert got == outcome(ref, *args), (fn.__name__, args)
+        if fn is d_threshold and got[0] == "returned":
+            assert alpha_beta(*args) == ref_asymptotic(*args)[1], args
         seen.append((fn.__name__, summary(got)))
     return seen
 
@@ -267,7 +271,7 @@ class TestAgainstPerDivisorScans:
             A = analyze(X, D).certificate.polarization
             for pol in (A, D + pulled):
                 seen.update(compare(X, D, pol, exponents=(1, 2)))
-        assert ("scan_candidates", NOT_SEMISTABLE) in seen
+        assert ("scan_candidates", "strict") in seen
         assert ("d_threshold", "PreconditionError") in seen
         assert ("d_threshold", "strict") in seen
 
@@ -283,7 +287,7 @@ class TestAgainstPerDivisorScans:
         for D in Ds:
             for A in polarizations(X, D, Ds):
                 seen.update(compare(X, D, A))
-        assert ("scan_candidates", NOT_SEMISTABLE) in seen
+        assert ("scan_candidates", "strict") in seen
         assert ("d_threshold", "strict") in seen
         if name == "half":
             # a half-integral chi: the count itself is refused, on both sides

@@ -90,9 +90,8 @@ def chain_cases():
 def exponents(X, D, A, small):
     """The small exponents, and d0 of the asymptotic scan's certificate
     where it has one, so that strict violators and ties turn up."""
-    cert = outcome(scan_candidates, X, D, A)[1]
-    found = getattr(cert, "certificate", None)
-    return list(small) + ([found.d0] if found else [])
+    kind, found, _ = outcome(scan_candidates, X, D, A)
+    return list(small) + ([found.d0] if kind == "returned" and found else [])
 
 
 def agrees(X, D, A, d):

@@ -16,7 +16,6 @@ from syzstab import (
     NO_DESTABILIZER,
     UNSTABLE_FOR_LARGE_D,
     AbstractSurface,
-    Certificate,
     ConstructionFailedError,
     DegenerateBundleError,
     Divisor,
@@ -47,6 +46,7 @@ from syzstab import divisors
 from syzstab.stability import (
     LOW_RANK_NOTE,
     NEGATIVE_GENERATOR_NOTE,
+    SCAN_NOTE,
     _region_bound,
     _smallest_exceeding_rational,
     _unstable,
@@ -63,11 +63,13 @@ from conftest import (
     blowup_chain_divisors,
     count_calls,
     driver_divisor,
+    first_nef_multiple,
     hirzebruch_rays,
     nef_threshold,
     q,
     ref_asymptotic,
     ref_hirzebruch_rows,
+    report_of,
 )
 
 
@@ -189,7 +191,7 @@ class TestThreshold:
         th = d_threshold(X, D, S, A)
         assert th.d0 == 18
         assert th.strict
-        assert th.first_nef_d == 1
+        assert first_nef_multiple(X, D, S) == 1
 
     def test_example_threshold_1(self, f1):
         th = d_threshold(f1, sf(f1, 8, 9), f1.generator(1), sf(f1, 2, 3))
@@ -238,7 +240,7 @@ class TestThreshold:
         )
         D = Divisor([0, 0, 1])
         th = d_threshold(X, D, D, D)
-        assert (th.d0, th.strict, th.first_nef_d) == (2, False, 1)
+        assert (th.d0, th.strict, first_nef_multiple(X, D, D)) == (2, False, 1)
         assert th.subbundle_slope == th.ambient_slope == 0
 
     def test_threshold_respects_nef_entry(self, f1):
@@ -248,7 +250,7 @@ class TestThreshold:
         S2 = 2 * f1.generator(1)
         if ref_asymptotic(f1, D, S2, A)[0] != STABLE_POSSIBLE:
             th = d_threshold(f1, D, S2, A)
-            assert th.d0 >= th.first_nef_d
+            assert th.d0 >= first_nef_multiple(f1, D, S2)
             assert slope_compare(f1, D, S2, A, th.d0) == GREATER
 
 
@@ -642,14 +644,15 @@ class TestAbstractDriver:
 
 class TestScanCandidates:
     def test_finds_section_shift(self, f1):
-        report = scan_candidates(f1, sf(f1, 8, 9), sf(f1, 2, 3))
-        assert report.verdict == NOT_SEMISTABLE
-        assert report.certificate.shift == f1.generator(1)
-        assert report.certificate.d0 == 1
+        cert = scan_candidates(f1, sf(f1, 8, 9), sf(f1, 2, 3))
+        assert cert.strict
+        assert cert.shift == f1.generator(1)
+        assert cert.d0 == 1
 
     def test_plane_has_no_candidates(self, p2):
         H = Divisor([1, 0, 0])
-        report = scan_candidates(p2, H, H)
+        assert scan_candidates(p2, H, H) is None
+        report = analyze(p2, H, H)
         assert report.verdict == NO_DESTABILIZER
         assert report.certificate is None
 
@@ -675,32 +678,18 @@ def driver_reference(X, D):
         a = _smallest_exceeding_rational(_region_bound(ell, Fraction(b2, b1)))
         S = X.generator(s_idx)
         A = X.from_section_fiber(a.denominator, a.numerator)
-    th = d_threshold(X, D, S, A)
-    cert = Certificate(A, S, th.d0, th.subbundle_slope, th.ambient_slope)
-    return NOT_SEMISTABLE if th.strict else NOT_STABLE, cert
-
-
-def fixed_exponent_report(X, D, A, d):
-    """The fixed-exponent report, built here from find_destabilizer."""
-    found = find_destabilizer(X, D, A, d)
-    notes = (CHI_ASSUMPTION,) if X.uses_chi_for_h0 else ()
-    if found is None:
-        return StabilityReport(NO_DESTABILIZER, None, notes)
-    verdict = NOT_SEMISTABLE if found.strict else NOT_STABLE
-    cert = Certificate(A, found.shift, d, found.subbundle_slope, found.ambient_slope)
-    return StabilityReport(verdict, cert, notes)
+    cert = d_threshold(X, D, S, A)
+    return NOT_SEMISTABLE if cert.strict else NOT_STABLE, cert
 
 
 class TestAnalyze:
     def test_matches_entry_points(self, surfaces):
-        """The driver returns the certificate rebuilt from its parts, the
-        other modes of analyze return what their entry points return, and
-        certificate_holds accepts every certificate among them."""
-        cases = [
-            (name, X, ample_on(name, X))
-            for name, X in surfaces.items()
-            if X.picard_rank >= 2
-        ]
+        """The driver's certificate is d_threshold's on the parts it
+        picks, the scan's and the fixed exponent's are what
+        scan_candidates and find_destabilizer return, each report is the
+        one built on its certificate, and certificate_holds accepts every
+        certificate among them."""
+        cases = [(name, X, ample_on(name, X)) for name, X in surfaces.items()]
         # 5S + 6F on the blown-up plane ties at the d0 - 1 = 17 of its scan
         cases.append(("f1 power family", surfaces["f1"], sf(surfaces["f1"], 5, 6)))
         cases.append(
@@ -714,25 +703,30 @@ class TestAnalyze:
                     X, D
                 ), name
                 A = driver.certificate.polarization
-            else:  # the quadric: no polarization is constructed
+            else:  # the plane and the quadric: no polarization is constructed
                 assert driver[0] is OutOfTheoremScopeError, name
                 A = D + X.generator(0)
             scan = analyze(X, D, A)
-            assert scan == scan_candidates(X, D, A), name
+            found = scan_candidates(X, D, A)
+            assert scan == report_of(X, found, () if found else (SCAN_NOTE,)), name
             reports = [driver, scan]
-            exponents = {1, 2}
+            exponents = {1, 2, 3}
             if scan.certificate is not None:
                 d0 = scan.certificate.d0
                 exponents |= {max(d0 - 1, 1), d0}
             for d in sorted(exponents):
                 report = analyze(X, D, A, d)
-                assert report == fixed_exponent_report(X, D, A, d), (name, d)
+                cert = find_destabilizer(X, D, A, d)
+                assert report == report_of(X, cert), (name, d)
+                assert report.certificate is None or report.certificate.d0 == d
                 reports.append(report)
             for report in reports:
                 if not isinstance(report, StabilityReport):
                     continue
                 kinds.add(report.verdict)
                 c = report.certificate
+                strict = c is not None and c.strict
+                assert (report.verdict == NOT_SEMISTABLE) == strict, name
                 if c is not None:
                     args = (c.polarization, c.shift, c.d0)
                     assert certificate_holds(X, D, report.verdict, *args), name
@@ -751,7 +745,8 @@ def assert_threshold_minimal(X, D, S, A):
     of q(d) in between; this walk is the independent oracle for that.
     """
     th = d_threshold(X, D, S, A)
-    for d in range(th.first_nef_d, th.d0):
+    d_nef = first_nef_multiple(X, D, S)
+    for d in range(d_nef, th.d0):
         if not (d * D - S).is_zero:
             assert slope_compare(X, D, S, A, d) != GREATER, d
     expected = GREATER if th.strict else EQUAL
@@ -759,7 +754,7 @@ def assert_threshold_minimal(X, D, S, A):
     ambient = th.d0 * D
     assert th.subbundle_slope == syzygy_slope(X, ambient - S, A)
     assert th.ambient_slope == syzygy_slope(X, ambient, A)
-    return th
+    return th, d_nef
 
 
 class TestThresholdMinimality:
@@ -772,7 +767,7 @@ class TestThresholdMinimality:
             cases.append((X, D, cert.shift, cert.polarization))
         walked = [assert_threshold_minimal(*case) for case in cases]
         # rank5, rank6 and the power family reach d0 well past d_nef
-        assert max(th.d0 - th.first_nef_d for th in walked) >= 59
+        assert max(th.d0 - d_nef for th, d_nef in walked) >= 59
 
     def test_abstract_driver_threshold(self):
         X = AbstractSurface(
@@ -793,9 +788,8 @@ class TestThresholdMinimality:
         found = 0
         for k in range(ell + 1, 4 * ell + 9):
             A = sf(X, 1, k)
-            report = scan_candidates(X, D, A)
-            if report.certificate is not None:
-                cert = report.certificate
+            cert = scan_candidates(X, D, A)
+            if cert is not None:
                 assert_threshold_minimal(X, D, cert.shift, A)
                 found += 1
         assert found
@@ -818,4 +812,4 @@ class TestThresholdMinimality:
                     A = sf(X, a.denominator, a.numerator)
                     walked.append(assert_threshold_minimal(X, D, S, A))
         assert len(walked) > 200
-        assert max(th.d0 for th in walked) > 1
+        assert max(th.d0 for th, _ in walked) > 1
