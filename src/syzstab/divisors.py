@@ -43,12 +43,15 @@ Rat = int | Fraction
 
 
 def _exact(c: Rat) -> Rat:
-    """c as an int when integral, as a Fraction otherwise."""
-    if type(c) is not int:
-        c = Fraction(c)
-        if c.denominator == 1:
-            c = c.numerator
-    return c
+    """c as an int when integral, as a Fraction otherwise.  Only an int or
+    a Fraction is taken: a float, a bool or a string is refused, not read."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        raise InputError(
+            f"coefficients must be int or Fraction, got {type(c).__name__}"
+        )
+    return c.numerator if c.denominator == 1 else c
 
 
 class Divisor:

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    FanError,
     IncompleteFanError,
     InternalError,
     NonPrimitiveRayError,
@@ -93,13 +94,20 @@ class Fan:
 
     Raises :class:`NonPrimitiveRayError`, :class:`RepeatedRayError`,
     :class:`IncompleteFanError` or :class:`NonSmoothFanError` with the
-    offending index in the original input order.
+    offending index in the original input order, and a bare
+    :class:`FanError` when the rays are not iterable at all.
     """
 
     __slots__ = ("rays", "_walls")
 
     def __init__(self, rays):
-        given = [tuple(r) for r in rays]
+        if not hasattr(rays, "__iter__"):
+            raise FanError("rays must be an iterable of rays")
+        given = []
+        try:
+            given.extend(map(tuple, rays))
+        except TypeError:  # a ray is not iterable; extend kept those before
+            given.append(())  # it, and the check below refuses it by index
         for idx, r in enumerate(given):
             # exactly int: a float, Fraction, str or bool is refused, not cut
             if len(r) != 2 or type(r[0]) is not int or type(r[1]) is not int:

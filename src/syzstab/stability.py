@@ -33,10 +33,11 @@ per search, two moved per curve of S.
 The four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0
 and d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S):
 corners are linear in the coefficients, and past the first nef multiple
-they are the polygon's vertices.  A row of :func:`hirzebruch_rows`
-reads its seven numbers off the (S, F, K) pairings of its ell and A's
-pairings of its a, and only rows in the instability region build D and
-A, for the threshold.
+they are the polygon's vertices.  On F_ell the region verdict of
+:func:`hirzebruch_region` and :func:`hirzebruch_rows` is the alpha/beta
+sign of S the section.  A row reads its seven numbers off the (S, F, K)
+pairings of its ell and A's pairings of its a, and only rows in the
+instability region build D and A, for the threshold.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -361,11 +362,11 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
     """Region test for polarization slope a = A2/A1 and bundle slope
     b = B2/B1 on the ell-th Hirzebruch surface, ell >= 1.
 
-    Returns ``UnstableForLargeD`` when a > 2b(b-ell)/ell + ell, or when
-    equality holds and b is at least the larger root of
-    b^2 - (3 ell/2) b + (ell^2 - ell)/2; that root comparison is done via
-    the sign of the integer-coefficient quadratic 2b^2 - 3 ell b +
-    (ell^2 - ell), so no radicals appear.  Otherwise ``NotCovered``.
+    The verdict is the alpha/beta sign of S the section for D = B1*S +
+    B2*F and A = A1*S + A2*F: ``UnstableForLargeD`` when q(d) <= 0 for
+    all large d, else ``NotCovered``.  That is the paper's region a >
+    2b(b-ell)/ell + ell, with a tie when b is at least the larger root of
+    b^2 - (3 ell/2) b + (ell^2 - ell)/2.  No threshold is computed.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
@@ -376,19 +377,11 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
             f"ampleness needs a > {ell} and b > {ell}, "
             f"got a={format_rational(a)}, b={format_rational(b)}"
         )
-    return _region_verdict(ell, a, b, _region_bound(ell, b))
-
-
-def _region_verdict(ell: int, a: Rat, b: Rat, bound: Fraction) -> str:
-    """The region test of a and b > ell against b's region bound."""
-    if a > bound:
-        return UNSTABLE_FOR_LARGE_D
-    if a == bound:
-        quad = 2 * b * b - 3 * ell * b + ell * (ell - 1)
-        # for b > ell this sign decides b against the larger root
-        if quad >= 0:
-            return UNSTABLE_FOR_LARGE_D
-    return NOT_COVERED
+    X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
+    D = X.from_section_fiber(b.denominator, b.numerator)
+    A = X.from_section_fiber(a.denominator, a.numerator)
+    ab = alpha_beta(X, D, X.generator(X.hirzebruch_presentation()[1]), A)
+    return UNSTABLE_FOR_LARGE_D if _unstable(ab) else NOT_COVERED
 
 
 def hirzebruch_rows(
@@ -399,8 +392,9 @@ def hirzebruch_rows(
     b of b_values, both > ell, a-major.
 
     D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
-    S the section and F a fiber, and S is the candidate shift.  The seven
-    intersection numbers of alpha and beta are integer combinations of
+    S the section and F a fiber, and S is the candidate shift: the
+    verdict is its alpha/beta sign, as in :func:`hirzebruch_region`.  The
+    seven intersection numbers of alpha and beta are integer combinations of
     the (S, F, K) pairings, formed once, of A's pairings with S and F,
     formed once per a, and of D's, once per b (b_values is read once, at
     the first a > ell).  Only rows in the instability region build D and A,
@@ -425,14 +419,14 @@ def hirzebruch_rows(
                     b1, b2 = b.denominator, b.numerator
                     DS, DF = b1 * SS + b2 * SF, b1 * SF + b2 * FF
                     D2, DK = b1 * DS + b2 * DF, b1 * SK + b2 * FK
-                    points.append((b, b1, b2, D2, DK, DS, _region_bound(ell, b)))
+                    points.append((b, b1, b2, D2, DK, DS))
         a1, a2 = a.denominator, a.numerator
         AS, AF = a1 * SS + a2 * SF, a1 * SF + a2 * FF
-        for b, b1, b2, D2, DK, DS, bound in points:
-            verdict = _region_verdict(ell, a, b, bound)
+        for b, b1, b2, D2, DK, DS in points:
             ab = _alpha_beta(b1 * AS + b2 * AF, D2, DK, DS, AS, SK, SS)
-            cert = None
-            if verdict == UNSTABLE_FOR_LARGE_D:
+            verdict, cert = NOT_COVERED, None
+            if _unstable(ab):
+                verdict = UNSTABLE_FOR_LARGE_D
                 D = X.from_section_fiber(b1, b2)
                 cert = d_threshold(X, D, S, X.from_section_fiber(a1, a2))
             yield a, b, verdict, ab, cert

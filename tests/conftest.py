@@ -10,6 +10,7 @@ import pytest
 from syzstab import (
     CHI_ASSUMPTION,
     NO_DESTABILIZER,
+    NOT_COVERED,
     NOT_SEMISTABLE,
     NOT_STABLE,
     UNSTABLE_FOR_LARGE_D,
@@ -23,7 +24,6 @@ from syzstab import (
     ToricSurface,
     alpha_beta,
     d_threshold,
-    hirzebruch_region,
 )
 from syzstab.fan import det
 
@@ -319,10 +319,29 @@ def report_of(X, cert, notes=()):
     return StabilityReport(verdict, cert, tuple(notes) + chi)
 
 
+def region_quadratic(ell, b):
+    """2b^2 - 3 ell b + ell(ell - 1): for b > ell, its sign places b
+    against the larger root of b^2 - (3 ell/2) b + (ell^2 - ell)/2."""
+    return 2 * b * b - 3 * ell * b + ell * (ell - 1)
+
+
+def ref_region(ell, a, b):
+    """The paper's instability region on F_ell in closed form, in plain
+    Fractions: a > 2b(b - ell)/ell + ell, and on that bound b at or past
+    the larger root, by the sign of ``region_quadratic``.  The oracle for
+    the section's alpha/beta sign, which decides it in the program."""
+    a, b = Fraction(a), Fraction(b)
+    bound = 2 * b * (b - ell) / ell + ell
+    if a > bound or (a == bound and region_quadratic(ell, b) >= 0):
+        return UNSTABLE_FOR_LARGE_D
+    return NOT_COVERED
+
+
 def ref_hirzebruch_rows(ell, a_values, b_values):
     """Reference for ``hirzebruch_rows``: the per-point path, with the
-    region test, D and A built from section/fiber coordinates, the seven
-    pairings of ``alpha_beta`` and ``d_threshold`` at every grid point."""
+    closed-form region of ``ref_region``, D and A built from
+    section/fiber coordinates, the seven pairings of ``alpha_beta`` and
+    ``d_threshold`` at every point in the region."""
     X = ToricSurface(Fan(hirzebruch_rays(ell)))
     _, s_idx, _ = X.hirzebruch_presentation()
     S = X.generator(s_idx)
@@ -331,7 +350,7 @@ def ref_hirzebruch_rows(ell, a_values, b_values):
         for b in b_values:
             if a <= ell or b <= ell:
                 continue
-            verdict = hirzebruch_region(ell, a, b)
+            verdict = ref_region(ell, a, b)
             D = X.from_section_fiber(b.denominator, b.numerator)
             A = X.from_section_fiber(a.denominator, a.numerator)
             th = None

@@ -523,6 +523,7 @@ class TestNormalisation:
     def test_integral_coefficients_are_ints(self):
         D = Divisor([Fraction(2), 3])
         assert D.coeffs == (2, 3)
+        assert Divisor([Fraction(4, 2)]).coeffs == (2,)
         assert [type(c) for c in D.coeffs] == [int, int]
         assert D == Divisor([2, 3])
         assert hash(D) == hash(Divisor([2, 3]))
@@ -539,6 +540,15 @@ class TestNormalisation:
         half = Divisor([Fraction(1, 2), 1])
         assert half.scaled_primitive() == Divisor([1, 2])
         assert divisor_to_jsonable(half) == ["1/2", 1]
+
+    @pytest.mark.parametrize("bad", [0.1, True, False, "1/3"], ids=repr)
+    def test_inexact_coefficient_refused(self, bad):
+        # Fraction(0.1) would read the float's binary expansion, and True
+        # would count as 1
+        name = type(bad).__name__
+        message = f"^coefficients must be int or Fraction, got {name}$"
+        with pytest.raises(InputError, match=message):
+            Divisor([1, bad])
 
 
 class TestScaledPrimitive:
@@ -594,6 +604,14 @@ class TestAbstractSurface:
         X = self.make()
         pol = construct_polarization(X, -1 * X.canonical)
         assert (pol.generator_index, pol.threshold) == (0, 1)
+
+    @pytest.mark.parametrize("bad", [-0.9, True, "-1"], ids=repr)
+    def test_inexact_pairing_entry_refused(self, bad):
+        pairing = [list(row) for row in BL2P2_ABSTRACT["pairing"]]
+        pairing[1][1] = bad
+        message = "^coefficients must be int or Fraction"
+        with pytest.raises(InputError, match=message):
+            self.make(pairing=pairing)
 
     def test_generators_meeting_twice_rejected(self):
         ok, problems = self.make(

@@ -68,6 +68,24 @@ class TestValidation:
                 f"ray {idx} must have exactly 2 integer components"
             )
 
+    @pytest.mark.parametrize("bad", [1, None], ids=repr)
+    def test_non_iterable_ray_refused(self, bad):
+        for idx in range(3):
+            rays = [(1, 0), (0, 1), (-1, -1)]
+            rays[idx] = bad
+            with pytest.raises(NonPrimitiveRayError) as exc:
+                Fan(rays)
+            assert exc.value.index == idx
+            assert str(exc.value) == (
+                f"ray {idx} must have exactly 2 integer components"
+            )
+
+    @pytest.mark.parametrize("bad", [None, 3], ids=repr)
+    def test_non_iterable_ray_list_refused(self, bad):
+        with pytest.raises(FanError) as exc:
+            Fan(bad)
+        assert exc.value.index is None
+
     def test_zero_ray_rejected(self):
         with pytest.raises(NonPrimitiveRayError):
             Fan([(0, 0), (0, 1), (-1, -1)])

@@ -42,7 +42,7 @@ from syzstab import (
     slope_compare,
     syzygy_slope,
 )
-from syzstab import divisors
+from syzstab import divisors, stability
 from syzstab.stability import (
     LOW_RANK_NOTE,
     NEGATIVE_GENERATOR_NOTE,
@@ -69,6 +69,8 @@ from conftest import (
     q,
     ref_asymptotic,
     ref_hirzebruch_rows,
+    ref_region,
+    region_quadratic,
     report_of,
 )
 
@@ -351,6 +353,57 @@ class TestHirzebruchRegion:
     def test_ell_must_be_positive(self):
         with pytest.raises(PreconditionError):
             hirzebruch_region(0, Fraction(2), Fraction(2))
+
+    @pytest.mark.parametrize(
+        "ell, a, b, quad",
+        [
+            (1, Fraction(5, 2), Fraction(3, 2), 0),
+            (1, Fraction(65, 32), Fraction(11, 8), Fraction(-11, 32)),
+            (2, Fraction(5), Fraction(3), 2),
+        ],
+        ids=str,
+    )
+    def test_points_on_the_bound(self, ell, a, b, quad):
+        # a is exactly the bound, so the quadratic's sign decides
+        assert a == _region_bound(ell, b)
+        assert region_quadratic(ell, b) == quad
+        expected = UNSTABLE_FOR_LARGE_D if quad >= 0 else NOT_COVERED
+        assert ref_region(ell, a, b) == expected
+        assert hirzebruch_region(ell, a, b) == expected
+        [row] = hirzebruch_rows(ell, [a], [b])
+        assert row[2] == expected
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_matches_closed_form_region(self, ell):
+        # a on a grid and on the bound of every b, so that both sides of
+        # the bound and the tie all occur
+        b_values = [ell + Fraction(k, 8) for k in range(1, 17)]
+        a_grid = [ell + Fraction(k, 2) for k in range(1, 13)]
+        on_bound = [_region_bound(ell, b) for b in b_values]
+        a_values = sorted(set(a_grid + on_bound))
+        seen = set()
+        for a, b, verdict, _, _ in hirzebruch_rows(ell, a_values, b_values):
+            expected = ref_region(ell, a, b)
+            assert verdict == expected == hirzebruch_region(ell, a, b), (a, b)
+            seen.add(expected)
+        assert seen == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
+        quads = [region_quadratic(ell, b) for b in b_values]
+        signs = {(x > 0) - (x < 0) for x in quads}
+        # the quadratic has a rational root past ell only for ell = 1
+        assert signs == ({-1, 0, 1} if ell == 1 else {-1, 1})
+
+    def test_never_certifies(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hirzebruch_region computed a threshold")
+
+        monkeypatch.setattr(stability, "d_threshold", refuse)
+        verdicts = {
+            hirzebruch_region(ell, ell + Fraction(j, 2), ell + Fraction(k, 4))
+            for ell in (1, 2, 3)
+            for j in range(1, 9)
+            for k in range(1, 9)
+        }
+        assert verdicts == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
 
 
 def grid(lo, hi, step):
