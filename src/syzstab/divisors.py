@@ -5,23 +5,23 @@ Two surface models share the intersection theory of one base class,
 ``intersections(D)``, the list of D.C_i over the basis curves, checked
 once for D's length.  A toric surface forms it from the wall relation in
 O(n), an abstract one as a matrix-vector product; the pairing, nefness
-and Riemann-Roch then read it instead of pairing D with each curve
-anew.  :class:`ToricSurface` is built from a :class:`~syzstab.fan.Fan`;
-there ``h0`` is an exact lattice-point count in the section polygon: the
-integral corners of the fan's cones show whether D is nef, and a nef D
-is counted by Pick's theorem over them, in O(n); any other D builds a
+and Riemann-Roch then read it instead of pairing D with each curve anew.
+:class:`ToricSurface` is built from a :class:`~syzstab.fan.Fan`; there
+``h0`` is an exact lattice-point count in the section polygon: the
+integral corners of the fan's cones show whether D is nef, and a nef D is
+counted by Pick's theorem over them, in O(n); any other D builds a
 :class:`Polytope`, counted row by row in time linear in the polygon's
 height, after an O(n^3) integer search for its vertices.  A corner is
 linear in the coefficients, so ``shifted_h0(D)`` counts each D - S from
-nef D's corners, re-solving the few that S moves, or returns None when a
-wall that S touches turns negative; ``multiple_h0(D, S)`` counts each nef
-d*D - k*S over the corners d*m(D) - k*m(S), with m(D) and m(S) solved
-once.  The Euler characteristic from Riemann-Roch acts as an independent
-cross-check (they agree on nef divisors).  :class:`AbstractSurface` is
-given by an intersection matrix, a canonical class and a declared list of
-effective-cone generators; there ``h0`` falls back to the Euler
-characteristic and callers must surface that assumption
-(``uses_chi_for_h0`` is True).
+nef D's corners, each curve of S moving two by offsets solved once, or
+returns None when a wall that S touches turns negative;
+``multiple_h0(D, S)`` counts each nef d*D - k*S over the corners
+d*m(D) - k*m(S), with m(D) and m(S) solved once.  The Euler characteristic
+from Riemann-Roch is an independent cross-check (they agree on nef D).
+:class:`AbstractSurface` is given by an intersection matrix, a canonical
+class and a declared list of effective-cone generators; there ``h0``
+falls back to the Euler characteristic and callers must surface that
+assumption (``uses_chi_for_h0`` is True).
 
 All arithmetic is exact: divisor coefficients are ints when integral and
 `fractions.Fraction` otherwise, quotients are built as ``Fraction(p, q)``,
@@ -364,23 +364,33 @@ class ToricSurface(SurfaceModel):
         return Polytope(halfplanes).lattice_point_count()
 
     def shifted_h0(self, D: Divisor) -> Callable[[Sequence[int]], int | None]:
-        """combo -> h0(D - S) for nef D, or None when D - S is not nef:
-        only the at most three walls each C_i in S touches can turn
-        negative, and Pick counts over D's cone corners, formed once, with
-        m_i and m_{i+1} re-solved for each C_i in S."""
+        """combo -> h0(D - S) for nef D, or None when D - S is not nef: only
+        the walls that the curves C_i of S touch can turn negative, tested
+        on the lowered coefficients.  One Pick sum counts D's cone corners,
+        formed once, each C_i moving m_i and m_{i+1} by fixed offsets."""
         self._check(D)
         a, r, n, w = D.int_coeffs(), self.fan.rays, self.n, self.walls
         corners = self._corners(a)
+        # per curve C_i: each wall k it touches as (k - 1, k, k + 1) mod n,
+        # and (k, offset) for m_i and m_{i+1}, which lowering a_i moves
+        touched, steps = [], []
+        for i, u in enumerate(r):
+            j = (i + 1) % n
+            touched.append([(k - 1, k, (k + 1) % n) for k in (i - 1, i, j)])
+            steps.append([(i, *_solve_cone(r[i - 1], u, 0, 1)),
+                          (j, *_solve_cone(u, r[j], 1, 0))])
 
         def count(combo: Sequence[int]) -> int | None:
             b, moved = list(a), corners[:]
             for i in combo:
                 b[i] -= 1
-            walls = {j % n for i in combo for j in (i - 1, i, i + 1)}
-            if any(b[k - 1] + b[(k + 1) % n] < w[k] * b[k] for k in walls):
-                return None
-            for k in {j % n for i in combo for j in (i, i + 1)}:
-                moved[k] = _solve_cone(r[k - 1], r[k], -b[k - 1], -b[k])
+                for k, dx, dy in steps[i]:
+                    x, y = moved[k]
+                    moved[k] = (x + dx, y + dy)
+            for i in combo:
+                for g, k, h in touched[i]:
+                    if b[g] + b[h] < w[k] * b[k]:
+                        return None
             return _pick_count(moved)
 
         return count

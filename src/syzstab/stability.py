@@ -22,18 +22,19 @@ certificate reports.  Each search returns a :class:`Certificate`, and
 
 Every number above is bilinear in intersection numbers, so an analysis
 forms the intersection vector v(.) of D, A and K once, and of each basis
-curve C_i on first use, and reads each candidate S = C_i (+ C_j) off them:
-S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), and S^2
-sums entries of the curves' vectors.  A candidate of
-:func:`scan_candidates` costs a few additions, one of
-:func:`find_destabilizer` what ``X.shifted_h0(d*D)`` asks, which also
-decides whether d*D - S is nef: on a toric surface a test of the walls
-that S touches, then one Pick sum over d*D's cone corners, found once
-per search, two moved per curve of S.
-The four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0
-and d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S):
-corners are linear in the coefficients, and past the first nef multiple
-they are the polygon's vertices.  On F_ell the region verdict of
+curve C_i on first use, and reads each candidate S = C_i (+ C_j) off
+them: S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), and
+S^2 sums entries of the curves' vectors.  Since alpha is linear in S,
+:func:`scan_candidates` makes one pass over the curves and tries only
+the pairs inside {i : alpha_i = 0}, a few additions each.  A candidate
+of :func:`find_destabilizer` costs what ``X.shifted_h0(d*D)`` asks,
+which also decides whether d*D - S is nef: on a toric surface a test of
+the walls that S touches, then one Pick sum over d*D's cone corners,
+found once per search, each curve of S moving two by fixed offsets.  The
+four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0 and
+d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S): corners
+are linear in the coefficients, and past the first nef multiple they are
+the polygon's vertices.  On F_ell the region verdict of
 :func:`hirzebruch_region` and :func:`hirzebruch_rows` is the alpha/beta
 sign of S the section.  A row reads its seven numbers off the (S, F, K)
 pairings of its ell and A's pairings of its a, and only rows in the
@@ -58,6 +59,7 @@ from .divisors import (
     Rat,
     SurfaceModel,
     ToricSurface,
+    _exact,
 )
 from .errors import (
     ConstructionFailedError,
@@ -358,7 +360,7 @@ def _region_bound(ell: int, b: Fraction) -> Fraction:
     return Fraction(2 * r * (r - ell * s) + (ell * s) ** 2, ell * s * s)
 
 
-def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
+def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
     """Region test for polarization slope a = A2/A1 and bundle slope
     b = B2/B1 on the ell-th Hirzebruch surface, ell >= 1.
 
@@ -366,12 +368,12 @@ def hirzebruch_region(ell: int, a: Fraction, b: Fraction) -> str:
     B2*F and A = A1*S + A2*F: ``UnstableForLargeD`` when q(d) <= 0 for
     all large d, else ``NotCovered``.  That is the paper's region a >
     2b(b-ell)/ell + ell, with a tie when b is at least the larger root of
-    b^2 - (3 ell/2) b + (ell^2 - ell)/2.  No threshold is computed.
+    b^2 - (3 ell/2) b + (ell^2 - ell)/2.  No threshold is computed.  a
+    and b must be ints or Fractions; anything else raises InputError.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
-    a = Fraction(a)
-    b = Fraction(b)
+    a, b = _exact(a), _exact(b)
     if a <= ell or b <= ell:
         raise NotAmpleError(
             f"ampleness needs a > {ell} and b > {ell}, "
@@ -398,7 +400,8 @@ def hirzebruch_rows(
     the (S, F, K) pairings, formed once, of A's pairings with S and F,
     formed once per a, and of D's, once per b (b_values is read once, at
     the first a > ell).  Only rows in the instability region build D and A,
-    for :func:`d_threshold`; the certificate is None on the others.
+    for :func:`d_threshold`; the certificate is None on the others.  Each
+    a and b read must be an int or a Fraction, else InputError.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
@@ -410,12 +413,12 @@ def hirzebruch_rows(
     SK, FK = X.pair_with(vs, X.canonical), X.pair_with(vf, X.canonical)
     points = None
     for a in a_values:
-        if a <= ell:
+        if _exact(a) <= ell:
             continue
         if points is None:
             points = []
             for b in b_values:
-                if b > ell:
+                if _exact(b) > ell:
                     b1, b2 = b.denominator, b.numerator
                     DS, DF = b1 * SS + b2 * SF, b1 * SF + b2 * FF
                     D2, DK = b1 * DS + b2 * DF, b1 * SK + b2 * FK
@@ -497,34 +500,38 @@ def construct_polarization(
     # A = D_t = D - t*E it is D^2 x - t*alpha(E)
     ev = X.intersections(E)
     gens = X.effective_generators
-    t = min([Fraction(dv[i], ev[i]) for i in gens if ev[i] > 0], default=None)
-    if t is None:
+    T, Q = 1, 0  # t = T/Q, from 1/0 down to the least D.C/E.C with E.C > 0
+    for i in gens:
+        if ev[i] > 0 and dv[i] * Q < T * ev[i]:
+            T, Q = dv[i], ev[i]
+    if not Q:
         raise PreconditionError(
             "declared generators cannot span the effective cone: "
             "E meets none of them positively"
         )
+    t = Fraction(T, Q)
+    T, Q = t.numerator, t.denominator
     x, D2 = dv[e_idx], X.pair_with(dv, D)
     alpha_e = 2 * x * x - ev[e_idx] * D2
-    alpha_t = D2 * x - t * alpha_e
-    # A = D_t + eps*E is ample with alpha < 0 exactly when p + q*eps > 0 for
-    # every pair: (D_t.C, E.C) for each generator C, and the negated alphas
-    # of D_t and E, since alpha is linear in A
-    pairs = [(dv[i] - t * ev[i], ev[i]) for i in gens]
-    pairs.append((-alpha_t, -alpha_e))
-    h = min((Fraction(p, -q) for p, q in pairs if q < 0), default=Fraction(2))
-    if h > 0:
-        # the largest power of two below h, at most 1
-        eps = Fraction(1, 1 << (h.denominator // h.numerator).bit_length())
-    if h <= 0 or any(p + q * eps <= 0 for p, q in pairs):
+    # A = D_t + eps*E is ample with alpha < 0 exactly when p/Q + q*eps > 0
+    # for every pair (p, q), with p scaled by Q: (D_t.C, E.C) for each
+    # generator C, and the negated alphas of D_t and E, since alpha is
+    # linear in A.  eps = 2^-k, for the least k with 2^k > -q*Q/p on each
+    # pair with q < 0 < p; a pair with q < 0 and p <= 0 fails the test
+    pairs = [(dv[i] * Q - T * ev[i], ev[i]) for i in gens]
+    pairs.append((T * alpha_e - D2 * x * Q, -alpha_e))
+    k = max([(-q * Q // p).bit_length() for p, q in pairs if q < 0 < p], default=0)
+    if any(p * (1 << k) + q * Q <= 0 for p, q in pairs):
         raise ConstructionFailedError(
             f"no epsilon 2^-k <= 1 makes D - (t - epsilon)*E ample with "
             f"alpha < 0 for the generator E of index {e_idx}"
         )
     # A is D with E's coefficient moved to D_E - t + eps
+    eps = Fraction(1, 1 << k)
     coeffs = list(D.coeffs)
     coeffs[e_idx] += eps - t
     A = Divisor(coeffs)
-    alpha = alpha_t + eps * alpha_e
+    alpha = D2 * x + (eps - t) * alpha_e  # alpha(D_t) + eps*alpha(E)
     return Polarization(
         A, A.scaled_primitive(), e_idx, E, eps, t, alpha, tuple(notes)
     )
@@ -546,18 +553,26 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
     first one with q(d) <= 0 for all large d is certified by
     :func:`d_threshold`.  None when every candidate admits stability
     asymptotically (which never claims stability, only that this family
-    is exhausted).
+    is exhausted).  As alpha is linear in S and beta(C_i + C_j) = beta_i +
+    beta_j - 2(D.A)(C_i.C_j), once no curve is unstable, so alpha_i >= 0,
+    only a pair inside Z = {i : alpha_i = 0} can be: one pass over the
+    curves, then those pairs in scan order, finds the same first hit.
     """
     dv = _require_ample(X, D, "divisor D")
     av = _require_ample(X, A, "polarization")
     kv = X.intersections(X.canonical)
     DA, D2, DK = (X.pair_with(v, D) for v in (av, dv, kv))
     curve = cache(lambda i: X.intersections(X.generator(i)))  # v(C_i)
-    for combo in _combos(X):
-        SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
-        S2 = sum(curve(i)[j] for i in combo for j in combo)
-        if _unstable(_alpha_beta(DA, D2, DK, SD, SA, SK, S2)):
-            return d_threshold(X, D, X.shift(combo), A)
+    zero = []  # Z, filled by the single curves before any pair is drawn
+    for r, pool in ((1, X.effective_generators), (2, zero)):
+        for combo in combinations_with_replacement(pool, r):
+            SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
+            S2 = sum(curve(i)[j] for i in combo for j in combo)
+            ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
+            if _unstable(ab):
+                return d_threshold(X, D, X.shift(combo), A)
+            if r == 1 and ab.alpha == 0:
+                zero.append(combo[0])
     return None
 
 

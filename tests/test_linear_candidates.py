@@ -317,6 +317,33 @@ def per_candidate_cases(surfaces):
     return cases
 
 
+# (pairing, canonical, D, A, S, d0) on abstract surfaces of three curves
+# where no single curve is unstable and the scan's first hit is the pair
+# S = 2*C of a curve C with alpha_C = 0: the scan's pair branch
+PAIR_FIRST = [
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [-2, -3, 0], (6, 3, 6), (3, 4, 4), (0, 2, 0), 1),
+    ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], [0, -1, -3], (2, 1, 1), (5, 2, 5), (0, 0, 2), 2),
+]
+
+
+def pair_first_cases():
+    for pairing, canonical, D, A, S, d0 in PAIR_FIRST:
+        X = AbstractSurface(["a", "b", "c"], pairing, canonical, [0, 1, 2])
+        yield X, Divisor(D), Divisor(A), Divisor(S), d0
+
+
+def scan_cases(surfaces):
+    """(X, D, A) for the scan's per-candidate records: those of
+    ``per_candidate_cases``, seeded chains of 5 to 28 rays, where every
+    single curve is scanned, and the cases whose first hit is a pair."""
+    cases = per_candidate_cases(surfaces)
+    for seed in range(24):
+        fan, pulled, D = blowup_chain_divisors(seed, 5 + seed % 40)
+        X = ToricSurface(fan)
+        cases += [(X, D, D + pulled), (X, D, D + 3 * pulled)]
+    return cases + [case[:3] for case in pair_first_cases()]
+
+
 def spy(monkeypatch, name):
     """Record what the stability helper ``name`` returns."""
     real = getattr(stability, name)
@@ -336,20 +363,52 @@ class TestPerCandidateNumbers:
     decide nothing, so a wrong sum can hide behind the verdicts."""
 
     def test_scan_alpha_beta(self, surfaces, monkeypatch):
+        # every single curve up to the first hit, then, when none hits,
+        # exactly the pairs inside Z = {i : alpha_i = 0} in scan order: as
+        # alpha is linear in S, a pair outside Z cannot be unstable
         recorded = spy(monkeypatch, "_alpha_beta")
-        scanned = 0
-        for X, D, A in per_candidate_cases(surfaces):
+        scanned = pairs = 0
+        for X, D, A in scan_cases(surfaces):
             recorded.clear()
-            scan_candidates(X, D, A)
-            expected = []
-            for S in ref_shifts(X):
-                kind, ab = ref_asymptotic(X, D, S, A)
+            found = scan_candidates(X, D, A)
+            expected, zero = [], []
+            for i in X.effective_generators:
+                kind, ab = ref_asymptotic(X, D, X.generator(i), A)
                 expected.append(ab)
                 if kind != STABLE_POSSIBLE:
                     break
+                if ab.alpha == 0:
+                    zero.append(i)
+            else:
+                for i, j in combinations_with_replacement(zero, 2):
+                    S = X.generator(i) + X.generator(j)
+                    kind, ab = ref_asymptotic(X, D, S, A)
+                    expected.append(ab)
+                    pairs += 1
+                    if kind != STABLE_POSSIBLE:
+                        break
+            # and one more record, the threshold's own, when a candidate hits
             assert recorded[: len(expected)] == expected, (X, D, A)
+            assert len(recorded) == len(expected) + (found is not None), (X, D, A)
             scanned += len(expected)
-        assert scanned > 1000
+        assert scanned > 1000 and pairs > 0, (scanned, pairs)
+
+    def test_scan_first_hit_a_pair(self, monkeypatch):
+        # every curve is scanned and none is unstable, so the scan reaches
+        # its pairs: records of the three curves, at least one pair, and of
+        # the threshold; each mode agrees with its per-divisor form
+        recorded = spy(monkeypatch, "_alpha_beta")
+        for X, D, A, S, d0 in pair_first_cases():
+            recorded.clear()
+            found = scan_candidates(X, D, A)
+            assert (found.shift, found.d0, found.strict) == (S, d0, True)
+            assert len(recorded) >= 3 + 1 + 1, recorded
+            compare(X, D, A)
+        X, D, A, _, _ = next(pair_first_cases())
+        found = scan_candidates(X, D, A)
+        assert (found.subbundle_slope, found.ambient_slope) == (
+            Fraction(-23, 22), Fraction(-18, 17)
+        )
 
     def test_fixed_exponent_slopes(self, surfaces, monkeypatch):
         # each nef candidate's (d*D - S).A and section count, with the

@@ -355,6 +355,32 @@ class TestHirzebruchRegion:
             hirzebruch_region(0, Fraction(2), Fraction(2))
 
     @pytest.mark.parametrize(
+        "a, b",
+        [(2.1, 1.1), (Fraction(5, 2), 1.5), ("5/2", Fraction(3, 2)),
+         (3, "2"), (True, 2), (3, True)],
+        ids=repr,
+    )
+    def test_only_ints_and_fractions(self, a, b):
+        # a float is refused, not read off its binary expansion, and so
+        # are strings and bools, by the region test and by the sweep
+        with pytest.raises(InputError, match="^coefficients must be int or Fraction"):
+            hirzebruch_region(1, a, b)
+        with pytest.raises(InputError, match="^coefficients must be int or Fraction"):
+            list(hirzebruch_rows(1, [a], [b]))
+
+    def test_rows_read_every_value_exactly(self):
+        # values at or below ell are skipped only after the type check;
+        # ints and Fractions keep their type in the rows
+        for a_values, b_values in (([1.0, 3], [2]), ([3], [1.0, 2])):
+            with pytest.raises(InputError):
+                list(hirzebruch_rows(1, a_values, b_values))
+        rows = list(hirzebruch_rows(1, [1, 3, Fraction(5, 2)], [Fraction(3, 2), 2]))
+        assert [(type(a), type(b)) for a, b, *_ in rows] == [
+            (int, Fraction), (int, int), (Fraction, Fraction), (Fraction, int)
+        ]
+        assert hirzebruch_region(1, 3, 2) == rows[1][2]
+
+    @pytest.mark.parametrize(
         "ell, a, b, quad",
         [
             (1, Fraction(5, 2), Fraction(3, 2), 0),
