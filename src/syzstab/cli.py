@@ -115,12 +115,7 @@ def _divisor_in_ambient(X, text: str, args, role: str):
             raise InputError(f"--he takes 2 coefficients for {role}")
         h, e = D.coeffs
         return X.from_section_fiber(h + e, h), "he"
-    auto_sf = (
-        len(D) == 2
-        and X.n == 4
-        and X.fan.surface_type().kind == HIRZEBRUCH
-        and X.fan.surface_type().ell >= 1
-    )
+    auto_sf = len(D) == 2 and X.n == 4 and X.fan.surface_type().ell >= 1
     if args.sf or auto_sf:
         if len(D) != 2:
             raise InputError(f"--sf takes 2 coefficients for {role}")

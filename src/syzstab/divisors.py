@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, InputError, NonIntegralDivisorError
@@ -226,8 +227,8 @@ class Polytope:
 
 class SurfaceModel:
     """The pairing, nefness, ampleness and Riemann-Roch, written once over
-    what each subclass provides: ``n``, ``canonical``,
-    ``effective_generators``, ``h0``, ``negative_generator_indices`` and
+    what each subclass provides: ``n``, ``canonical``, ``h0``,
+    ``effective_generators``, ``pair_curves(i, j)`` = C_i.C_j and
     ``intersections(D)``, the list of intersection numbers of D with the
     basis curves, computed once per divisor after one length check.
     """
@@ -276,6 +277,12 @@ class SurfaceModel:
         v = self.intersections(D)
         DD, DK = self.pair_with(v, D), self.pair_with(v, self.canonical)
         return _exact(1 + Fraction(DD - DK, 2))
+
+    def negative_generator_indices(self) -> tuple[int, ...]:
+        """Effective generators of negative self-intersection."""
+        return tuple([
+            i for i in self.effective_generators if self.pair_curves(i, i) < 0
+        ])
 
     def shift(self, combo: Sequence[int]) -> Divisor:
         """The sum of the basis curves that combo indexes, repeats adding."""
@@ -332,9 +339,12 @@ class ToricSurface(SurfaceModel):
         """Intersection number of D with the i-th prime curve."""
         return self.intersections(D)[i]
 
-    def negative_generator_indices(self) -> tuple[int, ...]:
-        """Prime curves of negative self-intersection -c_i."""
-        return tuple([i for i, c in enumerate(self.walls) if c > 0])
+    def pair_curves(self, i: int, j: int) -> int:
+        """C_i.C_j of two prime curves: -c_i when i == j, 1 for cyclic
+        neighbours (so for every two lines on the plane), else 0."""
+        if i == j:
+            return -self.walls[i]
+        return int((i - j) % self.n in (1, self.n - 1))
 
     def _corners(self, a: Sequence[int]) -> list[tuple[int, int]]:
         """Each cone (u_{i-1}, u_i)'s corner m_i: <m_i, u_j> = -a_j."""
@@ -447,13 +457,11 @@ class ToricSurface(SurfaceModel):
         return s, f
 
 
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
+def _matrix_rank(rows: Sequence[Sequence[Rat]]) -> int:
     """Rank over the rationals by exact Gaussian elimination."""
     m = [row[:] for row in rows]
-    rank = 0
-    col = 0
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    rank = col = 0
+    nrows, ncols = len(m), len(m[0])
     while rank < nrows and col < ncols:
         pivot = next(
             (r for r in range(rank, nrows) if m[r][col] != 0), None
@@ -487,14 +495,7 @@ class AbstractSurface(SurfaceModel):
 
     uses_chi_for_h0 = True
 
-    __slots__ = (
-        "labels",
-        "n",
-        "matrix",
-        "canonical",
-        "effective_generators",
-        "_rank",
-    )
+    __slots__ = ("labels", "n", "matrix", "canonical", "effective_generators")
 
     def __init__(
         self,
@@ -536,19 +537,12 @@ class AbstractSurface(SurfaceModel):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "canonical", K)
         object.__setattr__(self, "effective_generators", gens)
-        object.__setattr__(self, "_rank", None)
 
     @property
     def picard_rank(self) -> int:
         """Rank of the pairing matrix (a lower bound for the Picard rank
         when the presentation basis is redundant)."""
-        if self._rank is None:
-            object.__setattr__(
-                self,
-                "_rank",
-                _matrix_rank([list(row) for row in self.matrix]),
-            )
-        return self._rank
+        return _matrix_rank(self.matrix)
 
     def intersections(self, D: Divisor) -> list[int | Fraction]:
         """D.C_i for every declared curve C_i: the pairing matrix times D."""
@@ -559,11 +553,9 @@ class AbstractSurface(SurfaceModel):
     def pair_generator(self, D: Divisor, i: int) -> int | Fraction:
         return self.intersections(D)[i]
 
-    def negative_generator_indices(self) -> tuple[int, ...]:
-        """Effective generators of negative self-intersection."""
-        return tuple([
-            i for i in self.effective_generators if self.matrix[i][i] < 0
-        ])
+    def pair_curves(self, i: int, j: int) -> int | Fraction:
+        """C_i.C_j, the pairing matrix's entry."""
+        return self.matrix[i][j]
 
     def h0(self, D: Divisor) -> int:
         """Euler characteristic standing in for h0 (vanishing assumed)."""
@@ -594,17 +586,15 @@ class AbstractSurface(SurfaceModel):
                 f"pairing matrix has rank {self.picard_rank}, need >= 3"
             )
         for i in gens:
-            if self.matrix[i][i] >= 0:
+            if self.pair_curves(i, i) >= 0:
                 problems.append(
                     f"generator {self.labels[i]} has self-intersection "
-                    f"{self.matrix[i][i]} >= 0"
+                    f"{self.pair_curves(i, i)} >= 0"
                 )
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                i, j = gens[a], gens[b]
-                if self.matrix[i][j] not in (0, 1):
-                    problems.append(
-                        f"generators {self.labels[i]} and {self.labels[j]} "
-                        f"meet with multiplicity {self.matrix[i][j]}"
-                    )
+        for i, j in combinations(gens, 2):
+            if self.pair_curves(i, j) not in (0, 1):
+                problems.append(
+                    f"generators {self.labels[i]} and {self.labels[j]} "
+                    f"meet with multiplicity {self.pair_curves(i, j)}"
+                )
         return not problems, problems

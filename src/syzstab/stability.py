@@ -20,14 +20,13 @@ slopes at d0 and at d0 - 1, and those verified slopes are the ones the
 certificate reports.  Each search returns a :class:`Certificate`, and
 :func:`analyze` alone turns one into a :class:`StabilityReport`.
 
-Every number above is bilinear in intersection numbers, so an analysis
-forms the intersection vector v(.) of D, A and K once, and of each basis
-curve C_i on first use, and reads each candidate S = C_i (+ C_j) off
-them: S.D, S.A and S.K are sums of entries of v(D), v(A) and v(K), and
-S^2 sums entries of the curves' vectors.  Since alpha is linear in S,
-:func:`scan_candidates` makes one pass over the curves and tries only
-the pairs inside {i : alpha_i = 0}, a few additions each.  A candidate
-of :func:`find_destabilizer` costs what ``X.shifted_h0(d*D)`` asks,
+Every number above is bilinear, so an analysis reads each candidate
+S = C_i (+ C_j) off v(D), v(A) and v(K), the intersection vectors formed
+once, and ``X.pair_curves``.  Both searches draw S from
+:func:`_candidates`: the curves, then only the pairs whose curves meet,
+as the singles settle the others.  So :func:`scan_candidates` costs
+O(n), and :func:`find_destabilizer` O(n^2) pair tests and O(n) counts on
+a toric surface.  A count costs what ``X.shifted_h0(d*D)`` asks,
 which also decides whether d*D - S is nef: on a toric surface a test of
 the walls that S touches, then one Pick sum over d*D's cone corners,
 found once per search, each curve of S moving two by fixed offsets.  The
@@ -49,9 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .divisors import (
     AbstractSurface,
@@ -302,10 +300,16 @@ def d_threshold(
     return Certificate(A, S, d0, mu_sub, mu_ambient, strict)
 
 
-def _combos(X: SurfaceModel):
-    """S's curve indices in scan order: each generator, then pairs i <= j."""
-    for r in (1, 2):
-        yield from combinations_with_replacement(X.effective_generators, r)
+def _candidates(X: SurfaceModel, pool: Sequence[int], unsettled=()) -> Iterator:
+    """S's curve indices in scan order: each generator, then each pair
+    i <= j of pool whose curves meet or with a curve in unsettled, both
+    filled by the caller while the singles are drawn.  A pair left out
+    has C_i.C_j = 0 and is settled by its singles: see the two searches."""
+    for i in X.effective_generators:
+        yield (i,)
+    for i, j in combinations_with_replacement(pool, 2):
+        if X.pair_curves(i, j) or i in unsettled or j in unsettled:
+            yield i, j
 
 
 def _slope_gap(num: Rat, h: int, mu: Fraction) -> Rat:
@@ -325,7 +329,17 @@ def find_destabilizer(
     works.  (d*D - S).A follows by linearity, ``X.shifted_h0`` tests
     nefness and counts, and slopes compare by cross-multiplication: only
     the returned S and slopes are built.
-    """
+
+    A pair with C_i.C_j = 0 whose singles were counted is skipped: were
+    it a candidate, d*D, d*D - C_i, d*D - C_j and d*D - S would be nef and
+    counted by chi (Demazure vanishing; an abstract surface counts by
+    chi), so h0(d*D - S) - h0(d*D) = delta_i + delta_j and its chi, chi_i
+    + chi_j - chi(d*D), is an integer.  As the numerator is linear in S
+    and :func:`_slope_gap` affine in (num, h) and 0 at the ambient, gap =
+    gap_i + gap_j: not strict when no single is, a tie only when both
+    singles, drawn first, tie.  On a toric surface a nef pair has nef
+    singles and h0 falls as S grows, so a single counted None or <= 1,
+    whose pairs are all tried, matters only on abstract surfaces."""
     if d < 1:
         raise PreconditionError("the exponent d must be a positive integer")
     ambient = d * D
@@ -334,10 +348,12 @@ def find_destabilizer(
     DA = X.pair_with(ambient_v, A)
     count = X.shifted_h0(ambient)
     mu_ambient = _slope(count(()), DA)
-    best = None
-    for combo in _combos(X):
+    best, unsettled = None, set()
+    for combo in _candidates(X, X.effective_generators, unsettled):
         h = count(combo)
         if h is None or h <= 1:
+            if len(combo) == 1:
+                unsettled.add(combo[0])
             continue
         num = DA - sum(av[i] for i in combo)
         gap = _slope_gap(num, h, mu_ambient)
@@ -555,24 +571,23 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
     asymptotically (which never claims stability, only that this family
     is exhausted).  As alpha is linear in S and beta(C_i + C_j) = beta_i +
     beta_j - 2(D.A)(C_i.C_j), once no curve is unstable, so alpha_i >= 0,
-    only a pair inside Z = {i : alpha_i = 0} can be: one pass over the
-    curves, then those pairs in scan order, finds the same first hit.
+    only a pair inside Z = {i : alpha_i = 0} whose curves meet can be (a
+    pair of Z with C_i.C_j = 0 has alpha = 0 and beta = beta_i + beta_j >
+    0): one pass over the curves, then those pairs, finds the same hit.
     """
     dv = _require_ample(X, D, "divisor D")
     av = _require_ample(X, A, "polarization")
     kv = X.intersections(X.canonical)
     DA, D2, DK = (X.pair_with(v, D) for v in (av, dv, kv))
-    curve = cache(lambda i: X.intersections(X.generator(i)))  # v(C_i)
     zero = []  # Z, filled by the single curves before any pair is drawn
-    for r, pool in ((1, X.effective_generators), (2, zero)):
-        for combo in combinations_with_replacement(pool, r):
-            SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
-            S2 = sum(curve(i)[j] for i in combo for j in combo)
-            ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
-            if _unstable(ab):
-                return d_threshold(X, D, X.shift(combo), A)
-            if r == 1 and ab.alpha == 0:
-                zero.append(combo[0])
+    for combo in _candidates(X, zero):
+        SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
+        S2 = sum(X.pair_curves(i, j) for i in combo for j in combo)
+        ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
+        if _unstable(ab):
+            return d_threshold(X, D, X.shift(combo), A)
+        if len(combo) == 1 and ab.alpha == 0:
+            zero.append(combo[0])
     return None
 
 

@@ -139,6 +139,30 @@ class TestIntersections:
             for coeffs in product((0, 1, -2, Fraction(3, 2)), repeat=X.n):
                 self.assert_matches(X, Divisor(coeffs))
 
+    @staticmethod
+    def assert_curves_match(X):
+        # pair_curves(i, j) is entry j of C_i's intersection vector, of the
+        # same type, and negative_generator_indices reads its diagonal
+        for i in range(X.n):
+            v = X.intersections(X.generator(i))
+            got = [X.pair_curves(i, j) for j in range(X.n)]
+            assert got == v and list(map(type, got)) == list(map(type, v)), i
+        negative = [
+            i for i in X.effective_generators
+            if X.pair(X.generator(i), X.generator(i)) < 0
+        ]
+        assert X.negative_generator_indices() == tuple(negative)
+
+    def test_pair_curves(self, surfaces):
+        for X in surfaces.values():
+            self.assert_curves_match(X)
+        for seed in range(40):
+            fan, _, _ = blowup_chain_divisors(seed, 5 + seed % 60)
+            self.assert_curves_match(ToricSurface(fan))
+        for X in abstract_surfaces():  # the second has C_0^2 = -1/2
+            self.assert_curves_match(X)
+        assert abstract_surfaces()[1].pair_curves(0, 0) == Fraction(-1, 2)
+
     def test_wrong_length_raises_everywhere(self, surfaces):
         for X in [surfaces["p2"], surfaces["f1"], *abstract_surfaces()]:
             D = X.canonical

@@ -1,7 +1,8 @@
 """Every smooth complete toric surface of up to 10 rays that blow-ups of
 P2 and of F_0..F_3 reach, through every mode of ``analyze``, the
 polarization, ``classify --reduction`` and section counts, against the
-benchmark's independent checker.
+benchmark's independent checker, and the fixed-exponent search at d = 3
+against its pairwise reference in ``test_linear_candidates.py``.
 
 A smooth complete toric surface is the plane or a blow-up of a
 Hirzebruch surface, and its fan is fixed up to GL2(Z) by its cycle of
@@ -29,11 +30,13 @@ from syzstab import (
     certificate_holds,
     cli,
     construct_polarization,
+    find_destabilizer,
 )
 from syzstab.cli import _polarization_jsonable, _report_jsonable
 from syzstab.files import divisor_to_jsonable, surface_to_jsonable
 
 from conftest import every_smooth_surface, rays_of_cycle
+from test_linear_candidates import ref_find_destabilizer
 
 _CHECK = pathlib.Path(__file__).resolve().parents[1] / "bench" / "check.py"
 _spec = importlib.util.spec_from_file_location("bench_check", _CHECK)
@@ -48,6 +51,9 @@ BOUND_SECONDS = 10.0
 # line tracer of tools/reachability.py the first took 33 s
 SEARCH_BOUND_SECONDS = 60.0
 COUNT_BOUND_SECONDS = 15.0
+# on one core of a shared 2-core Xeon, the drivers' A took 0.24 s, the
+# fixed-exponent search at d = 3 0.21 s and its pairwise reference 1.6 s
+D3_BOUND_SECONDS = 30.0
 
 
 @functools.cache
@@ -118,6 +124,28 @@ def test_scan_and_fixed_exponent_on_every_surface():
     elapsed = time.perf_counter() - start
     assert elapsed < SEARCH_BOUND_SECONDS, (
         f"{elapsed:.2f}s exceeds {SEARCH_BOUND_SECONDS}s"
+    )
+
+
+def test_fixed_exponent_at_d3_against_the_pairwise_search():
+    """``find_destabilizer`` at d = 3 against the driver's A (D itself on
+    the plane and the quadric) equals ``ref_find_destabilizer``, which
+    weighs every pair of curves, on every surface."""
+    start = time.perf_counter()
+    verdicts = Counter()
+    for cycle, X, D in surfaces_up_to_10_rays():
+        try:
+            A = analyze(X, D).certificate.polarization
+        except OutOfTheoremScopeError:
+            A = D
+        found = find_destabilizer(X, D, A, 3)
+        assert found == ref_find_destabilizer(X, D, A, 3), cycle
+        verdicts[None if found is None else found.strict] += 1
+    # no tie turns up at d = 3 either
+    assert verdicts == {True: 570, None: 654}
+    elapsed = time.perf_counter() - start
+    assert elapsed < D3_BOUND_SECONDS, (
+        f"{elapsed:.2f}s exceeds {D3_BOUND_SECONDS}s"
     )
 
 

@@ -40,6 +40,8 @@ RECORDED = [
     (ToricSurface, "pair_generator"),
     (ToricSurface, "to_section_fiber"),
     (AbstractSurface, "pair_generator"),
+    (ToricSurface, "pair_curves"),
+    (AbstractSurface, "pair_curves"),
     (stability, "syzygy_slope"),
     (stability, "alpha_beta"),
     (stability, "d_threshold"),
@@ -151,7 +153,14 @@ def test_abstract_surfaces(name, recorder):
     if name == "bl2p2":
         reports += analyses(X, D, reports[0].certificate.polarization)
     check(recorder, reports)
-    for key in ("pair", "chi", "construct_polarization", "syzygy_slope", "d_threshold"):
+    for key in (
+        "pair",
+        "pair_curves",
+        "chi",
+        "construct_polarization",
+        "syzygy_slope",
+        "d_threshold",
+    ):
         assert recorder[key], f"{key} was never called"
 
 

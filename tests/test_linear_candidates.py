@@ -10,7 +10,11 @@ same number types, and so must the error each raises when a
 precondition fails.
 """
 
+import importlib
 import math
+import pathlib
+import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -22,6 +26,7 @@ from syzstab import (
     Certificate,
     DegenerateBundleError,
     Divisor,
+    Fan,
     InternalError,
     NotAmpleError,
     NotEffectiveError,
@@ -326,6 +331,16 @@ PAIR_FIRST = [
 ]
 
 
+# (rays, D, A) on the plane blown up in two points where no single curve
+# is unstable and Z = {i : alpha_i = 0} = {0, 2} holds two curves that do
+# not meet, so the scan skips the pair (0, 2); the first case a search
+# over every surface of up to 7 rays found, D and A with coefficients in
+# 1..4 (no case of scan_cases had such a pair)
+DISJOINT_IN_Z = (
+    [(1, 0), (0, 1), (-1, 1), (-1, 0), (1, -1)], (1, 1, 2, 2, 1), (1, 1, 1, 4, 4)
+)
+
+
 def pair_first_cases():
     for pairing, canonical, D, A, S, d0 in PAIR_FIRST:
         X = AbstractSurface(["a", "b", "c"], pairing, canonical, [0, 1, 2])
@@ -335,12 +350,15 @@ def pair_first_cases():
 def scan_cases(surfaces):
     """(X, D, A) for the scan's per-candidate records: those of
     ``per_candidate_cases``, seeded chains of 5 to 28 rays, where every
-    single curve is scanned, and the cases whose first hit is a pair."""
+    single curve is scanned, the cases whose first hit is a pair and
+    ``DISJOINT_IN_Z``."""
     cases = per_candidate_cases(surfaces)
     for seed in range(24):
         fan, pulled, D = blowup_chain_divisors(seed, 5 + seed % 40)
         X = ToricSurface(fan)
         cases += [(X, D, D + pulled), (X, D, D + 3 * pulled)]
+    rays, D, A = DISJOINT_IN_Z
+    cases.append((ToricSurface(Fan(rays)), Divisor(D), Divisor(A)))
     return cases + [case[:3] for case in pair_first_cases()]
 
 
@@ -364,25 +382,32 @@ class TestPerCandidateNumbers:
 
     def test_scan_alpha_beta(self, surfaces, monkeypatch):
         # every single curve up to the first hit, then, when none hits,
-        # exactly the pairs inside Z = {i : alpha_i = 0} in scan order: as
-        # alpha is linear in S, a pair outside Z cannot be unstable
+        # exactly the pairs inside Z = {i : alpha_i = 0} whose curves meet,
+        # in scan order: as alpha is linear in S, a pair outside Z cannot
+        # be unstable, and a pair of Z whose curves do not meet has
+        # alpha = 0 and beta = beta_i + beta_j > 0, checked here
         recorded = spy(monkeypatch, "_alpha_beta")
-        scanned = pairs = 0
+        scanned = pairs = disjoint = 0
         for X, D, A in scan_cases(surfaces):
             recorded.clear()
             found = scan_candidates(X, D, A)
-            expected, zero = [], []
+            expected, zero = [], {}
             for i in X.effective_generators:
                 kind, ab = ref_asymptotic(X, D, X.generator(i), A)
                 expected.append(ab)
                 if kind != STABLE_POSSIBLE:
                     break
                 if ab.alpha == 0:
-                    zero.append(i)
+                    zero[i] = ab
             else:
                 for i, j in combinations_with_replacement(zero, 2):
                     S = X.generator(i) + X.generator(j)
                     kind, ab = ref_asymptotic(X, D, S, A)
+                    if X.pair(X.generator(i), X.generator(j)) == 0:
+                        assert ab.alpha == 0, (X, D, A, i, j)
+                        assert ab.beta == zero[i].beta + zero[j].beta > 0
+                        disjoint += 1
+                        continue
                     expected.append(ab)
                     pairs += 1
                     if kind != STABLE_POSSIBLE:
@@ -391,7 +416,9 @@ class TestPerCandidateNumbers:
             assert recorded[: len(expected)] == expected, (X, D, A)
             assert len(recorded) == len(expected) + (found is not None), (X, D, A)
             scanned += len(expected)
-        assert scanned > 1000 and pairs > 0, (scanned, pairs)
+        assert scanned > 1000 and pairs > 0 and disjoint > 0, (
+            scanned, pairs, disjoint
+        )
 
     def test_scan_first_hit_a_pair(self, monkeypatch):
         # every curve is scanned and none is unstable, so the scan reaches
@@ -412,7 +439,11 @@ class TestPerCandidateNumbers:
 
     def test_fixed_exponent_slopes(self, surfaces, monkeypatch):
         # each nef candidate's (d*D - S).A and section count, with the
-        # ambient slope they are weighed against
+        # ambient slope they are weighed against: the single curves, then
+        # the pairs whose curves meet or that have a single which is no
+        # candidate, in scan order.  Every other pair that is a candidate
+        # must have its singles' count changes and slope gaps summed, on
+        # the lattice counts: the identity the search skips them by
         real = stability._slope_gap
         recorded = []
 
@@ -421,25 +452,44 @@ class TestPerCandidateNumbers:
             return real(*args)
 
         monkeypatch.setattr(stability, "_slope_gap", gap)
-        counted = 0
+        counted = summed = 0
         for X, D, A in per_candidate_cases(surfaces):
+            gens = X.effective_generators
             for d in (1, 2):
                 recorded.clear()
                 found = find_destabilizer(X, D, A, d)
                 ambient = d * D
                 mu = ref_slope(X, ambient, A)
-                expected = []
-                for S in ref_shifts(X):
+                h_ambient = X.h0(ambient)
+
+                def numbers(S):
                     sub = ambient - S
                     if not X.is_nef(sub) or X.h0(sub) <= 1:
-                        continue
-                    expected.append((X.pair(sub, A), X.h0(sub), mu))
-                    if ref_slope(X, sub, A) > mu:
-                        break
+                        return None
+                    return X.pair(sub, A), X.h0(sub), mu
+
+                single = {i: numbers(X.generator(i)) for i in gens}
+                pairs = {}
+                for i, j in combinations_with_replacement(gens, 2):
+                    got = numbers(X.generator(i) + X.generator(j))
+                    C_i, C_j = X.generator(i), X.generator(j)
+                    if X.pair(C_i, C_j) or None in (single[i], single[j]):
+                        pairs[i, j] = got
+                    elif got is not None:
+                        (_, h_i, _), (_, h_j, _) = single[i], single[j]
+                        assert got[1] - h_ambient == h_i + h_j - 2 * h_ambient
+                        assert real(*got) == real(*single[i]) + real(*single[j])
+                        summed += 1
+                expected = []
+                for got in [single[i] for i in gens] + list(pairs.values()):
+                    if got is not None:
+                        expected.append(got)
+                        if real(*got) > 0:
+                            break
                 assert recorded == expected, (X, D, A, d)
                 assert found is None or found.ambient_slope == mu
                 counted += len(expected)
-        assert counted > 1000
+        assert counted > 1000 and summed > 0, (counted, summed)
 
     def test_first_violator_a_pair(self, surfaces):
         # no single curve destabilizes here; C0 + C1 does
@@ -465,6 +515,70 @@ class TestPerCandidateNumbers:
         monkeypatch.setattr(stability, "_coefficients", late)
         with pytest.raises(InternalError, match="not minimal"):
             d_threshold(f1, D, S, A)
+
+
+# (pairing, canonical, D, A, d, S) on an abstract surface where C_0 and C_1
+# do not meet, d*D - C_0 is not nef and the pair C_0 + C_1 is the first
+# strict violator: it is tried only because its single C_0 is unsettled.
+# Seed 166335 of a search over pairings of three curves with C_0.C_1 = 0
+# and C_1.C_2 < 0 drew it (C_1.C_2 < 0 lets C_1 lift the wall C_2 that
+# C_0 breaks, which no curve does on a toric surface)
+UNSETTLED_PAIR = (
+    [[-2, 0, 3], [0, 3, -1], [3, -1, 1]], [-4, -3, -2], (1, 3, 2), (1, 5, 4), 1, (1, 1, 0)
+)
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_chain(monkeypatch, size):
+    """``bench/workloads.blowup_chain(Random(size), size)``, the chain of the
+    benchmark and of the ROADMAP's timings, as (X, D, A)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    C, D, A = workloads.blowup_chain(random.Random(size), size)
+    return ToricSurface(Fan(C.rays)), Divisor(D), Divisor(A)
+
+
+class TestCandidateEnumerator:
+    """The pairs that ``_candidates`` leaves out of the fixed search, on the
+    cases where the rule matters: an unsettled single, and long chains."""
+
+    def test_pair_tried_for_an_unsettled_single(self):
+        pairing, canonical, D, A, d, S = UNSETTLED_PAIR
+        X = AbstractSurface(["a", "b", "c"], pairing, canonical, [0, 1, 2])
+        D, A, S = Divisor(D), Divisor(A), Divisor(S)
+        count = X.shifted_h0(d * D)
+        assert X.pair_curves(0, 1) == 0 and count((0,)) is None
+        assert count((1,)) > 1 and count((0, 1)) > 1
+        found = find_destabilizer(X, D, A, d)
+        assert (found.shift, found.strict) == (S, True)
+        assert (found.subbundle_slope, found.ambient_slope) == (
+            Fraction(-13, 11), Fraction(-47, 35)
+        )
+        compare(X, D, A)
+
+    def test_48_ray_chain(self, monkeypatch):
+        # the chain's own A finds nothing, so every pair is weighed; the
+        # driver's A finds a single curve at d = 2
+        X, D, A = bench_chain(monkeypatch, 48)
+        driver = analyze(X, D).certificate.polarization
+        seen = []
+        for pol, d in ((A, 1), (A, 2), (D + A, 1), (driver, 1), (driver, 2)):
+            got = outcome(find_destabilizer, X, D, pol, d)
+            assert got == outcome(ref_find_destabilizer, X, D, pol, d), (pol, d)
+            seen.append(summary(got))
+        assert seen == ["None", "None", "None", "None", "strict"]
+
+    def test_256_ray_chain_in_time(self, monkeypatch):
+        # every candidate is counted at d = 1 and none is found; about
+        # 0.2 s on one core of a shared 2-core Xeon, where the pairwise
+        # search over all 32,896 pairs took 6 to 8.5 s
+        X, D, A = bench_chain(monkeypatch, 256)
+        start = time.perf_counter()
+        found = find_destabilizer(X, D, A, 1)
+        elapsed = time.perf_counter() - start
+        assert found is None
+        assert elapsed < 3.0, f"{elapsed:.2f}s exceeds 3s"
 
 
 # -- which error comes first --------------------------------------------------

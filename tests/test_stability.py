@@ -295,11 +295,13 @@ class TestFindDestabilizer:
         picks, polygons = spy_counts(monkeypatch)
         find_destabilizer(X, D, A, 2)
         assert counts["intersections"] <= 10
-        # 45 lattice counts, all Pick sums over d*D's corners: one of d*D
-        # itself and 44, one per nef candidate; shifted_h0 decides nefness,
-        # so no h0 call and no polygon
+        # 25 lattice counts, all Pick sums over d*D's corners: one of d*D
+        # itself, one per single curve (all 8 are nef candidates) and one
+        # per pair whose curves meet, the 8 with i == j (no curve has
+        # C^2 = 0) and the 8 cyclic neighbours; shifted_h0 decides
+        # nefness, so no h0 call and no polygon
         assert counts["h0"] == 0 and not polygons
-        assert len(picks) == 45
+        assert len(picks) == 1 + 8 + 16
 
     def test_power_family_at_threshold(self, power_family):
         X, D, S, A = power_family
