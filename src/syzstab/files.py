@@ -229,8 +229,13 @@ def _write(obj, out: list, newline: str) -> None:
             return
         inner = newline + "  "
         if all([type(x) is int for x in obj]):
-            # rays, coefficient vectors, self-intersections: one join
+            # coefficient vectors, self-intersections: one join
             out.append("[" + inner + ("," + inner).join(map(_int, obj)))
+        elif all([type(x) is list and len(x) == 2
+                  and type(x[0]) is type(x[1]) is int for x in obj]):
+            # rays: "%d" pairs, which refuse an int past the limit as repr does
+            fmt = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            out.append("[" + inner + ("," + inner).join([fmt % (x, y) for x, y in obj]))
         else:
             sep = "[" + inner
             for item in obj:

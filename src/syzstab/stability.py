@@ -30,14 +30,14 @@ a toric surface.  A count costs what ``X.shifted_h0(d*D)`` asks,
 which also decides whether d*D - S is nef: on a toric surface a test of
 the walls that S touches, then one Pick sum over d*D's cone corners,
 found once per search, each curve of S moving two by fixed offsets.  The
-four counts of :func:`d_threshold`, h0(d*D) and h0(d*D - S) at d0 and
-d0 - 1, are Pick sums over the corners d*m(D) and d*m(D) - m(S): corners
-are linear in the coefficients, and past the first nef multiple they are
-the polygon's vertices.  On F_ell the region verdict of
-:func:`hirzebruch_region` and :func:`hirzebruch_rows` is the alpha/beta
-sign of S the section.  A row reads its seven numbers off the (S, F, K)
-pairings of its ell and A's pairings of its a, and only rows in the
-instability region build D and A, for the threshold.
+threshold core :func:`_threshold` takes v(D), v(S), D.A, S.A and
+alpha/beta from :func:`d_threshold`'s checks, the scan or a sweep row;
+its four counts, h0(d*D) and h0(d*D - S) at d0 and d0 - 1, are Pick sums
+over the corners d*m(D) and d*m(D) - m(S), whose slopes it compares in
+integers.  On F_ell the region verdict of :func:`hirzebruch_region` and
+:func:`hirzebruch_rows` is the alpha/beta sign of S the section.  A row
+reads its seven numbers off the (S, F, K) pairings of its ell and A's
+pairings of its a, and only rows in the instability region build D.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -116,13 +116,11 @@ def _require_effective(X: SurfaceModel, S: Divisor) -> None:
         raise NotEffectiveError("candidate S is not effective")
 
 
-def _slope(h: int, DA: Rat) -> Fraction:
-    """-(D.A)/(h0(D) - 1) from h = h0(D) and D.A."""
+def _rank(h: int) -> int:
+    """h0(D) - 1, the syzygy bundle's rank, from h = h0(D)."""
     if h <= 1:
-        raise DegenerateBundleError(
-            f"h0 = {h} <= 1: no syzygy bundle slope"
-        )
-    return Fraction(-DA, h - 1)
+        raise DegenerateBundleError(f"h0 = {h} <= 1: no syzygy bundle slope")
+    return h - 1
 
 
 def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
@@ -135,10 +133,10 @@ def syzygy_slope(X: SurfaceModel, D: Divisor, A: Divisor) -> Fraction:
     _require_ample(X, A, "polarization")
     if not X.is_nef(D):
         raise NotNefError("divisor defining the bundle is not nef")
-    return _slope(X.h0(D), X.pair(D, A))
+    return Fraction(-X.pair(D, A), _rank(X.h0(D)))
 
 
-def _order(mu_sub: Fraction, mu_ambient: Fraction) -> str:
+def _order(mu_sub: Rat, mu_ambient: Rat) -> str:
     if mu_sub > mu_ambient:
         return GREATER
     if mu_sub == mu_ambient:
@@ -240,11 +238,8 @@ def d_threshold(
     violation at d0, and its absence at d0 - 1 whenever d0 - 1 is at
     least the first nef multiple and (d0 - 1)*D - S is nonzero.  Requires
     D and A ample, S effective of nonzero class, and q(d) <= 0 for all
-    large d.
-
-    Both checks read their slope numerators off D.A and S.A, since
-    (d*D - S).A = d(D.A) - S.A, and their counts off ``X.multiple_h0``;
-    they need no nef test, since d >= d_nef.  :func:`certificate_holds`
+    large d.  These checks form v(D), v(S), D.A, S.A and alpha/beta once,
+    and :func:`_threshold` does the rest; :func:`certificate_holds`
     re-checks a certificate divisor by divisor.
     """
     dv = _require_ample(X, D, "divisor D")
@@ -260,13 +255,22 @@ def d_threshold(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
         )
-    d_nef = _first_nef_multiple(X, dv, sv)
+    return _threshold(X, D, S, A, dv, sv, DA, SA, ab)
 
+
+def _threshold(
+    X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, dv: list[Rat],
+    sv: list[Rat], DA: Rat, SA: Rat, ab: AlphaBeta,
+) -> Certificate:
+    """:func:`d_threshold` past its checks, on the numbers they formed.
+    Both exact checks take their slope numerators, (d*D - S).A = d(D.A) -
+    S.A, and counts off ``X.multiple_h0``, with no nef test as d >= d_nef,
+    and compare in integers, cross-multiplied by the ranks h0 - 1."""
+    d_nef = _first_nef_multiple(X, dv, sv)
     strict = True
     if ab.alpha < 0:
         # q(d) < 0 exactly when d > -beta/alpha (for d > 0)
-        root = -ab.beta / ab.alpha
-        d_sign = max(1, root.numerator // root.denominator + 1)
+        d_sign = max(1, -ab.beta // ab.alpha + 1)
     else:
         # alpha == 0 and beta <= 0: q(d) < 0 for every d >= 1, or q
         # vanishes identically and the tie is permanent
@@ -277,26 +281,25 @@ def d_threshold(
         d0 += 1
     h0 = X.multiple_h0(D, S)  # (d, k) -> h0(d*D - k*S)
 
-    def slopes(d: int) -> tuple[Fraction, Fraction]:
-        """Slopes of the syzygy bundles of O(d*D - S) and of O(d*D)."""
-        mu_ambient = _slope(h0(d, 0), d * DA)
-        return _slope(h0(d, 1), d * DA - SA), mu_ambient
+    def gap(d: int) -> tuple[Rat, int, int]:
+        """(mu_sub - mu_ambient) * r_sub * r_ambient at d, r_sub, r_ambient."""
+        r_ambient, r_sub = _rank(h0(d, 0)), _rank(h0(d, 1))
+        return d * DA * r_sub - (d * DA - SA) * r_ambient, r_sub, r_ambient
 
     check = d0 - 1
-    if check >= d_nef and not _is_multiple(S, check, D):
-        mu_sub, mu_ambient = slopes(check)
-        if mu_sub > mu_ambient:
-            raise InternalError(
-                f"threshold not minimal: violation already at d = {check}"
-            )
-    mu_sub, mu_ambient = slopes(d0)
-    order = _order(mu_sub, mu_ambient)
+    if check >= d_nef and not _is_multiple(S, check, D) and gap(check)[0] > 0:
+        raise InternalError(
+            f"threshold not minimal: violation already at d = {check}"
+        )
+    diff, r_sub, r_ambient = gap(d0)
+    order = _order(diff, 0)
     expected = _PROMISED_ORDER[_VERDICT[strict]]
     if order != expected:
         raise InternalError(
             f"sign polynomial predicted {expected} slopes at d = {d0}, "
             f"exact comparison returned {order}"
         )
+    mu_sub, mu_ambient = Fraction(SA - d0 * DA, r_sub), Fraction(-d0 * DA, r_ambient)
     return Certificate(A, S, d0, mu_sub, mu_ambient, strict)
 
 
@@ -347,7 +350,7 @@ def find_destabilizer(
     av = _require_ample(X, A, "polarization")
     DA = X.pair_with(ambient_v, A)
     count = X.shifted_h0(ambient)
-    mu_ambient = _slope(count(()), DA)
+    mu_ambient = Fraction(-DA, _rank(count(())))
     best, unsettled = None, set()
     for combo in _candidates(X, X.effective_generators, unsettled):
         h = count(combo)
@@ -415,16 +418,19 @@ def hirzebruch_rows(
     seven intersection numbers of alpha and beta are integer combinations of
     the (S, F, K) pairings, formed once, of A's pairings with S and F,
     formed once per a, and of D's, once per b (b_values is read once, at
-    the first a > ell).  Only rows in the instability region build D and A,
-    for :func:`d_threshold`; the certificate is None on the others.  Each
-    a and b read must be an int or a Fraction, else InputError.
+    the first a > ell).  Only rows in the instability region build D, and
+    A once per a, check them ample and call :func:`_threshold`; the
+    certificate is None on the others.  Each a and b read must be an int
+    or a Fraction, else InputError.
     """
     if ell < 1:
         raise PreconditionError("ell must be a positive integer")
     X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
     _, s_idx, f_idx = X.hirzebruch_presentation()
-    S = X.generator(s_idx)
-    vs, vf = X.intersections(S), X.intersections(X.generator(f_idx))
+    S, F = X.generator(s_idx), X.generator(f_idx)
+    _require_effective(X, S)
+    vs, vf = X.intersections(S), X.intersections(F)
+    unit = list(zip(S.coeffs, F.coeffs))  # s*S + f*F is s*x + f*y at each (x, y)
     SS, SF, FF = vs[s_idx], vs[f_idx], vf[f_idx]
     SK, FK = X.pair_with(vs, X.canonical), X.pair_with(vf, X.canonical)
     points = None
@@ -441,13 +447,19 @@ def hirzebruch_rows(
                     points.append((b, b1, b2, D2, DK, DS))
         a1, a2 = a.denominator, a.numerator
         AS, AF = a1 * SS + a2 * SF, a1 * SF + a2 * FF
+        A = None  # built and checked at the first row in the region
         for b, b1, b2, D2, DK, DS in points:
-            ab = _alpha_beta(b1 * AS + b2 * AF, D2, DK, DS, AS, SK, SS)
+            DA = b1 * AS + b2 * AF
+            ab = _alpha_beta(DA, D2, DK, DS, AS, SK, SS)
             verdict, cert = NOT_COVERED, None
             if _unstable(ab):
                 verdict = UNSTABLE_FOR_LARGE_D
-                D = X.from_section_fiber(b1, b2)
-                cert = d_threshold(X, D, S, X.from_section_fiber(a1, a2))
+                if A is None:
+                    A = Divisor([a1 * x + a2 * y for x, y in unit])
+                    _require_ample(X, A, "polarization")
+                D = Divisor([b1 * x + b2 * y for x, y in unit])
+                dv = _require_ample(X, D, "divisor D")
+                cert = _threshold(X, D, S, A, dv, vs, DA, AS, ab)
             yield a, b, verdict, ab, cert
 
 
@@ -567,9 +579,9 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
 
     Walks shifts S over sums of one or two effective-cone generators; the
     first one with q(d) <= 0 for all large d is certified by
-    :func:`d_threshold`.  None when every candidate admits stability
-    asymptotically (which never claims stability, only that this family
-    is exhausted).  As alpha is linear in S and beta(C_i + C_j) = beta_i +
+    :func:`_threshold`, on its numbers.  None when every candidate admits
+    stability asymptotically (which never claims stability, only that this
+    family is exhausted).  As alpha is linear in S and beta(C_i + C_j) = beta_i +
     beta_j - 2(D.A)(C_i.C_j), once no curve is unstable, so alpha_i >= 0,
     only a pair inside Z = {i : alpha_i = 0} whose curves meet can be (a
     pair of Z with C_i.C_j = 0 has alpha = 0 and beta = beta_i + beta_j >
@@ -585,7 +597,8 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
         S2 = sum(X.pair_curves(i, j) for i in combo for j in combo)
         ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
         if _unstable(ab):
-            return d_threshold(X, D, X.shift(combo), A)
+            S = X.shift(combo)
+            return _threshold(X, D, S, A, dv, X.intersections(S), DA, SA, ab)
         if len(combo) == 1 and ab.alpha == 0:
             zero.append(combo[0])
     return None
@@ -636,9 +649,9 @@ def analyze(
             raise OutOfTheoremScopeError(
                 f"no destabilizing polarization is constructed for {st}"
             )
-        _require_ample(X, D, "divisor D")
-        ell, s_idx, _ = X.hirzebruch_presentation()
-        b1, b2 = X.to_section_fiber(D)
+        dv = _require_ample(X, D, "divisor D")
+        ell, s_idx, f_idx = X.hirzebruch_presentation()
+        b1, b2 = dv[f_idx], dv[s_idx] + ell * dv[f_idx]  # D ~ b1*S + b2*F
         bound = _region_bound(ell, Fraction(b2, b1))
         a = _smallest_exceeding_rational(bound)
         # format_rational refuses a bound too long to print with InputError

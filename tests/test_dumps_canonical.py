@@ -32,6 +32,13 @@ ints = (
 )
 # True and False next to 1 and 0, where a bool must not read as an int
 flags = st.sampled_from([True, False, 0, 1])
+# lists of [int, int] pairs, as rays are written, and pairs holding bools
+# or of another length, which must not be written as int pairs; their ints
+# stay short, as a near-limit one in every pair makes an overly large repr
+pairs = st.lists(st.tuples(st.integers(), st.integers()).map(list), max_size=4)
+odd_pairs = st.lists(
+    st.lists(st.integers() | flags, min_size=1, max_size=3), min_size=1, max_size=4
+)
 leaves = (
     texts
     | ints
@@ -39,6 +46,8 @@ leaves = (
     | st.none()
     | st.lists(ints, max_size=6)
     | st.lists(flags, max_size=6)
+    | pairs
+    | odd_pairs
 )
 trees = st.recursive(
     leaves,
@@ -60,7 +69,9 @@ def test_matches_json_dumps(obj):
 
 @pytest.mark.parametrize(
     "obj",
-    [{}, [], [[]], {"a": {}}, [True, 1, False, 0], {"": None}, "\ud800"],
+    [{}, [], [[]], {"a": {}}, [True, 1, False, 0], {"": None}, "\ud800",
+     [[1, 2], [-3, 0]], [[1, True]], [[False, 0], [1, 2]], [[1, 2], [3]],
+     [[1, 2], [3, 4, 5]]],
     ids=repr,
 )
 def test_matches_json_dumps_on_edges(obj):
@@ -73,8 +84,10 @@ def test_matches_json_dumps_on_edges(obj):
         10**LIMIT,
         [1, -(10**LIMIT)],
         {"a": ["x", 10**LIMIT]},
+        [[1, 10**LIMIT]],
+        {"rays": [[0, 1], [-(10**LIMIT), 2]]},
     ],
-    ids=["top", "int-list", "mixed-list"],
+    ids=["top", "int-list", "mixed-list", "pair-list", "pair-list-second"],
 )
 def test_int_past_the_limit_is_input_error(obj):
     with pytest.raises(InputError, match="^result too large to print: "):

@@ -34,7 +34,7 @@ RECORDED = [
     (SurfaceModel, "pair_with"),
     (ToricSurface, "intersections"),
     (AbstractSurface, "intersections"),
-    (stability, "_slope"),
+    (stability, "_rank"),
     (stability, "_alpha_beta"),
     (SurfaceModel, "chi"),
     (ToricSurface, "pair_generator"),
@@ -131,6 +131,9 @@ def test_toric_corpus(surfaces, recorder):
         # the public alpha_beta, which no driver calls: construct_polarization
         # reads its alphas off v(D) and v(E)
         stability.alpha_beta(X, D, X.generator(0), A)
+        if X.fan.surface_type().ell:
+            # nor to_section_fiber: the F_ell driver reads b1, b2 off v(D)
+            X.to_section_fiber(D)
         reports += analyses(X, D, A)
     check(recorder, reports)
     for _, name in RECORDED:

@@ -412,9 +412,8 @@ class TestPerCandidateNumbers:
                     pairs += 1
                     if kind != STABLE_POSSIBLE:
                         break
-            # and one more record, the threshold's own, when a candidate hits
-            assert recorded[: len(expected)] == expected, (X, D, A)
-            assert len(recorded) == len(expected) + (found is not None), (X, D, A)
+            # and no more: the threshold core takes the hit's own numbers
+            assert recorded == expected, (X, D, A)
             scanned += len(expected)
         assert scanned > 1000 and pairs > 0 and disjoint > 0, (
             scanned, pairs, disjoint
@@ -422,20 +421,36 @@ class TestPerCandidateNumbers:
 
     def test_scan_first_hit_a_pair(self, monkeypatch):
         # every curve is scanned and none is unstable, so the scan reaches
-        # its pairs: records of the three curves, at least one pair, and of
-        # the threshold; each mode agrees with its per-divisor form
+        # its pairs: records of the three curves and at least one pair, the
+        # last the hit's, whose numbers the threshold takes with no record
+        # of its own; each mode agrees with its per-divisor form
         recorded = spy(monkeypatch, "_alpha_beta")
         for X, D, A, S, d0 in pair_first_cases():
             recorded.clear()
             found = scan_candidates(X, D, A)
             assert (found.shift, found.d0, found.strict) == (S, d0, True)
-            assert len(recorded) >= 3 + 1 + 1, recorded
+            assert len(recorded) >= 3 + 1, recorded
+            assert recorded[-1] == ref_asymptotic(X, D, S, A)[1], recorded
             compare(X, D, A)
         X, D, A, _, _ = next(pair_first_cases())
         found = scan_candidates(X, D, A)
         assert (found.subbundle_slope, found.ambient_slope) == (
             Fraction(-23, 22), Fraction(-18, 17)
         )
+
+    def test_scan_hit_is_its_shifts_threshold(self, surfaces):
+        # the scan hands its hit's numbers to the threshold core: the
+        # certificate must be d_threshold's on that shift, formed from
+        # scratch; the last case, b = 3/2 and a = 5/2 on F_1, is a tie
+        f1 = surfaces["f1"]
+        tie = (f1, f1.from_section_fiber(2, 3), f1.from_section_fiber(2, 5))
+        hits = set()
+        for X, D, A in scan_cases(surfaces) + [tie]:
+            found = scan_candidates(X, D, A)
+            if found is not None:
+                assert found == d_threshold(X, D, found.shift, A), (X, D, A)
+                hits.add((sum(found.shift.coeffs), found.strict))
+        assert hits == {(1, True), (2, True), (1, False)}, hits
 
     def test_fixed_exponent_slopes(self, surfaces, monkeypatch):
         # each nef candidate's (d*D - S).A and section count, with the

@@ -477,6 +477,68 @@ class TestHirzebruchRows:
         with pytest.raises(PreconditionError):
             list(hirzebruch_rows(0, [2], [2]))
 
+    def test_fed_core_matches_d_threshold(self):
+        # each row in the region hands its own numbers to the threshold
+        # core; its certificate must be d_threshold's on the row's D, S and
+        # A, formed from scratch.  The a on the region bound give alpha = 0
+        # rows, strict past the root of the bound's quadratic and a tie on
+        # it, which is rational (b = 3/2, a = 5/2) only for ell = 1
+        step, kinds = Fraction(1, 8), []
+        for ell in (1, 2, 3, 4):
+            X = ToricSurface(Fan(hirzebruch_rays(ell)))
+            S = X.generator(X.hirzebruch_presentation()[1])
+            b_values = [ell + j * step for j in range(1, 25)]
+            a_values = [ell + i * step for i in range(1, 33)]
+            a_values += sorted({_region_bound(ell, b) for b in b_values})
+            for a, b, _, ab, cert in hirzebruch_rows(ell, a_values, b_values):
+                if cert is not None:
+                    D = sf(X, b.denominator, b.numerator)
+                    A = sf(X, a.denominator, a.numerator)
+                    assert cert == d_threshold(X, D, S, A), (ell, a, b)
+                    kinds.append((ell, ab.alpha == 0, cert.strict))
+        assert {(alpha_zero, strict) for _, alpha_zero, strict in kinds} == {
+            (False, True), (True, True), (True, False)
+        }
+        assert {ell for ell, _, strict in kinds if not strict} == {1}
+        assert len(kinds) > 1500
+
+    def test_sweep_op_call_counts(self, monkeypatch):
+        # one a over 8 values of b, as one sweep command walks them: each
+        # of the k rows in the region makes at most four Pick sums, two
+        # counts at d0 and two at d0 - 1, and no row re-reads the
+        # presentation, builds D or A from section/fiber coordinates,
+        # re-forms alpha/beta from divisors or divides a Fraction
+        calls = {}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+            calls[name] = 0
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ToricSurface, "from_section_fiber")
+        counted(ToricSurface, "hirzebruch_presentation")
+        counted(stability, "_coefficients")
+        counted(Fraction, "__truediv__")
+        picks, polygons = spy_counts(monkeypatch)
+        b_values = [1 + Fraction(j, 8) for j in range(1, 9)]
+        for a, k in ((Fraction(13, 8), 1), (Fraction(25, 8), 5), (Fraction(41, 8), 8)):
+            picks.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            rows = list(hirzebruch_rows(1, [a], b_values))
+            assert len(rows) == 8 and sum(row[4] is not None for row in rows) == k
+            assert 0 < len(picks) <= 4 * k and not polygons, (a, len(picks))
+            assert calls == {
+                "from_section_fiber": 0,
+                "hirzebruch_presentation": 1,  # once per call, not per row
+                "_coefficients": 0,
+                "__truediv__": 0,
+            }, (a, calls)
+
 
 class TestConstructPolarization:
     def test_bl2p2_anticanonical(self):
