@@ -324,6 +324,15 @@ class ToricSurface(SurfaceModel):
     def picard_rank(self) -> int:
         return self.n - 2
 
+    def check_hypotheses(self) -> tuple[bool, list[str]]:
+        """(ok, diagnostics) for the polarization's hypothesis: rank >= 3."""
+        if self.picard_rank >= 3:
+            return True, []
+        return False, [
+            f"Picard rank {self.picard_rank} < 3; the plane and "
+            "Hirzebruch surfaces need the region test instead"
+        ]
+
     def intersections(self, D: Divisor) -> list[int | Fraction]:
         """D.C_i for every prime curve C_i, by the wall relation
         a_{i-1} + a_{i+1} - c_i * a_i over shifted coefficient tuples:

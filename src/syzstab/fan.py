@@ -155,8 +155,9 @@ class Fan:
                     orig,
                 )
 
+        walls = [det(sorted_rays[i - 1], sorted_rays[(i + 1) % n]) for i in range(n)]
         object.__setattr__(self, "rays", sorted_rays)
-        object.__setattr__(self, "_walls", None)
+        object.__setattr__(self, "_walls", tuple(walls))
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -178,10 +179,6 @@ class Fan:
 
     def wall_coefficients(self) -> tuple[int, ...]:
         """The integers c[i] with u[i-1] + u[i+1] == c[i]*u[i]."""
-        if self._walls is None:
-            r, n = self.rays, self.n
-            walls = tuple([det(r[i - 1], r[(i + 1) % n]) for i in range(n)])
-            object.__setattr__(self, "_walls", walls)
         return self._walls
 
     def self_intersections(self) -> tuple[int, ...]:

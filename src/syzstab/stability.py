@@ -35,9 +35,9 @@ alpha/beta from :func:`d_threshold`'s checks, the scan or a sweep row;
 its four counts, h0(d*D) and h0(d*D - S) at d0 and d0 - 1, are Pick sums
 over the corners d*m(D) and d*m(D) - m(S), whose slopes it compares in
 integers.  On F_ell the region verdict of :func:`hirzebruch_region` and
-:func:`hirzebruch_rows` is the alpha/beta sign of S the section.  A row
-reads its seven numbers off the (S, F, K) pairings of its ell and A's
-pairings of its a, and only rows in the instability region build D.
+:func:`hirzebruch_rows` is the alpha/beta sign of S the section, integer
+polynomials in ell and the coefficients of D and A; only a sweep row in
+the instability region, which needs d0, builds a surface.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -52,7 +52,6 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .divisors import (
-    AbstractSurface,
     Divisor,
     Rat,
     SurfaceModel,
@@ -379,6 +378,18 @@ def _region_bound(ell: int, b: Fraction) -> Fraction:
     return Fraction(2 * r * (r - ell * s) + (ell * s) ** 2, ell * s * s)
 
 
+def _section_alpha_beta(
+    ell: int, a1: int, a2: int, b1: int, b2: int
+) -> tuple[AlphaBeta, int, int]:
+    """alpha/beta of S the section on F_ell, with D.A and S.A, for D = b1*S
+    + b2*F and A = a1*S + a2*F: integer polynomials, as S^2 = -ell, S.F =
+    1, F^2 = 0 and K = -2S - (ell + 2)F give S.K = ell - 2 and F.K = -2."""
+    DS, SA = b2 - ell * b1, a2 - ell * a1
+    DA = b1 * SA + b2 * a1
+    D2, DK = b1 * (DS + b2), (ell - 2) * b1 - 2 * b2
+    return _alpha_beta(DA, D2, DK, DS, SA, ell - 2, -ell), DA, SA
+
+
 def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
     """Region test for polarization slope a = A2/A1 and bundle slope
     b = B2/B1 on the ell-th Hirzebruch surface, ell >= 1.
@@ -387,10 +398,11 @@ def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
     B2*F and A = A1*S + A2*F: ``UnstableForLargeD`` when q(d) <= 0 for
     all large d, else ``NotCovered``.  That is the paper's region a >
     2b(b-ell)/ell + ell, with a tie when b is at least the larger root of
-    b^2 - (3 ell/2) b + (ell^2 - ell)/2.  No threshold is computed.  a
-    and b must be ints or Fractions; anything else raises InputError.
+    b^2 - (3 ell/2) b + (ell^2 - ell)/2, read off
+    :func:`_section_alpha_beta` with no surface or threshold.  A non-int
+    ell raises PreconditionError, an a or b not an int or Fraction InputError.
     """
-    if ell < 1:
+    if type(ell) is not int or ell < 1:
         raise PreconditionError("ell must be a positive integer")
     a, b = _exact(a), _exact(b)
     if a <= ell or b <= ell:
@@ -398,10 +410,8 @@ def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
             f"ampleness needs a > {ell} and b > {ell}, "
             f"got a={format_rational(a)}, b={format_rational(b)}"
         )
-    X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
-    D = X.from_section_fiber(b.denominator, b.numerator)
-    A = X.from_section_fiber(a.denominator, a.numerator)
-    ab = alpha_beta(X, D, X.generator(X.hirzebruch_presentation()[1]), A)
+    a1, a2, b1, b2 = a.denominator, a.numerator, b.denominator, b.numerator
+    ab = _section_alpha_beta(ell, a1, a2, b1, b2)[0]
     return UNSTABLE_FOR_LARGE_D if _unstable(ab) else NOT_COVERED
 
 
@@ -413,53 +423,44 @@ def hirzebruch_rows(
     b of b_values, both > ell, a-major.
 
     D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
-    S the section and F a fiber, and S is the candidate shift: the
-    verdict is its alpha/beta sign, as in :func:`hirzebruch_region`.  The
-    seven intersection numbers of alpha and beta are integer combinations of
-    the (S, F, K) pairings, formed once, of A's pairings with S and F,
-    formed once per a, and of D's, once per b (b_values is read once, at
-    the first a > ell).  Only rows in the instability region build D, and
-    A once per a, check them ample and call :func:`_threshold`; the
-    certificate is None on the others.  Each a and b read must be an int
-    or a Fraction, else InputError.
+    S the section and F a fiber, and S is the candidate shift: each row's
+    verdict is its alpha/beta sign from :func:`_section_alpha_beta`, as in
+    :func:`hirzebruch_region` (b_values is read once, at the first a >
+    ell).  The first row in the instability region builds F_ell's surface,
+    S and v(S), once per call; each such row builds D, and A once per a,
+    checks them ample and calls :func:`_threshold`, the others have no
+    certificate.  A non-int ell raises PreconditionError, and an a or b
+    read that is not an int or a Fraction InputError.
     """
-    if ell < 1:
+    if type(ell) is not int or ell < 1:
         raise PreconditionError("ell must be a positive integer")
-    X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
-    _, s_idx, f_idx = X.hirzebruch_presentation()
-    S, F = X.generator(s_idx), X.generator(f_idx)
-    _require_effective(X, S)
-    vs, vf = X.intersections(S), X.intersections(F)
-    unit = list(zip(S.coeffs, F.coeffs))  # s*S + f*F is s*x + f*y at each (x, y)
-    SS, SF, FF = vs[s_idx], vs[f_idx], vf[f_idx]
-    SK, FK = X.pair_with(vs, X.canonical), X.pair_with(vf, X.canonical)
-    points = None
+    points = X = None
     for a in a_values:
         if _exact(a) <= ell:
             continue
         if points is None:
-            points = []
-            for b in b_values:
-                if _exact(b) > ell:
-                    b1, b2 = b.denominator, b.numerator
-                    DS, DF = b1 * SS + b2 * SF, b1 * SF + b2 * FF
-                    D2, DK = b1 * DS + b2 * DF, b1 * SK + b2 * FK
-                    points.append((b, b1, b2, D2, DK, DS))
+            points = [b for b in b_values if _exact(b) > ell]
         a1, a2 = a.denominator, a.numerator
-        AS, AF = a1 * SS + a2 * SF, a1 * SF + a2 * FF
-        A = None  # built and checked at the first row in the region
-        for b, b1, b2, D2, DK, DS in points:
-            DA = b1 * AS + b2 * AF
-            ab = _alpha_beta(DA, D2, DK, DS, AS, SK, SS)
+        A = None  # built and checked at the first row of this a in the region
+        for b in points:
+            b1, b2 = b.denominator, b.numerator
+            ab, DA, SA = _section_alpha_beta(ell, a1, a2, b1, b2)
             verdict, cert = NOT_COVERED, None
             if _unstable(ab):
                 verdict = UNSTABLE_FOR_LARGE_D
+                if X is None:
+                    X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
+                    _, s_idx, f_idx = X.hirzebruch_presentation()
+                    S = X.generator(s_idx)
+                    vs = X.intersections(S)
+                    # s*S + f*F is s*x + f*y at each (x, y)
+                    unit = list(zip(S.coeffs, X.generator(f_idx).coeffs))
                 if A is None:
                     A = Divisor([a1 * x + a2 * y for x, y in unit])
                     _require_ample(X, A, "polarization")
                 D = Divisor([b1 * x + b2 * y for x, y in unit])
                 dv = _require_ample(X, D, "divisor D")
-                cert = _threshold(X, D, S, A, dv, vs, DA, AS, ab)
+                cert = _threshold(X, D, S, A, dv, vs, DA, SA, ab)
             yield a, b, verdict, ab, cert
 
 
@@ -488,29 +489,19 @@ def construct_polarization(
     eps keeping A ample with alpha < 0 form an open interval; eps is its
     largest power of two at most 1, in closed form, all exact.
 
-    Requires Picard rank >= 3 (abstract surfaces must also pass
-    ``check_hypotheses``).  ``allow_low_rank`` skips the rank gate for
-    informational runs on rank-2 surfaces; the result then carries a
-    note saying so.
+    Requires ``X.check_hypotheses()``: Picard rank >= 3, and on an
+    abstract surface the generator hypotheses too.  ``allow_low_rank``
+    waives the rank alone for informational runs on rank-2 surfaces; the
+    result then carries a note saying so.
     """
     notes: list[str] = []
-    if isinstance(X, AbstractSurface):
-        ok, problems = X.check_hypotheses()
-        if not ok:
-            waivable = (len(X.effective_generators) < 3) + (X.picard_rank < 3)
-            if not (allow_low_rank and len(problems) == waivable):
-                raise HypothesesViolatedError(problems)
-            notes.append(LOW_RANK_NOTE)
-    else:
-        if X.picard_rank < 3:
-            if not allow_low_rank:
-                raise HypothesesViolatedError(
-                    [
-                        f"Picard rank {X.picard_rank} < 3; the plane and "
-                        "Hirzebruch surfaces need the region test instead"
-                    ]
-                )
-            notes.append(LOW_RANK_NOTE)
+    ok, problems = X.check_hypotheses()
+    if not ok:
+        waivable = (len(X.effective_generators) < 3) + (X.picard_rank < 3)
+        if not (allow_low_rank and len(problems) == waivable):
+            raise HypothesesViolatedError(problems)
+        notes.append(LOW_RANK_NOTE)
+    if isinstance(X, ToricSurface):
         notes.append(NEGATIVE_GENERATOR_NOTE)
     dv = _require_ample(X, D, "divisor D")
 

@@ -4,8 +4,10 @@ Every smooth complete toric surface is a chain of toric blow-ups of the
 plane or of a Hirzebruch surface, so Hypothesis draws seeded chains of 5
 to 12 rays (``conftest.blowup_chain_divisors``) with an ample D of mixed
 coefficient sizes: the chain's doubled ample divisor plus a drawn
-multiple of its nef pullback.  ``bench/check.py`` is the oracle; it
-shares no code with the package and is loaded from its file, read-only.
+multiple of its nef pullback.  The driver also runs on chains of 100, 200
+and 300 rays, with that multiple drawn up to 10^30, under a time bound
+per run.  ``bench/check.py`` is the oracle; it shares no code with the
+package and is loaded from its file, read-only.
 """
 
 import contextlib
@@ -14,8 +16,10 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -132,19 +136,46 @@ def test_polarization_threshold_at_least_d_dot_e(chain):
     assert pol.threshold >= X.pair(D, pol.generator)
 
 
-@CHAIN_SETTINGS
-@given(chains)
-def test_driver_report_checks(chain):
-    X, C, D = drawn(*chain)
+def check_driver(X, C, D):
+    """Run ``analyze --fan F --D D --json`` through main, check its report
+    with the checker and ``certificate_holds``, and return the seconds that
+    main took."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fan.json"
         path.write_text(json.dumps({"rays": [list(r) for r in X.fan.rays]}))
+        argv = ["analyze", "--fan", str(path), "--json"]
+        argv += ["--D", ",".join(map(str, D.coeffs))]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            argv = ["analyze", "--fan", str(path), "--json"]
-            assert main(argv + ["--D", ",".join(map(str, D.coeffs))]) == 0
+            start = time.perf_counter()
+            assert main(argv) == 0
+            seconds = time.perf_counter() - start
     report = json.loads(out.getvalue())
     check.check_report("driver", report, C, D.coeffs)
     cert = report["certificate"]
     A, S = Divisor(cert["A"]), Divisor(cert["S"])
     assert certificate_holds(X, D, report["verdict"], A, S, cert["d0"])
+    return seconds
+
+
+@CHAIN_SETTINGS
+@given(chains)
+def test_driver_report_checks(chain):
+    check_driver(*drawn(*chain))
+
+
+# each driver run on a chain of up to 300 rays, asserted on its own: it
+# took 1.1-3.3 ms in-process on a shared 2-core Xeon, and the checker 1.0-2.8 ms
+DRIVER_BOUND_S = 0.25
+
+
+@pytest.mark.parametrize("size", [100, 200, 300])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**30))
+def test_large_chain_driver_in_time(size, seed, m):
+    """The driver's report on a chain of hundreds of rays, where D's
+    pullback multiple m, up to 10^30, mixes small and large coefficient
+    sizes with the doubled ample divisor's, checks and takes under
+    DRIVER_BOUND_S."""
+    seconds = check_driver(*drawn(*blowup_chain_divisors(seed, size), m))
+    assert seconds < DRIVER_BOUND_S, (size, seed, m, seconds)

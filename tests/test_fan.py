@@ -139,6 +139,11 @@ class TestIntersectionData:
         # the ray (0, 1) carries the section of self-intersection -ell
         assert fan.self_intersections()[1] == -ell
 
+    def test_walls_fixed_at_validation(self):
+        # formed in the constructor, not on first use
+        fan = Fan(hirzebruch_rays(3))
+        assert fan._walls == (0, 3, 0, -3)
+
     def test_wall_relation_holds_exactly(self):
         fans = [Fan(rays) for rays in CORPUS_RAYS.values()]
         fans += [blowup_chain(seed, 5 + seed % 60) for seed in range(120)]

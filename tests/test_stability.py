@@ -89,6 +89,19 @@ def spy_counts(monkeypatch):
     return picks, polygons
 
 
+def spy_builds(monkeypatch, *classes):
+    """Counts, from now on, of the instances built of each class."""
+    built = dict.fromkeys(classes, 0)
+    for cls in classes:
+
+        def counted(self, *args, cls=cls, init=cls.__init__):
+            built[cls] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def sf(X, s, f):
     return X.from_section_fiber(s, f)
 
@@ -540,6 +553,61 @@ class TestHirzebruchRows:
             }, (a, calls)
 
 
+class TestSectionAlphaBeta:
+    """Both Hirzebruch functions read S's alpha/beta off F_ell's
+    intersection numbers; only a sweep row that needs d0 builds a surface."""
+
+    def test_region_builds_no_surface(self, monkeypatch):
+        built = spy_builds(monkeypatch, Fan, ToricSurface, Divisor)
+        verdicts = {
+            hirzebruch_region(ell, ell + Fraction(j, 2), ell + Fraction(k, 4))
+            for ell in (1, 2, 3)
+            for j in range(1, 9)
+            for k in range(1, 9)
+        }
+        assert verdicts == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
+        assert built == {Fan: 0, ToricSurface: 0, Divisor: 0}
+
+    def test_rows_build_one_fan_only_for_d0(self, monkeypatch):
+        built = spy_builds(monkeypatch, Fan)
+        # no row in the region: no fan
+        b_values = [Fraction(k, 8) for k in range(45, 53)]
+        rows = list(hirzebruch_rows(4, [Fraction(33, 8)], b_values))
+        assert len(rows) == 8 and {row[2] for row in rows} == {NOT_COVERED}
+        assert built[Fan] == 0
+        # 1, 5 and 8 rows in the region, one a at a time and all three in
+        # one call: one fan per call
+        b_values = [1 + Fraction(j, 8) for j in range(1, 9)]
+        a_values = [Fraction(13, 8), Fraction(25, 8), Fraction(41, 8)]
+        calls = [([a], k) for a, k in zip(a_values, (1, 5, 8))]
+        for a_call, k in calls + [(a_values, 14)]:
+            built[Fan] = 0
+            rows = list(hirzebruch_rows(1, a_call, b_values))
+            assert sum(row[4] is not None for row in rows) == k
+            assert built[Fan] == 1, (a_call, built[Fan])
+
+    @pytest.mark.parametrize("ell", [True, 2.0, Fraction(3, 2)], ids=repr)
+    def test_ell_must_be_an_int(self, ell):
+        # no fan refuses a non-int ell now, so both functions do
+        message = "^ell must be a positive integer$"
+        with pytest.raises(PreconditionError, match=message):
+            hirzebruch_region(ell, 5, 5)
+        with pytest.raises(PreconditionError, match=message):
+            list(hirzebruch_rows(ell, [5], [5]))
+
+    def test_large_ell_matches_references(self):
+        ell = 10**6
+        b_values = [ell + 1, ell + Fraction(1, 2), Fraction(3 * ell, 2), 2 * ell]
+        a_values = [ell + 1, 3 * ell + 1]
+        a_values += [_region_bound(ell, Fraction(b)) for b in b_values]
+        rows = list(hirzebruch_rows(ell, a_values, b_values))
+        assert rows == ref_hirzebruch_rows(ell, a_values, b_values)
+        assert len(rows) == 24
+        assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
+        for a, b, verdict, _, _ in rows:
+            assert hirzebruch_region(ell, a, b) == verdict == ref_region(ell, a, b)
+
+
 class TestConstructPolarization:
     def test_bl2p2_anticanonical(self):
         X = ToricSurface(Fan(BL2P2_RAYS))
@@ -561,6 +629,22 @@ class TestConstructPolarization:
     def test_rank_two_rejected(self, f1):
         with pytest.raises(HypothesesViolatedError):
             construct_polarization(f1, sf(f1, 5, 6))
+
+    def test_toric_hypotheses_gate(self, surfaces):
+        # a toric surface states its one hypothesis as an abstract one
+        # does, and the construction raises exactly its diagnostics
+        for name, X in surfaces.items():
+            ok, problems = X.check_hypotheses()
+            assert ok == (X.picard_rank >= 3) and ok == (not problems), name
+            if ok:
+                continue
+            assert problems == [
+                f"Picard rank {X.picard_rank} < 3; the plane and "
+                "Hirzebruch surfaces need the region test instead"
+            ]
+            with pytest.raises(HypothesesViolatedError) as raised:
+                construct_polarization(X, ample_on(name, X))
+            assert raised.value.diagnostics == tuple(problems)
 
     def test_rank_two_informational_mode(self, f1):
         pol = construct_polarization(f1, sf(f1, 5, 6), allow_low_rank=True)
