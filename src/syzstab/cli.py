@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from math import gcd, lcm
 
 from . import __version__
 from .divisors import AbstractSurface, Divisor, Rat, ToricSurface
@@ -53,11 +54,11 @@ from .files import (
 )
 from .stability import (
     StabilityReport,
+    _region_rows,
     analyze,
     certificate_holds,
     construct_polarization,
     hirzebruch_region,
-    hirzebruch_rows,
 )
 
 # Largest sweep grid, counted before any row is built: every point is
@@ -400,17 +401,22 @@ def _parse_range(text: str) -> tuple[Rat, Rat]:
         return v, v
     if len(parts) == 2:
         lo, hi = parse_rational(parts[0]), parse_rational(parts[1])
-        if hi < lo:
+        if hi.numerator * lo.denominator < lo.numerator * hi.denominator:
             raise InputError(f"range {text!r} is reversed")
         return lo, hi
     raise InputError(f"range {text!r} must be VALUE or LO:HI")
 
 
-def _grid(lo: Rat, hi: Rat, step: Rat):
-    v = lo
-    while v <= hi:
-        yield v
-        v += step
+def _grid(lo: int, hi: int, step: int, q: int):
+    """lo/q, (lo + step)/q, ... <= hi/q as (n, d) pairs in lowest terms."""
+    for v in range(lo, hi + 1, step):
+        g = gcd(v, q)
+        yield v // g, q // g
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms as ``format_rational`` prints it, piece by piece."""
+    return format_rational(n) + ("" if d == 1 else "/" + format_rational(d))
 
 
 def _cmd_sweep(args) -> int:
@@ -423,11 +429,12 @@ def _cmd_sweep(args) -> int:
     a_lo, a_hi = _parse_range(args.a)
     b_lo, b_hi = _parse_range(args.b)
     step = parse_rational(args.step)
-    if step <= 0:
+    if step.numerator <= 0:
         raise InputError("--step must be positive")
-    points = (
-        len(ells) * ((a_hi - a_lo) // step + 1) * ((b_hi - b_lo) // step + 1)
-    )
+    values = (a_lo, a_hi, b_lo, b_hi, step)  # walked as numerators over q
+    q = lcm(*(v.denominator for v in values))
+    a_lo, a_hi, b_lo, b_hi, s = (v.numerator * (q // v.denominator) for v in values)
+    points = len(ells) * ((a_hi - a_lo) // s + 1) * ((b_hi - b_lo) // s + 1)
     if points > MAX_GRID_POINTS:
         raise InputError(
             f"the grid has more than {MAX_GRID_POINTS} points; "
@@ -436,15 +443,15 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for ell in ells:
-        a_grid, b_grid = _grid(a_lo, a_hi, step), _grid(b_lo, b_hi, step)
-        for a, b, verdict, ab, th in hirzebruch_rows(ell, a_grid, b_grid):
+        a_grid, b_grid = _grid(a_lo, a_hi, s, q), _grid(b_lo, b_hi, s, q)
+        for a, b, verdict, alpha, beta, th in _region_rows(ell, a_grid, b_grid):
             rows.append({
                 "ell": ell,
-                "a": format_rational(a),
-                "b": format_rational(b),
+                "a": _ratio(*a),
+                "b": _ratio(*b),
                 "verdict": verdict,
-                "alpha": format_rational(ab.alpha),
-                "beta": format_rational(ab.beta),
+                "alpha": format_rational(alpha),
+                "beta": format_rational(beta),
                 "d0": None if th is None else th.d0,
                 "strict": None if th is None else th.strict,
             })

@@ -50,18 +50,19 @@ def _check_exponent(text: str) -> None:
 def parse_rational(value) -> Rat:
     """Accept ints and exact strings ('3', 'p/q', '1.5', '2e3'); never
     floats.  An int, or text of decimal digits with an optional '-', is
-    returned as an int; anything else as a Fraction.  A decimal exponent
-    may be at most ``sys.get_int_max_str_digits()`` in magnitude."""
+    returned as an int, 'p/q' of such digits as Fraction(p, q) and the rest
+    as Fraction(text), with |exponent| <= ``sys.get_int_max_str_digits()``."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         text = value.strip()
-        if text.removeprefix("-").isdecimal():
+        num, slash, den = text.partition("/")
+        if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
             try:
-                return int(text)
-            except ValueError:  # past the digit limit: Fraction's error below
+                return Fraction(int(num), int(den)) if slash else int(num)
+            except (ValueError, ZeroDivisionError):  # Fraction's error below
                 pass
         _check_exponent(value)
         try:

@@ -36,8 +36,9 @@ its four counts, h0(d*D) and h0(d*D - S) at d0 and d0 - 1, are Pick sums
 over the corners d*m(D) and d*m(D) - m(S), whose slopes it compares in
 integers.  On F_ell the region verdict of :func:`hirzebruch_region` and
 :func:`hirzebruch_rows` is the alpha/beta sign of S the section, integer
-polynomials in ell and the coefficients of D and A; only a sweep row in
-the instability region, which needs d0, builds a surface.
+polynomials in ell and the coefficients of D and A, which ``sweep`` reads
+in ints on a grid walked as integer numerators over one denominator; only
+a row in the instability region, which needs d0, builds a surface.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -194,9 +195,9 @@ def alpha_beta(
     return _coefficients(X, X.intersections(D), D, S, A)[0]
 
 
-def _unstable(ab: AlphaBeta) -> bool:
+def _unstable(alpha: Rat, beta: Rat) -> bool:
     """Whether q(d) <= 0, a tie or a subbundle win, for all large d."""
-    return ab.alpha < 0 or (ab.alpha == 0 and ab.beta <= 0)
+    return alpha < 0 or (alpha == 0 and beta <= 0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ def d_threshold(
         raise PreconditionError(
             "candidate S has class zero: its subbundle is the whole bundle"
         )
-    if not _unstable(ab):
+    if not _unstable(ab.alpha, ab.beta):
         raise PreconditionError(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
@@ -380,14 +381,14 @@ def _region_bound(ell: int, b: Fraction) -> Fraction:
 
 def _section_alpha_beta(
     ell: int, a1: int, a2: int, b1: int, b2: int
-) -> tuple[AlphaBeta, int, int]:
-    """alpha/beta of S the section on F_ell, with D.A and S.A, for D = b1*S
-    + b2*F and A = a1*S + a2*F: integer polynomials, as S^2 = -ell, S.F =
-    1, F^2 = 0 and K = -2S - (ell + 2)F give S.K = ell - 2 and F.K = -2."""
+) -> tuple[int, int, int, int]:
+    """alpha, beta, D.A and S.A of S the section on F_ell for D = b1*S + b2*F
+    and A = a1*S + a2*F: integer polynomials, as S^2 = -ell, S.F = 1, F^2 =
+    0 and K = -2S - (ell + 2)F give S.K = ell - 2, F.K = -2, S^2 + S.K = -2."""
     DS, SA = b2 - ell * b1, a2 - ell * a1
     DA = b1 * SA + b2 * a1
     D2, DK = b1 * (DS + b2), (ell - 2) * b1 - 2 * b2
-    return _alpha_beta(DA, D2, DK, DS, SA, ell - 2, -ell), DA, SA
+    return 2 * DA * DS - SA * D2, 2 * DA + SA * DK, DA, SA
 
 
 def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
@@ -411,42 +412,26 @@ def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
             f"got a={format_rational(a)}, b={format_rational(b)}"
         )
     a1, a2, b1, b2 = a.denominator, a.numerator, b.denominator, b.numerator
-    ab = _section_alpha_beta(ell, a1, a2, b1, b2)[0]
-    return UNSTABLE_FOR_LARGE_D if _unstable(ab) else NOT_COVERED
+    alpha, beta, _, _ = _section_alpha_beta(ell, a1, a2, b1, b2)
+    return UNSTABLE_FOR_LARGE_D if _unstable(alpha, beta) else NOT_COVERED
 
 
-def hirzebruch_rows(
-    ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
-) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Certificate]]]:
-    """The rows (a, b, verdict, coefficients, certificate) of a region sweep
-    on the ell-th Hirzebruch surface, ell >= 1, for each a of a_values and
-    b of b_values, both > ell, a-major.
-
-    D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
-    S the section and F a fiber, and S is the candidate shift: each row's
-    verdict is its alpha/beta sign from :func:`_section_alpha_beta`, as in
-    :func:`hirzebruch_region` (b_values is read once, at the first a >
-    ell).  The first row in the instability region builds F_ell's surface,
-    S and v(S), once per call; each such row builds D, and A once per a,
-    checks them ample and calls :func:`_threshold`, the others have no
-    certificate.  A non-int ell raises PreconditionError, and an a or b
-    read that is not an int or a Fraction InputError.
-    """
-    if type(ell) is not int or ell < 1:
-        raise PreconditionError("ell must be a positive integer")
+def _region_rows(ell: int, a_values: Iterable, b_values: Iterable) -> Iterator:
+    """:func:`hirzebruch_rows` in integers, on tuples that start with a's or
+    b's numerator and denominator in lowest terms: rows (a, b, verdict,
+    alpha, beta, certificate) carry the tuples as read, alpha, beta as ints."""
     points = X = None
     for a in a_values:
-        if _exact(a) <= ell:
+        a2, a1 = a[0], a[1]
+        if a2 <= ell * a1:
             continue
         if points is None:
-            points = [b for b in b_values if _exact(b) > ell]
-        a1, a2 = a.denominator, a.numerator
+            points = [(b, b[0], b[1]) for b in b_values if b[0] > ell * b[1]]
         A = None  # built and checked at the first row of this a in the region
-        for b in points:
-            b1, b2 = b.denominator, b.numerator
-            ab, DA, SA = _section_alpha_beta(ell, a1, a2, b1, b2)
+        for b, b2, b1 in points:
+            alpha, beta, DA, SA = _section_alpha_beta(ell, a1, a2, b1, b2)
             verdict, cert = NOT_COVERED, None
-            if _unstable(ab):
+            if _unstable(alpha, beta):
                 verdict = UNSTABLE_FOR_LARGE_D
                 if X is None:
                     X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
@@ -460,8 +445,35 @@ def hirzebruch_rows(
                     _require_ample(X, A, "polarization")
                 D = Divisor([b1 * x + b2 * y for x, y in unit])
                 dv = _require_ample(X, D, "divisor D")
+                ab = AlphaBeta(alpha, beta)  # read exactly as ints
                 cert = _threshold(X, D, S, A, dv, vs, DA, SA, ab)
-            yield a, b, verdict, ab, cert
+            yield a, b, verdict, alpha, beta, cert
+
+
+def hirzebruch_rows(
+    ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
+) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Certificate]]]:
+    """Rows (a, b, verdict, coefficients, certificate) of a region sweep on
+    F_ell, ell >= 1, for a of a_values and b of b_values, both > ell, a-major.
+
+    D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
+    S the section and F a fiber, and S is the candidate shift.  The rows
+    are those of :func:`_region_rows`, which reads alpha/beta in ints, as
+    ``sweep`` does on its grid of integer numerators over one denominator:
+    each verdict is the sign of :func:`hirzebruch_region` (b_values is read
+    once, at the first a > ell).  The first row in the instability region
+    builds F_ell's surface, S and v(S), once per call; each such row builds
+    D, and A once per a, checks them ample and calls :func:`_threshold`,
+    the others have no certificate.  A non-int ell raises PreconditionError,
+    and an a or b read that is not an int or a Fraction InputError.
+    """
+    if type(ell) is not int or ell < 1:
+        raise PreconditionError("ell must be a positive integer")
+    def terms(values):  # each value checked as it is read
+        return ((_exact(v).numerator, v.denominator, v) for v in values)
+    rows = _region_rows(ell, terms(a_values), terms(b_values))
+    for a, b, verdict, alpha, beta, cert in rows:
+        yield a[2], b[2], verdict, AlphaBeta(Fraction(alpha), Fraction(beta)), cert
 
 
 @dataclass(frozen=True)
@@ -587,7 +599,7 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(X.pair_curves(i, j) for i in combo for j in combo)
         ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
-        if _unstable(ab):
+        if _unstable(ab.alpha, ab.beta):
             S = X.shift(combo)
             return _threshold(X, D, S, A, dv, X.intersections(S), DA, SA, ab)
         if len(combo) == 1 and ab.alpha == 0:

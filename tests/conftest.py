@@ -337,6 +337,16 @@ def ref_region(ell, a, b):
     return NOT_COVERED
 
 
+def ref_grid(lo, hi, step):
+    """Reference for one axis of a ``sweep`` grid: the Fraction walk lo,
+    lo + step, ... <= hi, which the command walks as integer numerators
+    over one common denominator."""
+    v = Fraction(lo)
+    while v <= hi:
+        yield v
+        v += step
+
+
 def ref_hirzebruch_rows(ell, a_values, b_values):
     """Reference for ``hirzebruch_rows``: the per-point path, with the
     closed-form region of ``ref_region``, D and A built from

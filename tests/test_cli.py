@@ -1,5 +1,7 @@
 """Command-line behaviour: parsing, verdicts, exit codes, round-trips."""
 
+import contextlib
+import io
 import json
 import re
 import sys
@@ -21,6 +23,7 @@ from conftest import (
     P2_RAYS,
     RANK6_RAYS,
     hirzebruch_rays,
+    ref_grid,
 )
 
 
@@ -646,6 +649,66 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.split(",")[1] == "3" for line in lines[1:])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_integer_walk_matches_fraction_walk(self, data):
+        # the points handed to the row core, for ranges and a step drawn as
+        # non-reduced "p/q", decimals and negative values, with a step that
+        # need not divide hi - lo, are ref_grid's in lowest terms, and the
+        # grid bound refuses exactly past ref_grid's count
+        step = data.draw(st.builds(
+            Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 5, 8])
+        ))
+        ells = data.draw(st.sampled_from(["1", "1,3"]))
+        argv, expected = ["sweep", "--ell", ells], []
+        for axis in ("a", "b"):
+            lo = data.draw(st.builds(
+                Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 4, 6, 8])
+            ))
+            hi = lo + step * data.draw(st.integers(0, 12))
+            hi += step * Fraction(data.draw(st.integers(0, 6)), 7)
+            lo_text, hi_text = (data.draw(rational_texts(v)) for v in (lo, hi))
+            argv.append(f"--{axis}={lo_text}:{hi_text}")
+            expected.append([(v.numerator, v.denominator) for v in ref_grid(lo, hi, step)])
+        argv.append("--step=" + data.draw(rational_texts(step)))
+        points = len(ells.split(",")) * len(expected[0]) * len(expected[1])
+        seen = []
+
+        def record(ell, a_values, b_values):
+            seen.append([ell, list(a_values), list(b_values)])
+            return iter(())
+
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(cli, "_region_rows", record)
+            mp.setattr(cli, "MAX_GRID_POINTS", points)
+            assert main(argv) == 2  # no row: the empty-grid error
+            assert seen == [[int(e)] + expected for e in ells.split(",")], argv
+            mp.setattr(cli, "MAX_GRID_POINTS", points - 1)
+            assert main(argv) == 2
+        assert err.getvalue().splitlines() == [
+            "error: no grid point satisfies the ampleness bounds a, b > ell",
+            f"error: the grid has more than {points - 1} points; "
+            "use a coarser --step or narrower ranges",
+        ]
+        assert len(seen) == len(ells.split(","))  # the refused grid reached no row
+
+
+@st.composite
+def rational_texts(draw, value):
+    """Texts that parse to value: "p/q" scaled by 1 to 3, the integer
+    alone, and a decimal where the denominator divides 10**3."""
+    k = draw(st.integers(1, 3))
+    texts = [f"{value.numerator * k}/{value.denominator * k}"]
+    if value.denominator == 1:
+        texts.append(str(value.numerator))
+    if 1000 % value.denominator == 0:
+        whole, part = divmod(abs(value.numerator) * (1000 // value.denominator), 1000)
+        sign = "-" if value < 0 else ""
+        texts.append(f"{sign}{whole}.{part:03d}".rstrip("0").removesuffix("."))
+        texts.append(f"{sign}{whole}.{part:03d}")
+    return draw(st.sampled_from(texts))
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -723,7 +786,7 @@ def check_against_fraction(text):
     value = parse_rational(text)
     assert value == expected
     plain = re.fullmatch(r"-?\d+", text.strip()) is not None
-    assert (type(value) is int) == plain, text
+    assert type(value) is (int if plain else Fraction), text
 
 
 @pytest.mark.parametrize("text", ORACLE_TABLE, ids=range(len(ORACLE_TABLE)))
@@ -734,6 +797,37 @@ def test_parse_rational_oracle_table(text):
 @settings(max_examples=300, deadline=None)
 @given(oracle_texts)
 def test_parse_rational_oracle(text):
+    check_against_fraction(text)
+
+
+# "p/q" in decimal digits with an optional leading "-", which parse_rational
+# reads as Fraction(int(p), int(q)), and its neighbours that keep
+# Fraction(text)'s route
+PQ_TABLE = [
+    "1/0", "1/00", "-3/0", "0/5", "-0/3", "4/2", "7/1", "-6/8", "007/010",
+    " 3/8 ", "\t3/8\n", "+3/2", "1_0/3", "3/1_0", "٣/8", "3/٨", "²/3",
+    "3/-2", "-/3", "3/", "/3", "3//2", "3/2/1", "- 3/2", "--3/2",
+    "9" * (INT_LIMIT + 1) + "/3", "3/" + "9" * (INT_LIMIT + 1),
+    "-" + "9" * (INT_LIMIT + 1) + "/0", "9" * INT_LIMIT + "/" + "9" * INT_LIMIT,
+]
+pq_texts = st.builds(
+    "{}{}{}/{}{}".format,
+    st.sampled_from(["", " ", "-", "+", "--"]),
+    st.sampled_from(["", "0", "00"]),
+    st.text(alphabet="0123456789٣_", min_size=0, max_size=6),
+    st.text(alphabet="0123456789٨_-", min_size=0, max_size=6),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+@pytest.mark.parametrize("text", PQ_TABLE, ids=range(len(PQ_TABLE)))
+def test_parse_rational_pq_table(text):
+    check_against_fraction(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pq_texts)
+def test_parse_rational_pq_oracle(text):
     check_against_fraction(text)
 
 

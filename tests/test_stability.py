@@ -43,6 +43,7 @@ from syzstab import (
     syzygy_slope,
 )
 from syzstab import divisors, stability
+from syzstab.cli import main as cli_main
 from syzstab.stability import (
     LOW_RANK_NOTE,
     NEGATIVE_GENERATOR_NOTE,
@@ -185,7 +186,7 @@ class TestAsymptoticCondition:
     def kind(X, D, S, A):
         kind, ab = ref_asymptotic(X, D, S, A)
         assert alpha_beta(X, D, S, A) == ab
-        assert _unstable(ab) == (kind != STABLE_POSSIBLE)
+        assert _unstable(ab.alpha, ab.beta) == (kind != STABLE_POSSIBLE)
         return kind
 
     def test_power_family_unstable(self, power_family):
@@ -486,6 +487,18 @@ class TestHirzebruchRows:
         ]
         assert reads == [True]
 
+    def test_rows_keep_their_types(self):
+        # the rows are read in integers, but a and b come back as passed,
+        # a Fraction of denominator 1 included, and alpha/beta as Fractions
+        a_values = [2, Fraction(5, 2), Fraction(3)]
+        b_values = [Fraction(3, 2), 2, Fraction(4)]
+        rows = list(hirzebruch_rows(1, a_values, b_values))
+        assert len(rows) == 9
+        for row, (a, b) in zip(rows, product(a_values, b_values)):
+            assert row[0] is a and row[1] is b
+            assert type(row[3].alpha) is Fraction and type(row[3].beta) is Fraction
+        assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
+
     def test_ell_must_be_positive(self):
         with pytest.raises(PreconditionError):
             list(hirzebruch_rows(0, [2], [2]))
@@ -551,6 +564,36 @@ class TestHirzebruchRows:
                 "_coefficients": 0,
                 "__truediv__": 0,
             }, (a, calls)
+
+    def test_sweep_command_fractions(self, monkeypatch, capsys):
+        # one 8-row sweep command through main walks its grid as integer
+        # numerators and reads each row's verdict and alpha/beta in ints:
+        # it builds exactly one Fraction per "p/q" text it parses (--a,
+        # --b's two ends or one, --step) and two per row in the region,
+        # the certificate's slopes, and none for a grid point or a row
+        # outside the region
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        cases = [
+            ("1", "13/8", "9/8:2", 3, 1),
+            ("1", "25/8", "9/8:2", 3, 5),
+            ("1", "41/8", "9/8:2", 3, 8),
+            ("4", "33/8", "45/8:52/8", 4, 0),
+        ]
+        for ell, a, b, parsed, k in cases:
+            built.clear()
+            argv = ["sweep", "--ell", ell, "--a", a, "--b", b, "--step", "1/8"]
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert len(out) == 1 + 8
+            assert sum(UNSTABLE_FOR_LARGE_D in row for row in out) == k
+            assert len(built) == parsed + 2 * k, (a, built)
 
 
 class TestSectionAlphaBeta:
