@@ -414,11 +414,6 @@ def _grid(lo: int, hi: int, step: int, q: int):
         yield v // g, q // g
 
 
-def _ratio(n: int, d: int) -> str:
-    """n/d in lowest terms as ``format_rational`` prints it, piece by piece."""
-    return format_rational(n) + ("" if d == 1 else "/" + format_rational(d))
-
-
 def _cmd_sweep(args) -> int:
     try:
         ells = [int(x) for x in args.ell.split(",")]
@@ -447,8 +442,8 @@ def _cmd_sweep(args) -> int:
         for a, b, verdict, alpha, beta, th in _region_rows(ell, a_grid, b_grid):
             rows.append({
                 "ell": ell,
-                "a": _ratio(*a),
-                "b": _ratio(*b),
+                "a": format_rational(*a),
+                "b": format_rational(*b),
                 "verdict": verdict,
                 "alpha": format_rational(alpha),
                 "beta": format_rational(beta),

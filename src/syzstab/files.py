@@ -50,19 +50,18 @@ def _check_exponent(text: str) -> None:
 def parse_rational(value) -> Rat:
     """Accept ints and exact strings ('3', 'p/q', '1.5', '2e3'); never
     floats.  An int, or text of decimal digits with an optional '-', is
-    returned as an int, 'p/q' of such digits as Fraction(p, q) and the rest
-    as Fraction(text), with |exponent| <= ``sys.get_int_max_str_digits()``."""
+    returned as an int; anything else as a Fraction.  A decimal exponent
+    may be at most ``sys.get_int_max_str_digits()`` in magnitude."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         text = value.strip()
-        num, slash, den = text.partition("/")
-        if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+        if text.removeprefix("-").isdecimal():
             try:
-                return Fraction(int(num), int(den)) if slash else int(num)
-            except (ValueError, ZeroDivisionError):  # Fraction's error below
+                return int(text)
+            except ValueError:  # past the digit limit: Fraction's error below
                 pass
         _check_exponent(value)
         try:
@@ -74,16 +73,15 @@ def parse_rational(value) -> Rat:
     )
 
 
-def format_rational(value) -> str:
-    """Lowest terms, positive denominator; integers without the '/1'.
+def format_rational(value, denominator: int = 1) -> str:
+    """Lowest terms, positive denominator; integers without the '/1'.  An
+    int value is over denominator, already in lowest terms and positive.
     Raises InputError past ``sys.get_int_max_str_digits()`` digits."""
     try:
-        if type(value) is int:
-            return str(value)
-        f = value if type(value) is Fraction else Fraction(value)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        if type(value) is not int:
+            f = value if type(value) is Fraction else Fraction(value)
+            value, denominator = f.numerator, f.denominator
+        return str(value) if denominator == 1 else f"{value}/{denominator}"
     except ValueError as exc:
         raise InputError(f"result too large to print: {exc}") from exc
 

@@ -255,12 +255,12 @@ def d_threshold(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
         )
-    return _threshold(X, D, S, A, dv, sv, DA, SA, ab)
+    return _threshold(X, D, S, A, dv, sv, DA, SA, ab.alpha, ab.beta)
 
 
 def _threshold(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor, dv: list[Rat],
-    sv: list[Rat], DA: Rat, SA: Rat, ab: AlphaBeta,
+    sv: list[Rat], DA: Rat, SA: Rat, alpha: Rat, beta: Rat,
 ) -> Certificate:
     """:func:`d_threshold` past its checks, on the numbers they formed.
     Both exact checks take their slope numerators, (d*D - S).A = d(D.A) -
@@ -268,14 +268,14 @@ def _threshold(
     and compare in integers, cross-multiplied by the ranks h0 - 1."""
     d_nef = _first_nef_multiple(X, dv, sv)
     strict = True
-    if ab.alpha < 0:
+    if alpha < 0:
         # q(d) < 0 exactly when d > -beta/alpha (for d > 0)
-        d_sign = max(1, -ab.beta // ab.alpha + 1)
+        d_sign = max(1, -beta // alpha + 1)
     else:
         # alpha == 0 and beta <= 0: q(d) < 0 for every d >= 1, or q
         # vanishes identically and the tie is permanent
         d_sign = 1
-        strict = ab.beta < 0
+        strict = beta < 0
     d0 = max(d_nef, d_sign)
     while _is_multiple(S, d0, D):
         d0 += 1
@@ -445,8 +445,7 @@ def _region_rows(ell: int, a_values: Iterable, b_values: Iterable) -> Iterator:
                     _require_ample(X, A, "polarization")
                 D = Divisor([b1 * x + b2 * y for x, y in unit])
                 dv = _require_ample(X, D, "divisor D")
-                ab = AlphaBeta(alpha, beta)  # read exactly as ints
-                cert = _threshold(X, D, S, A, dv, vs, DA, SA, ab)
+                cert = _threshold(X, D, S, A, dv, vs, DA, SA, alpha, beta)
             yield a, b, verdict, alpha, beta, cert
 
 
@@ -601,7 +600,8 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
         ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
         if _unstable(ab.alpha, ab.beta):
             S = X.shift(combo)
-            return _threshold(X, D, S, A, dv, X.intersections(S), DA, SA, ab)
+            sv = X.intersections(S)
+            return _threshold(X, D, S, A, dv, sv, DA, SA, ab.alpha, ab.beta)
         if len(combo) == 1 and ab.alpha == 0:
             zero.append(combo[0])
     return None

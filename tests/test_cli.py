@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from syzstab import cli, divisors
 from syzstab.cli import main
 from syzstab.errors import InputError
-from syzstab.files import parse_rational
+from syzstab.files import format_rational, parse_rational
 
 from conftest import (
     BL2P2_ABSTRACT,
@@ -764,6 +764,13 @@ ORACLE_TABLE = [
     "3", "-3", " 12\t", "-0", "007", "+3", "1_000", "- 3", "--3", "3-",
     "3/4", "-6/8", "1.5", "2e3", "٣", "-٣٣", "²", "1/0", "", "-", "x",
     "9" * INT_LIMIT, "-" + "9" * INT_LIMIT, "9" * (INT_LIMIT + 1),
+    # "p/q" and its neighbours: zero, unreduced and signed terms, spaces,
+    # underscores, non-ASCII digits and terms past the digit limit
+    "1/00", "-3/0", "0/5", "-0/3", "4/2", "7/1", "007/010", " 3/8 ",
+    "\t3/8\n", "+3/2", "1_0/3", "3/1_0", "٣/8", "3/٨", "²/3", "3/-2", "-/3",
+    "3/", "/3", "3//2", "3/2/1", "- 3/2", "--3/2",
+    "9" * (INT_LIMIT + 1) + "/3", "3/" + "9" * (INT_LIMIT + 1),
+    "-" + "9" * (INT_LIMIT + 1) + "/0", "9" * INT_LIMIT + "/" + "9" * INT_LIMIT,
 ]
 oracle_texts = st.one_of(
     st.text(alphabet=" \t -+_/.0123456789٣²x", max_size=12),
@@ -771,6 +778,14 @@ oracle_texts = st.one_of(
         str.__add__,
         st.sampled_from(["", "-", "+", " "]),
         st.integers(INT_LIMIT - 1, INT_LIMIT + 1).map("9".__mul__),
+    ),
+    st.builds(
+        "{}{}{}/{}{}".format,
+        st.sampled_from(["", " ", "-", "+", "--"]),
+        st.sampled_from(["", "0", "00"]),
+        st.text(alphabet="0123456789٣_", max_size=6),
+        st.text(alphabet="0123456789٨_-", max_size=6),
+        st.sampled_from(["", " ", "\t"]),
     ),
 )
 
@@ -794,41 +809,27 @@ def test_parse_rational_oracle_table(text):
     check_against_fraction(text)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(oracle_texts)
 def test_parse_rational_oracle(text):
     check_against_fraction(text)
 
 
-# "p/q" in decimal digits with an optional leading "-", which parse_rational
-# reads as Fraction(int(p), int(q)), and its neighbours that keep
-# Fraction(text)'s route
-PQ_TABLE = [
-    "1/0", "1/00", "-3/0", "0/5", "-0/3", "4/2", "7/1", "-6/8", "007/010",
-    " 3/8 ", "\t3/8\n", "+3/2", "1_0/3", "3/1_0", "٣/8", "3/٨", "²/3",
-    "3/-2", "-/3", "3/", "/3", "3//2", "3/2/1", "- 3/2", "--3/2",
-    "9" * (INT_LIMIT + 1) + "/3", "3/" + "9" * (INT_LIMIT + 1),
-    "-" + "9" * (INT_LIMIT + 1) + "/0", "9" * INT_LIMIT + "/" + "9" * INT_LIMIT,
-]
-pq_texts = st.builds(
-    "{}{}{}/{}{}".format,
-    st.sampled_from(["", " ", "-", "+", "--"]),
-    st.sampled_from(["", "0", "00"]),
-    st.text(alphabet="0123456789٣_", min_size=0, max_size=6),
-    st.text(alphabet="0123456789٨_-", min_size=0, max_size=6),
-    st.sampled_from(["", " ", "\t"]),
-)
-
-
-@pytest.mark.parametrize("text", PQ_TABLE, ids=range(len(PQ_TABLE)))
-def test_parse_rational_pq_table(text):
-    check_against_fraction(text)
-
-
-@settings(max_examples=300, deadline=None)
-@given(pq_texts)
-def test_parse_rational_pq_oracle(text):
-    check_against_fraction(text)
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (-7, 1), (17, 6), (-3, 2),
+    (10**INT_LIMIT, 3), (-(10**INT_LIMIT), 1), (1, 10**INT_LIMIT),
+], ids=["zero", "int", "ratio", "negative", "long-n", "long-int", "long-d"])
+def test_format_rational_pair_matches_fraction(n, d):
+    # sweep prints its grid points as (n, d) pairs in lowest terms: each
+    # prints as Fraction(n, d) does, or is refused with the same InputError
+    try:
+        expected = format_rational(Fraction(n, d))
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            format_rational(n, d)
+        assert str(info.value) == str(exc)
+        return
+    assert format_rational(n, d) == expected
 
 
 def refuse(*args):
