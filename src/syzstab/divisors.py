@@ -33,9 +33,9 @@ method is pure, so instances are safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionMismatchError, InputError, NonIntegralDivisorError
 from .fan import HIRZEBRUCH, Fan

@@ -12,20 +12,21 @@ defines integers ``c[i]`` with curve self-intersections ``-c[i]``.  Since
 ``det(u[i-1], u[i]) == 1``, taking determinants with ``u[i-1]`` gives
 ``c[i] == det(u[i-1], u[i+1])``.
 
-Rays may be supplied in any order; the constructor sorts them by angle
-using quadrant plus cross-product comparisons, so no floating point enters
-anywhere.  Validation errors report indices into the *original* input
-order.  Fans are immutable after construction and all methods are pure,
-so instances can be shared freely between threads.
+Rays may be supplied in any order; the constructor sorts them by angle,
+splitting them into two half-planes and comparing cross products within
+each, so no floating point enters anywhere.  Validation errors report
+indices into the *original* input order.  Fans are immutable after
+construction and all methods are pure, so instances can be shared freely
+between threads.
 :func:`reduce_to_minimal` blows down to the plane or a Hirzebruch
 surface in one O(n) pass.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cmp_to_key
+from math import gcd
 
 from .errors import (
     FanError,
@@ -42,44 +43,21 @@ PROJECTIVE_PLANE = "ProjectivePlane"
 HIRZEBRUCH = "Hirzebruch"
 OTHER = "Other"
 
-
-def det(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def is_primitive(u: Vec) -> bool:
-    """True if u is a nonzero integer vector with coprime entries."""
-    return u != (0, 0) and math.gcd(u[0], u[1]) == 1
+# Order by angle within one half-plane: u before v when det(u, v) > 0.
+# Fan rejects repeated rays before it sorts, and distinct primitive
+# vectors of one half never share an angle, so the result is never 0.
+_BY_ANGLE = cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1])
 
 
-def _half(u: Vec) -> int:
-    # 0 for the closed upper half starting at the positive x-axis,
-    # 1 for the lower half starting at the negative x-axis.
-    if u[1] > 0 or (u[1] == 0 and u[0] > 0):
-        return 0
-    return 1
-
-
-def _angle_cmp(u: Vec, v: Vec) -> int:
-    # Order by angle in [0, 2*pi): half-planes first, then the cross
-    # product within a half.  Fan rejects repeated rays before it sorts,
-    # and distinct primitive vectors never share an angle, so u != v.
-    hu, hv = _half(u), _half(v)
-    return -1 if hu < hv or (hu == hv and det(u, v) > 0) else 1
-
-
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(namedtuple("SurfaceType", "kind ell picard_rank")):
     """Combinatorial type of the toric surface attached to a fan.
 
     ``kind`` is one of ``ProjectivePlane``, ``Hirzebruch`` (with ``ell``
     set; ``ell == 0`` is the quadric P1 x P1) or ``Other`` for Picard
-    rank at least 3.
+    rank at least 3; ``ell`` is None for the plane and for ``Other``.
     """
 
-    kind: str
-    ell: int | None
-    picard_rank: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == HIRZEBRUCH:
@@ -108,55 +86,59 @@ class Fan:
             given.extend(map(tuple, rays))
         except TypeError:  # a ray is not iterable; extend kept those before
             given.append(())  # it, and the check below refuses it by index
+        # the closed upper half-plane from the positive x-axis, then the
+        # lower one from the negative x-axis, each sorted by _BY_ANGLE
+        upper, lower = [], []
         for idx, r in enumerate(given):
             # exactly int: a float, Fraction, str or bool is refused, not cut
             if len(r) != 2 or type(r[0]) is not int or type(r[1]) is not int:
                 raise NonPrimitiveRayError(
                     f"ray {idx} must have exactly 2 integer components", idx
                 )
-            if not is_primitive(r):
+            x, y = r
+            if gcd(x, y) != 1:  # gcd(0, 0) == 0: the zero vector too
                 raise NonPrimitiveRayError(
                     f"ray {idx} = {r} is not a primitive nonzero vector", idx
                 )
-        seen: dict[Vec, int] = {}
-        for idx, r in enumerate(given):
-            if r in seen:
-                raise RepeatedRayError(
-                    f"ray {idx} = {r} repeats ray {seen[r]}", idx
-                )
-            seen[r] = idx
+            (upper if y > 0 or (y == 0 and x > 0) else lower).append(r)
+        if len(set(given)) < len(given):
+            seen: dict[Vec, int] = {}
+            for idx, r in enumerate(given):
+                if r in seen:
+                    raise RepeatedRayError(
+                        f"ray {idx} = {r} repeats ray {seen[r]}", idx
+                    )
+                seen[r] = idx
         if len(given) < 3:
             raise IncompleteFanError(
                 f"a complete fan needs at least 3 rays, got {len(given)}"
             )
 
-        order = sorted(
-            range(len(given)),
-            key=functools.cmp_to_key(
-                lambda i, j: _angle_cmp(given[i], given[j])
-            ),
-        )
-        sorted_rays = tuple([given[i] for i in order])
-        n = len(sorted_rays)
-        for i in range(n):
-            u, v = sorted_rays[i], sorted_rays[(i + 1) % n]
-            d = det(u, v)
-            orig = order[i]
-            if d <= 0:
-                raise IncompleteFanError(
-                    f"rays {u} and {v} span an angle >= pi "
-                    f"(cone after input ray {orig} is missing)",
-                    orig,
-                )
+        upper.sort(key=_BY_ANGLE)
+        lower.sort(key=_BY_ANGLE)
+        rays = upper + lower
+        walls = []
+        # each ray (x, y) with the one before and the one after it: the cone
+        # it opens has det 1, and its wall coefficient is det(before, after)
+        for (px, py), (x, y), (nx, ny) in zip(
+            rays[-1:] + rays[:-1], rays, rays[1:] + rays[:1]
+        ):
+            d = x * ny - y * nx
             if d != 1:
+                orig = given.index((x, y))
+                if d <= 0:
+                    raise IncompleteFanError(
+                        f"rays {(x, y)} and {(nx, ny)} span an angle >= pi "
+                        f"(cone after input ray {orig} is missing)",
+                        orig,
+                    )
                 raise NonSmoothFanError(
-                    f"rays {u} and {v} have determinant {d} != 1 "
+                    f"rays {(x, y)} and {(nx, ny)} have determinant {d} != 1 "
                     f"(cone at input ray {orig} is singular)",
                     orig,
                 )
-
-        walls = [det(sorted_rays[i - 1], sorted_rays[(i + 1) % n]) for i in range(n)]
-        object.__setattr__(self, "rays", sorted_rays)
+            walls.append(px * ny - py * nx)
+        object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "_walls", tuple(walls))
 
     def __setattr__(self, name, value):

@@ -47,10 +47,10 @@ call concurrently, including grid sweeps over parameter tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence
 
 from .divisors import (
     Divisor,
@@ -160,27 +160,25 @@ def slope_compare(
     return _order(syzygy_slope(X, ambient - S, A), mu_ambient)
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
-    """Leading coefficients of the slope-difference numerator q(d)."""
+class AlphaBeta(namedtuple("AlphaBeta", "alpha beta")):
+    """Leading coefficients of the slope-difference numerator q(d), two
+    Fractions."""
 
-    alpha: Fraction
-    beta: Fraction
+    __slots__ = ()
 
 
 def _alpha_beta(
     DA: Rat, D2: Rat, DK: Rat, SD: Rat, SA: Rat, SK: Rat, S2: Rat
-) -> AlphaBeta:
-    """alpha and beta from the seven intersection numbers they are made of."""
-    alpha = 2 * DA * SD - SA * D2
-    beta = -DA * (S2 + SK) + SA * DK
-    return AlphaBeta(Fraction(alpha), Fraction(beta))
+) -> tuple[Rat, Rat]:
+    """alpha and beta from the seven intersection numbers they are made
+    of: ints when the numbers are, as on a toric surface."""
+    return 2 * DA * SD - SA * D2, -DA * (S2 + SK) + SA * DK
 
 
 def _coefficients(
     X: SurfaceModel, dv: list[Rat], D: Divisor, S: Divisor, A: Divisor
-) -> tuple[AlphaBeta, list[Rat], Rat, Rat]:
-    """alpha and beta from v(D), with v(S), D.A and S.A on the way."""
+) -> tuple[tuple[Rat, Rat], list[Rat], Rat, Rat]:
+    """(alpha, beta) from v(D), with v(S), D.A and S.A on the way."""
     K, p = X.canonical, X.pair_with
     sv = X.intersections(S)
     DA, SA = p(dv, A), p(sv, A)
@@ -192,7 +190,8 @@ def alpha_beta(
     X: SurfaceModel, D: Divisor, S: Divisor, A: Divisor
 ) -> AlphaBeta:
     """Degree-2 and degree-1 coefficients of q(d), exact rationals."""
-    return _coefficients(X, X.intersections(D), D, S, A)[0]
+    alpha, beta = _coefficients(X, X.intersections(D), D, S, A)[0]
+    return AlphaBeta(Fraction(alpha), Fraction(beta))
 
 
 def _unstable(alpha: Rat, beta: Rat) -> bool:
@@ -200,18 +199,16 @@ def _unstable(alpha: Rat, beta: Rat) -> bool:
     return alpha < 0 or (alpha == 0 and beta <= 0)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple(
+    "Certificate", "polarization shift d0 subbundle_slope ambient_slope strict"
+)):
     """Re-verifiable witness of a slope violation at exponent d0: strict
     (not semistable) or a permanent tie (not stable), with the two slopes
-    compared there."""
+    compared there.  The polarization is A, the shift an effective S whose
+    subbundle comes from d0*D - S, the slopes are Fractions and strict a
+    bool."""
 
-    polarization: Divisor  # A
-    shift: Divisor  # effective S; the subbundle comes from d0*D - S
-    d0: int
-    subbundle_slope: Fraction
-    ambient_slope: Fraction
-    strict: bool
+    __slots__ = ()
 
 
 def _first_nef_multiple(X: SurfaceModel, dv: list[Rat], sv: list[Rat]) -> int:
@@ -245,17 +242,17 @@ def d_threshold(
     dv = _require_ample(X, D, "divisor D")
     _require_ample(X, A, "polarization")
     _require_effective(X, S)
-    ab, sv, DA, SA = _coefficients(X, dv, D, S, A)
+    (alpha, beta), sv, DA, SA = _coefficients(X, dv, D, S, A)
     if not any(sv):
         raise PreconditionError(
             "candidate S has class zero: its subbundle is the whole bundle"
         )
-    if not _unstable(ab.alpha, ab.beta):
+    if not _unstable(alpha, beta):
         raise PreconditionError(
             "asymptotic condition is StablePossible: no threshold exists "
             "for this candidate"
         )
-    return _threshold(X, D, S, A, dv, sv, DA, SA, ab.alpha, ab.beta)
+    return _threshold(X, D, S, A, dv, sv, DA, SA, alpha, beta)
 
 
 def _threshold(
@@ -322,7 +319,7 @@ def _slope_gap(num: Rat, h: int, mu: Fraction) -> Rat:
 
 def find_destabilizer(
     X: SurfaceModel, D: Divisor, A: Divisor, d: int
-) -> Optional[Certificate]:
+) -> Certificate | None:
     """Scan sums of one or two effective-cone generators S for a subbundle
     of slope >= the ambient slope at exponent d.
 
@@ -451,7 +448,7 @@ def _region_rows(ell: int, a_values: Iterable, b_values: Iterable) -> Iterator:
 
 def hirzebruch_rows(
     ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
-) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Optional[Certificate]]]:
+) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Certificate | None]]:
     """Rows (a, b, verdict, coefficients, certificate) of a region sweep on
     F_ell, ell >= 1, for a of a_values and b of b_values, both > ell, a-major.
 
@@ -475,18 +472,19 @@ def hirzebruch_rows(
         yield a[2], b[2], verdict, AlphaBeta(Fraction(alpha), Fraction(beta)), cert
 
 
-@dataclass(frozen=True)
-class Polarization:
-    """Boundary-plus-epsilon polarization with its exact witnesses."""
+class Polarization(namedtuple(
+    "Polarization",
+    "polarization polarization_integral generator_index generator epsilon"
+    " threshold alpha notes",
+    defaults=((),),
+)):
+    """Boundary-plus-epsilon polarization with its exact witnesses: the
+    rational A = (D - t E) + eps E, the primitive integral divisor on its
+    ray, the generator E and its index, eps (the largest power of two <= 1
+    keeping A ample with alpha < 0), the nef threshold t of D against E,
+    alpha for (D, S=E, A), negative by construction, and a tuple of notes."""
 
-    polarization: Divisor  # rational A = (D - t E) + eps E
-    polarization_integral: Divisor  # same ray, primitive integral
-    generator_index: int
-    generator: Divisor
-    epsilon: Fraction  # largest power of two <= 1 keeping A ample, alpha < 0
-    threshold: Fraction  # nef threshold t of D against E
-    alpha: Fraction  # alpha for (D, S=E, A): negative by construction
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def construct_polarization(
@@ -567,16 +565,16 @@ def construct_polarization(
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Verdict plus certificate (when found) and recorded assumptions."""
+class StabilityReport(namedtuple(
+    "StabilityReport", "verdict certificate assumptions", defaults=((),)
+)):
+    """Verdict plus certificate (when found, else None) and a tuple of
+    recorded assumptions."""
 
-    verdict: str
-    certificate: Optional[Certificate]
-    assumptions: tuple[str, ...] = ()
+    __slots__ = ()
 
 
-def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certificate]:
+def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Certificate | None:
     """Asymptotic candidate scan for a fixed polarization.
 
     Walks shifts S over sums of one or two effective-cone generators; the
@@ -597,12 +595,12 @@ def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Optional[Certifi
     for combo in _candidates(X, zero):
         SD, SA, SK = (sum(v[i] for i in combo) for v in (dv, av, kv))
         S2 = sum(X.pair_curves(i, j) for i in combo for j in combo)
-        ab = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
-        if _unstable(ab.alpha, ab.beta):
+        alpha, beta = _alpha_beta(DA, D2, DK, SD, SA, SK, S2)
+        if _unstable(alpha, beta):
             S = X.shift(combo)
             sv = X.intersections(S)
-            return _threshold(X, D, S, A, dv, sv, DA, SA, ab.alpha, ab.beta)
-        if len(combo) == 1 and ab.alpha == 0:
+            return _threshold(X, D, S, A, dv, sv, DA, SA, alpha, beta)
+        if len(combo) == 1 and alpha == 0:
             zero.append(combo[0])
     return None
 
@@ -616,7 +614,7 @@ def _smallest_exceeding_rational(bound: Fraction) -> Fraction:
 
 
 def analyze(
-    X: SurfaceModel, D: Divisor, A: Optional[Divisor] = None, d: Optional[int] = None
+    X: SurfaceModel, D: Divisor, A: Divisor | None = None, d: int | None = None
 ) -> StabilityReport:
     """Stability report for the ample divisor D in one of three modes:
     the driver without A, :func:`scan_candidates` with A, and with A and d

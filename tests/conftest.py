@@ -25,7 +25,6 @@ from syzstab import (
     alpha_beta,
     d_threshold,
 )
-from syzstab.fan import det
 
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 BL2P2_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
@@ -41,6 +40,10 @@ RANK6_RAYS = [
     (-1, -1),
     (0, -1),
 ]
+
+
+def det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def hirzebruch_rays(ell):

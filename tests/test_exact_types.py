@@ -9,7 +9,6 @@ alpha/beta, slopes and thresholds return along the way, and reject any
 value that is neither an int nor a Fraction.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -59,11 +58,11 @@ def inexact(value, where):
         return []
     if isinstance(value, Divisor):
         return inexact(value.coeffs, where)
-    if dataclasses.is_dataclass(value):
+    if hasattr(value, "_fields"):  # a named-tuple record: by field name
         return [
             bad
-            for f in dataclasses.fields(value)
-            for bad in inexact(getattr(value, f.name), f"{where}.{f.name}")
+            for name in value._fields
+            for bad in inexact(getattr(value, name), f"{where}.{name}")
         ]
     if isinstance(value, (tuple, list)):
         return [
@@ -114,6 +113,18 @@ def analyses(X, D, A):
     out = [stability.scan_candidates(X, D, A)]
     out += [stability.find_destabilizer(X, D, A, d) for d in (1, 2)]
     return out
+
+
+def test_inexact_names_record_fields():
+    # a record is walked by field name, a tuple by position
+    cert = stability.Certificate(
+        Divisor([1, Fraction(1, 2)]), (0.5, 1), 3, Fraction(-1), -1.0, True
+    )
+    assert inexact((stability.AlphaBeta(Fraction(1), 0.25), cert), "r") == [
+        "r[0].beta = 0.25 (float)",
+        "r[1].shift[0] = 0.5 (float)",
+        "r[1].ambient_slope = -1.0 (float)",
+    ]
 
 
 def test_toric_corpus(surfaces, recorder):

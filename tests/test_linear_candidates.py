@@ -22,7 +22,6 @@ import pytest
 
 from syzstab import (
     AbstractSurface,
-    AlphaBeta,
     Certificate,
     DegenerateBundleError,
     Divisor,
@@ -524,8 +523,8 @@ class TestPerCandidateNumbers:
         real = stability._coefficients
 
         def late(*args):
-            ab, sv, DA, SA = real(*args)
-            return AlphaBeta(ab.alpha, ab.beta - 5 * ab.alpha), sv, DA, SA
+            (alpha, beta), sv, DA, SA = real(*args)
+            return (alpha, beta - 5 * alpha), sv, DA, SA
 
         monkeypatch.setattr(stability, "_coefficients", late)
         with pytest.raises(InternalError, match="not minimal"):

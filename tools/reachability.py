@@ -24,6 +24,7 @@ import ast
 import os
 import pathlib
 import sys
+import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "syzstab"
@@ -102,6 +103,26 @@ def statements(path):
     return sorted(set(found))
 
 
+class _PreloadPatching:
+    """Imports ``hypothesis.extra._patching`` as the session starts.
+
+    Hypothesis's pytest plugin imports that module mid-session when a
+    test fails; its libcst import warns, and under ``-W error`` the warning
+    ends the session in an INTERNALERROR.  Imported here first, with
+    warnings ignored, the module is already loaded by then.  Without libcst
+    the plugin skips the module, so an ImportError is ignored here too.
+    Before ``pytest.main`` is too early: pytest then finds Hypothesis
+    imported before it could rewrite its plugin, and warns about that."""
+
+    def pytest_sessionstart(self, session):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
+
+
 def collect():
     """Run the tier-1 suite under the line collector; returns (pytest's
     exit status, {absolute file name: set of reached lines})."""
@@ -137,7 +158,7 @@ def collect():
 
     sys.settrace(tracer)
     try:
-        status = pytest.main(PYTEST_ARGS)
+        status = pytest.main(PYTEST_ARGS, plugins=[_PreloadPatching()])
     finally:
         sys.settrace(None)
     return status, hits
