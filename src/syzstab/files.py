@@ -137,15 +137,12 @@ def fan_from_jsonable(data, where: str) -> Fan:
         raise InputError(f'{where}: expected an object with a "rays" key')
     rays = _require_list(data["rays"], f'{where}: "rays"')
     for r in rays:
-        # decoded JSON passes the exact-type test; any other ray gets the
-        # general one, which also takes list and int subclasses
         if type(r) is not list or len(r) != 2 or (
             type(r[0]) is not int or type(r[1]) is not int
         ):
-            if not isinstance(r, list) or len(r) != 2 or not all(map(_is_int, r)):
-                raise InputError(
-                    f'{where}: every ray must be a pair of integers, got {r!r}'
-                )
+            raise InputError(
+                f'{where}: every ray must be a pair of integers, got {r!r}'
+            )
     return Fan(rays)
 
 

@@ -160,11 +160,9 @@ def slope_compare(
     return _order(syzygy_slope(X, ambient - S, A), mu_ambient)
 
 
-class AlphaBeta(namedtuple("AlphaBeta", "alpha beta")):
-    """Leading coefficients of the slope-difference numerator q(d), two
-    Fractions."""
-
-    __slots__ = ()
+AlphaBeta = namedtuple("AlphaBeta", "alpha beta")
+AlphaBeta.__doc__ = """Leading coefficients of the slope-difference numerator
+q(d), two Fractions."""
 
 
 def _alpha_beta(
@@ -199,16 +197,13 @@ def _unstable(alpha: Rat, beta: Rat) -> bool:
     return alpha < 0 or (alpha == 0 and beta <= 0)
 
 
-class Certificate(namedtuple(
+Certificate = namedtuple(
     "Certificate", "polarization shift d0 subbundle_slope ambient_slope strict"
-)):
-    """Re-verifiable witness of a slope violation at exponent d0: strict
-    (not semistable) or a permanent tie (not stable), with the two slopes
-    compared there.  The polarization is A, the shift an effective S whose
-    subbundle comes from d0*D - S, the slopes are Fractions and strict a
-    bool."""
-
-    __slots__ = ()
+)
+Certificate.__doc__ = """Re-verifiable witness of a slope violation at exponent
+d0: strict (not semistable) or a permanent tie (not stable), with the two
+slopes compared there.  The polarization is A, the shift an effective S whose
+subbundle comes from d0*D - S, the slopes are Fractions and strict a bool."""
 
 
 def _first_nef_multiple(X: SurfaceModel, dv: list[Rat], sv: list[Rat]) -> int:
@@ -472,19 +467,17 @@ def hirzebruch_rows(
         yield a[2], b[2], verdict, AlphaBeta(Fraction(alpha), Fraction(beta)), cert
 
 
-class Polarization(namedtuple(
+Polarization = namedtuple(
     "Polarization",
     "polarization polarization_integral generator_index generator epsilon"
     " threshold alpha notes",
     defaults=((),),
-)):
-    """Boundary-plus-epsilon polarization with its exact witnesses: the
-    rational A = (D - t E) + eps E, the primitive integral divisor on its
-    ray, the generator E and its index, eps (the largest power of two <= 1
-    keeping A ample with alpha < 0), the nef threshold t of D against E,
-    alpha for (D, S=E, A), negative by construction, and a tuple of notes."""
-
-    __slots__ = ()
+)
+Polarization.__doc__ = """Boundary-plus-epsilon polarization with its exact
+witnesses: the rational A = (D - t E) + eps E, the primitive integral divisor
+on its ray, the generator E and its index, eps (the largest power of two <= 1
+keeping A ample with alpha < 0), the nef threshold t of D against E, alpha for
+(D, S=E, A), negative by construction, and a tuple of notes."""
 
 
 def construct_polarization(
@@ -565,13 +558,11 @@ def construct_polarization(
     )
 
 
-class StabilityReport(namedtuple(
+StabilityReport = namedtuple(
     "StabilityReport", "verdict certificate assumptions", defaults=((),)
-)):
-    """Verdict plus certificate (when found, else None) and a tuple of
-    recorded assumptions."""
-
-    __slots__ = ()
+)
+StabilityReport.__doc__ = """Verdict plus certificate (when found, else None)
+and a tuple of recorded assumptions."""
 
 
 def scan_candidates(X: SurfaceModel, D: Divisor, A: Divisor) -> Certificate | None:

@@ -15,7 +15,9 @@ import sys
 
 import pytest
 
-from syzstab import Fan, NonPrimitiveRayError, __version__, stability
+from syzstab import (
+    Fan, InputError, NonPrimitiveRayError, __version__, files, stability,
+)
 from syzstab.cli import main
 
 from conftest import BL2P2_ABSTRACT, P2_RAYS, hirzebruch_rays
@@ -290,6 +292,26 @@ def test_ray_of_three_components():
         Fan([(1, 0), (0, 1, 0), (-1, -1)])
     assert str(info.value) == "ray 1 must have exactly 2 integer components"
     assert info.value.index == 1
+
+
+class _RayList(list):
+    pass
+
+
+class _Coord(int):
+    pass
+
+
+@pytest.mark.parametrize("ray", [
+    [1, True], (1, 0), _RayList([1, 0]), [_Coord(1), 0], [1.0, 0],
+])
+def test_decoded_fan_takes_only_exact_json_pairs(ray):
+    # json.load builds exact lists and ints, so any other type is refused
+    with pytest.raises(InputError) as info:
+        files.fan_from_jsonable({"rays": [[0, 1], ray, [-1, -1]]}, "f.json")
+    assert str(info.value) == (
+        f"f.json: every ray must be a pair of integers, got {ray!r}"
+    )
 
 
 def test_negative_first_coefficient_needs_the_equals_form(paths, capsys):
