@@ -16,7 +16,7 @@ hirzebruch   region test for a tuple (ell, a, b)
 h0           exact section count of a divisor on a toric surface
 classify     surface type of a fan, optionally with a blow-down reduction
 sweep        grid sweep of the Hirzebruch region, CSV or JSON rows, of
-             at most MAX_GRID_POINTS points
+             at most MAX_GRID_POINTS points, written as they are found
 
 Toric divisors are entered as comma-separated integer coefficients in fan
 ray order.  On Hirzebruch fans ``--sf`` accepts section/fiber class
@@ -33,7 +33,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import deque
+from itertools import islice
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import __version__
 from .divisors import AbstractSurface, Divisor, Rat, ToricSurface
@@ -62,9 +65,27 @@ from .stability import (
 )
 
 # Largest sweep grid, counted before any row is built: every point is
-# walked and every row kept (--a 9/8:6 --b 9/8:5 --step 1/32 over three
-# ells is 58,875 points).
+# walked, and each row is written as it is found, so memory does not grow
+# with the grid (--a 9/8:6 --b 9/8:5 --step 1/32 over three ells is 58,875
+# points).
 MAX_GRID_POINTS = 10**6
+# sweep rows per write: stdout may be unbuffered, one syscall per write
+_SWEEP_BATCH = 256
+# A sweep report's two forms: (row template, the order of a row's fields
+# in it, head, row separator, tail, the printed None).  A row's fields come
+# in the CSV header's order; the JSON template has the keys sorted, so
+# that the report is byte for byte dumps_canonical({"rows": [...]}).
+_SWEEP_JSON = (
+    '    {\n      "a": "%s",\n      "alpha": "%s",\n      "b": "%s",\n'
+    '      "beta": "%s",\n      "d0": %s,\n      "ell": %s,\n'
+    '      "strict": %s,\n      "verdict": "%s"\n    }',
+    itemgetter(1, 4, 2, 5, 6, 0, 7, 3),
+    '{\n  "rows": [\n', ",\n", "\n  ]\n}\n", "null",
+)
+_SWEEP_CSV = (
+    ",".join(["%s"] * 8), tuple,  # a tuple of fields is already in order
+    "ell,a,b,verdict,alpha,beta,d0,strict\n", "\n", "\n", "",
+)
 # argparse takes the "-1,2" of "--D -1,2" for an option; "--D=-1,2" works
 _EQUALS = " (--%(dest)s=-1,2,... when the first is negative)"
 
@@ -158,12 +179,22 @@ def _pretty_divisor(X, D: Divisor) -> str:
 def _emit(args, payload, render) -> None:
     """JSON of the dict ``payload()`` builds with --json, else the text
     ``render()`` builds, so that only the printed form is built."""
-    out = dumps_canonical(payload()) if args.json else render() + "\n"
+    _write_out(args, [dumps_canonical(payload()) if args.json else render() + "\n"])
+
+
+def _write_out(args, chunks) -> None:
+    """Write the text chunks to --out, or to stdout.  The file is opened
+    once the first chunk is built, so that an error raised before then
+    leaves it as it was."""
+    chunks = iter(chunks)
+    first = next(chunks)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+            fh.write(first)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
 
 
 def _report_jsonable(report: StabilityReport, echo: dict) -> dict:
@@ -415,6 +446,12 @@ def _grid(lo: int, hi: int, step: int, q: int):
 
 
 def _cmd_sweep(args) -> int:
+    """Write the grid's rows as they are found, in batches, in memory that
+    does not grow with the grid.  Nothing is written when the sweep exits
+    2: the first batch, which tells an empty grid, is built before any
+    write, and a number too long to print is ruled out before the first
+    write, by a bound on the numbers' bit lengths or, where it cannot
+    tell, by a first pass whose output is discarded."""
     try:
         ells = [int(x) for x in args.ell.split(",")]
     except ValueError as exc:
@@ -436,41 +473,54 @@ def _cmd_sweep(args) -> int:
             "use a coarser --step or narrower ranges"
         )
 
-    rows = []
-    for ell in ells:
-        a_grid, b_grid = _grid(a_lo, a_hi, s, q), _grid(b_lo, b_hi, s, q)
-        for a, b, verdict, alpha, beta, th in _region_rows(ell, a_grid, b_grid):
-            rows.append({
-                "ell": ell,
-                "a": format_rational(*a),
-                "b": format_rational(*b),
-                "verdict": verdict,
-                "alpha": format_rational(alpha),
-                "beta": format_rational(beta),
-                "d0": None if th is None else th.d0,
-                "strict": None if th is None else th.strict,
-            })
-    if not rows:
-        raise EmptyGridError(
-            "no grid point satisfies the ampleness bounds a, b > ell"
-        )
-    _emit(args, lambda: {"rows": rows}, lambda: _render_csv(rows))
+    def report():
+        form = _SWEEP_JSON if args.json else _SWEEP_CSV
+        return _sweep_report(form, ells, (a_lo, a_hi), (b_lo, b_hi), s, q)
+
+    # ell and a's and b's numerators and denominators are below X = 2**n,
+    # so every number a row prints is below 2**(5n + 5): alpha is at most
+    # 18 X**5 (of degree 5 in them), beta at most 12 X**4 and d0 at most
+    # |beta| + 2.  Where that may pass 10**limit, a first pass into a sink
+    # raises any error of printing before the first write.
+    n = max(v.bit_length() for v in (max(ells), a_lo, a_hi, b_lo, b_hi, q))
+    limit = sys.get_int_max_str_digits()
+    if limit and (5 * n + 5) * 1000 > limit * 3321:  # 3.321 < log2(10)
+        deque(report(), 0)
+    _write_out(args, report())
     return 0
 
 
-def _render_csv(rows: list) -> str:
-    header = ["ell", "a", "b", "verdict", "alpha", "beta", "d0", "strict"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                "" if row[k] is None else str(row[k]).lower()
-                if isinstance(row[k], bool)
-                else str(row[k])
-                for k in header
-            )
+def _sweep_report(form, ells, a_range, b_range, s: int, q: int):
+    """The sweep report in form, _SWEEP_JSON or _SWEEP_CSV, in chunks of
+    up to _SWEEP_BATCH rows, each row formatted as ``_region_rows`` yields
+    it: the head with the first chunk, the separator with each later one,
+    then the tail.  Raises EmptyGridError before the first chunk when no
+    grid point has a, b > ell, and InputError for a number past the print
+    limit."""
+    template, order, head, sep, tail, null = form
+
+    def fields():
+        for ell in ells:
+            region = _region_rows(ell, _grid(*a_range, s, q), _grid(*b_range, s, q))
+            for (a2, a1), (b2, b1), verdict, alpha, beta, th in region:
+                a = a2 if a1 == 1 else f"{a2}/{a1}"
+                b = b2 if b1 == 1 else f"{b2}/{b1}"
+                d0 = null if th is None else th.d0
+                strict = null if th is None else "true" if th.strict else "false"
+                yield order((ell, a, b, verdict, alpha, beta, d0, strict))
+
+    rows, text = fields(), head
+    try:
+        while chunk := [template % row for row in islice(rows, _SWEEP_BATCH)]:
+            yield text + sep.join(chunk)
+            text = sep
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise InputError(f"result too large to print: {exc}") from exc
+    if text is head:
+        raise EmptyGridError(
+            "no grid point satisfies the ampleness bounds a, b > ell"
         )
-    return "\n".join(lines)
+    yield tail
 
 
 @functools.cache

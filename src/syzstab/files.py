@@ -58,10 +58,12 @@ def parse_rational(value) -> Rat:
         return value
     if isinstance(value, str):
         text = value.strip()
-        if text.removeprefix("-").isdecimal():
+        # "[-]digits" and "[-]digits/digits" by int(), as Fraction would
+        num, slash, den = text.partition("/")
+        if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
             try:
-                return int(text)
-            except ValueError:  # past the digit limit: Fraction's error below
+                return Fraction(int(num), int(den)) if slash else int(num)
+            except (ValueError, ZeroDivisionError):  # Fraction's error below
                 pass
         _check_exponent(value)
         try:

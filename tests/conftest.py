@@ -1,11 +1,15 @@
 """Shared corpus of fans and ample divisors used across the test suite."""
 
+import contextlib
+import io
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from syzstab import (
     CHI_ASSUMPTION,
@@ -16,7 +20,9 @@ from syzstab import (
     UNSTABLE_FOR_LARGE_D,
     AlphaBeta,
     Divisor,
+    EmptyGridError,
     Fan,
+    InputError,
     NotAmpleError,
     NotEffectiveError,
     Polytope,
@@ -25,6 +31,9 @@ from syzstab import (
     alpha_beta,
     d_threshold,
 )
+from syzstab import cli
+from syzstab.files import dumps_canonical, format_rational, parse_rational
+from syzstab.stability import _region_rows
 
 P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
 BL2P2_RAYS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1)]
@@ -350,6 +359,22 @@ def ref_grid(lo, hi, step):
         v += step
 
 
+@st.composite
+def rational_texts(draw, value):
+    """Texts that parse to value: "p/q" scaled by 1 to 3, the integer
+    alone, and a decimal where the denominator divides 10**3."""
+    k = draw(st.integers(1, 3))
+    texts = [f"{value.numerator * k}/{value.denominator * k}"]
+    if value.denominator == 1:
+        texts.append(str(value.numerator))
+    if 1000 % value.denominator == 0:
+        whole, part = divmod(abs(value.numerator) * (1000 // value.denominator), 1000)
+        sign = "-" if value < 0 else ""
+        texts.append(f"{sign}{whole}.{part:03d}".rstrip("0").removesuffix("."))
+        texts.append(f"{sign}{whole}.{part:03d}")
+    return draw(st.sampled_from(texts))
+
+
 def ref_hirzebruch_rows(ell, a_values, b_values):
     """Reference for ``hirzebruch_rows``: the per-point path, with the
     closed-form region of ``ref_region``, D and A built from
@@ -371,6 +396,97 @@ def ref_hirzebruch_rows(ell, a_values, b_values):
                 th = d_threshold(X, D, S, A)
             rows.append((a, b, verdict, alpha_beta(X, D, S, A), th))
     return rows
+
+
+def ref_sweep(args) -> int:
+    """Reference for the ``sweep`` command: its writer before rows were
+    streamed.  Every row becomes a dict of formatted fields, kept until the
+    grid is done; the report is then ``dumps_canonical({"rows": rows})``
+    or ``ref_sweep_csv(rows)``, written at once."""
+    try:
+        ells = [int(x) for x in args.ell.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--ell must list integers: {args.ell!r}") from exc
+    if any(e < 1 for e in ells):
+        raise InputError("--ell entries must be >= 1")
+    a_lo, a_hi = cli._parse_range(args.a)
+    b_lo, b_hi = cli._parse_range(args.b)
+    step = parse_rational(args.step)
+    if step.numerator <= 0:
+        raise InputError("--step must be positive")
+    values = (a_lo, a_hi, b_lo, b_hi, step)
+    q = math.lcm(*(v.denominator for v in values))
+    a_lo, a_hi, b_lo, b_hi, s = (v.numerator * (q // v.denominator) for v in values)
+    points = len(ells) * ((a_hi - a_lo) // s + 1) * ((b_hi - b_lo) // s + 1)
+    if points > cli.MAX_GRID_POINTS:
+        raise InputError(
+            f"the grid has more than {cli.MAX_GRID_POINTS} points; "
+            "use a coarser --step or narrower ranges"
+        )
+    rows = []
+    for ell in ells:
+        a_grid, b_grid = cli._grid(a_lo, a_hi, s, q), cli._grid(b_lo, b_hi, s, q)
+        for a, b, verdict, alpha, beta, th in _region_rows(ell, a_grid, b_grid):
+            rows.append({
+                "ell": ell,
+                "a": format_rational(*a),
+                "b": format_rational(*b),
+                "verdict": verdict,
+                "alpha": format_rational(alpha),
+                "beta": format_rational(beta),
+                "d0": None if th is None else th.d0,
+                "strict": None if th is None else th.strict,
+            })
+    if not rows:
+        raise EmptyGridError(
+            "no grid point satisfies the ampleness bounds a, b > ell"
+        )
+    out = dumps_canonical({"rows": rows}) if args.json else ref_sweep_csv(rows) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
+    return 0
+
+
+def ref_sweep_csv(rows: list) -> str:
+    header = ["ell", "a", "b", "verdict", "alpha", "beta", "d0", "strict"]
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                "" if row[k] is None else str(row[k]).lower()
+                if isinstance(row[k], bool)
+                else str(row[k])
+                for k in header
+            )
+        )
+    return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def sweep_run_by(func):
+    """``cli.main`` runs its ``sweep`` command with func while inside."""
+    sweep = cli._build_parser()[1]["sweep"]
+    sweep.set_defaults(func=func)
+    try:
+        yield
+    finally:
+        sweep.set_defaults(func=cli._cmd_sweep)
+
+
+def run_main(argv, out_path=None):
+    """(exit code, stdout, stderr, bytes of out_path or None) of
+    ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    report = None
+    if out_path is not None:
+        with contextlib.suppress(FileNotFoundError), open(out_path, "rb") as fh:
+            report = fh.read()
+    return rc, out.getvalue(), err.getvalue(), report
 
 
 # One fixed ample divisor per fan of Picard rank >= 3: the anticanonical

@@ -23,6 +23,7 @@ from conftest import (
     P2_RAYS,
     RANK6_RAYS,
     hirzebruch_rays,
+    rational_texts,
     ref_grid,
 )
 
@@ -694,22 +695,6 @@ class TestSweep:
         assert len(seen) == len(ells.split(","))  # the refused grid reached no row
 
 
-@st.composite
-def rational_texts(draw, value):
-    """Texts that parse to value: "p/q" scaled by 1 to 3, the integer
-    alone, and a decimal where the denominator divides 10**3."""
-    k = draw(st.integers(1, 3))
-    texts = [f"{value.numerator * k}/{value.denominator * k}"]
-    if value.denominator == 1:
-        texts.append(str(value.numerator))
-    if 1000 % value.denominator == 0:
-        whole, part = divmod(abs(value.numerator) * (1000 // value.denominator), 1000)
-        sign = "-" if value < 0 else ""
-        texts.append(f"{sign}{whole}.{part:03d}".rstrip("0").removesuffix("."))
-        texts.append(f"{sign}{whole}.{part:03d}")
-    return draw(st.sampled_from(texts))
-
-
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
@@ -758,7 +743,7 @@ class TestExponentBound:
 
 
 # parse_rational against Fraction(text.strip()), the parser it takes over
-# from on plain integer text
+# from on plain integer and "[-]digits/digits" text
 INT_LIMIT = sys.get_int_max_str_digits()
 ORACLE_TABLE = [
     "3", "-3", " 12\t", "-0", "007", "+3", "1_000", "- 3", "--3", "3-",
@@ -769,6 +754,7 @@ ORACLE_TABLE = [
     "1/00", "-3/0", "0/5", "-0/3", "4/2", "7/1", "007/010", " 3/8 ",
     "\t3/8\n", "+3/2", "1_0/3", "3/1_0", "٣/8", "3/٨", "²/3", "3/-2", "-/3",
     "3/", "/3", "3//2", "3/2/1", "- 3/2", "--3/2",
+    "+1/2", " 1/2 ", "1/0", "-0/5", "١/٢", "-١٢/٣",
     "9" * (INT_LIMIT + 1) + "/3", "3/" + "9" * (INT_LIMIT + 1),
     "-" + "9" * (INT_LIMIT + 1) + "/0", "9" * INT_LIMIT + "/" + "9" * INT_LIMIT,
 ]
@@ -850,7 +836,8 @@ PRINTED_FORM_ARGV = pytest.mark.parametrize(
 
 
 def run_refusing(argv, refused, f1_path, tmp_path, monkeypatch):
-    """main on argv with the cli helpers named in refused made to fail."""
+    """main on argv with the cli helpers named in refused made to fail: a
+    function fails when called, a sweep form when unpacked."""
     rank6 = tmp_path / "rank6.json"
     rank6.write_text(json.dumps({"rays": [list(r) for r in RANK6_RAYS]}))
     paths = {"f1": f1_path, "rank6": str(rank6)}
@@ -863,7 +850,7 @@ def run_refusing(argv, refused, f1_path, tmp_path, monkeypatch):
 def test_json_renders_no_text(argv, f1_path, tmp_path, monkeypatch, capsys):
     text_helpers = (
         "_render_report", "_render_polarization", "_render_classification",
-        "_render_csv", "_pretty_divisor",
+        "_SWEEP_CSV", "_pretty_divisor",
     )
     argv = argv + ["--json"]
     assert run_refusing(argv, text_helpers, f1_path, tmp_path, monkeypatch) == 0
@@ -874,6 +861,7 @@ def test_json_renders_no_text(argv, f1_path, tmp_path, monkeypatch, capsys):
 def test_text_builds_no_json(argv, f1_path, tmp_path, monkeypatch, capsys):
     json_helpers = (
         "_report_jsonable", "_echo", "_polarization_jsonable", "dumps_canonical",
+        "_SWEEP_JSON",
     )
     assert run_refusing(argv, json_helpers, f1_path, tmp_path, monkeypatch) == 0
     assert not capsys.readouterr().out.startswith("{")
