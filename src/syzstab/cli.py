@@ -35,7 +35,7 @@ import functools
 import sys
 from collections import deque
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from . import __version__
@@ -438,13 +438,6 @@ def _parse_range(text: str) -> tuple[Rat, Rat]:
     raise InputError(f"range {text!r} must be VALUE or LO:HI")
 
 
-def _grid(lo: int, hi: int, step: int, q: int):
-    """lo/q, (lo + step)/q, ... <= hi/q as (n, d) pairs in lowest terms."""
-    for v in range(lo, hi + 1, step):
-        g = gcd(v, q)
-        yield v // g, q // g
-
-
 def _cmd_sweep(args) -> int:
     """Write the grid's rows as they are found, in batches, in memory that
     does not grow with the grid.  Nothing is written when the sweep exits
@@ -475,7 +468,8 @@ def _cmd_sweep(args) -> int:
 
     def report():
         form = _SWEEP_JSON if args.json else _SWEEP_CSV
-        return _sweep_report(form, ells, (a_lo, a_hi), (b_lo, b_hi), s, q)
+        a_nums, b_nums = range(a_lo, a_hi + 1, s), range(b_lo, b_hi + 1, s)
+        return _sweep_report(form, ells, a_nums, b_nums, q)
 
     # ell and a's and b's numerators and denominators are below X = 2**n,
     # so every number a row prints is below 2**(5n + 5): alpha is at most
@@ -490,18 +484,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_report(form, ells, a_range, b_range, s: int, q: int):
+def _sweep_report(form, ells, a_nums: range, b_nums: range, q: int):
     """The sweep report in form, _SWEEP_JSON or _SWEEP_CSV, in chunks of
     up to _SWEEP_BATCH rows, each row formatted as ``_region_rows`` yields
-    it: the head with the first chunk, the separator with each later one,
-    then the tail.  Raises EmptyGridError before the first chunk when no
-    grid point has a, b > ell, and InputError for a number past the print
-    limit."""
+    it for the numerators a_nums and b_nums over q: the head with the
+    first chunk, the separator with each later one, then the tail.  Raises
+    EmptyGridError before the first chunk when no grid point has a, b >
+    ell, and InputError for a number past the print limit."""
     template, order, head, sep, tail, null = form
 
     def fields():
         for ell in ells:
-            region = _region_rows(ell, _grid(*a_range, s, q), _grid(*b_range, s, q))
+            region = _region_rows(ell, a_nums, b_nums, q)
             for (a2, a1), (b2, b1), verdict, alpha, beta, th in region:
                 a = a2 if a1 == 1 else f"{a2}/{a1}"
                 b = b2 if b1 == 1 else f"{b2}/{b1}"

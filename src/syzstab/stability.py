@@ -35,10 +35,10 @@ alpha/beta from :func:`d_threshold`'s checks, the scan or a sweep row;
 its four counts, h0(d*D) and h0(d*D - S) at d0 and d0 - 1, are Pick sums
 over the corners d*m(D) and d*m(D) - m(S), whose slopes it compares in
 integers.  On F_ell the region verdict of :func:`hirzebruch_region` and
-:func:`hirzebruch_rows` is the alpha/beta sign of S the section, integer
-polynomials in ell and the coefficients of D and A, which ``sweep`` reads
-in ints on a grid walked as integer numerators over one denominator; only
-a row in the instability region, which needs d0, builds a surface.
+of each ``sweep`` row, read off one row core on integer numerators over
+one denominator, is the alpha/beta sign of S the section, integer
+polynomials in ell and the coefficients of D and A; only a row in the
+instability region, which needs d0, builds a surface.
 
 Everything below is exact rational arithmetic on immutable inputs; there
 is no floating point and no hidden state, so all functions are safe to
@@ -51,6 +51,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from .divisors import (
     Divisor,
@@ -408,63 +409,43 @@ def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
     return UNSTABLE_FOR_LARGE_D if _unstable(alpha, beta) else NOT_COVERED
 
 
-def _region_rows(ell: int, a_values: Iterable, b_values: Iterable) -> Iterator:
-    """:func:`hirzebruch_rows` in integers, on tuples that start with a's or
-    b's numerator and denominator in lowest terms: rows (a, b, verdict,
-    alpha, beta, certificate) carry the tuples as read, alpha, beta as ints."""
-    points = X = None
-    for a in a_values:
-        a2, a1 = a[0], a[1]
-        if a2 <= ell * a1:
+def _region_rows(
+    ell: int, a_nums: Iterable[int], b_nums: Iterable[int], q: int
+) -> Iterator:
+    """Rows (a, b, verdict, alpha, beta, certificate) of a region sweep on
+    F_ell for a = v/q, v of a_nums, and b = w/q, w of b_nums walked anew for
+    each a, both > ell, a-major: a and b as (numerator, denominator) pairs
+    in lowest terms, alpha and beta as ints, the verdict that of
+    :func:`hirzebruch_region`.  The first row in the region builds F_ell's
+    surface and v(S); each such row builds D, and A once per a, checks
+    them ample and calls :func:`_threshold`, the others have no certificate."""
+    X, ell_q = None, ell * q
+    for v in a_nums:
+        if v <= ell_q:
             continue
-        if points is None:
-            points = [(b, b[0], b[1]) for b in b_values if b[0] > ell * b[1]]
+        g = gcd(v, q)
+        a2, a1 = v // g, q // g
         A = None  # built and checked at the first row of this a in the region
-        for b, b2, b1 in points:
+        for w in b_nums:
+            if w <= ell_q:
+                continue
+            g = gcd(w, q)
+            b2, b1 = w // g, q // g
             alpha, beta, DA, SA = _section_alpha_beta(ell, a1, a2, b1, b2)
             verdict, cert = NOT_COVERED, None
             if _unstable(alpha, beta):
                 verdict = UNSTABLE_FOR_LARGE_D
-                if X is None:
+                if X is None:  # s*S + f*F is (0, s, f, 0) on this fan
                     X = ToricSurface(Fan([(1, 0), (0, 1), (-1, ell), (0, -1)]))
-                    _, s_idx, f_idx = X.hirzebruch_presentation()
-                    S = X.generator(s_idx)
+                    S = Divisor([0, 1, 0, 0])
                     vs = X.intersections(S)
-                    # s*S + f*F is s*x + f*y at each (x, y)
-                    unit = list(zip(S.coeffs, X.generator(f_idx).coeffs))
                 if A is None:
-                    A = Divisor([a1 * x + a2 * y for x, y in unit])
+                    A = Divisor([0, a1, a2, 0])
                     _require_ample(X, A, "polarization")
-                D = Divisor([b1 * x + b2 * y for x, y in unit])
+                D = Divisor([0, b1, b2, 0])
                 dv = _require_ample(X, D, "divisor D")
                 cert = _threshold(X, D, S, A, dv, vs, DA, SA, alpha, beta)
-            yield a, b, verdict, alpha, beta, cert
-
-
-def hirzebruch_rows(
-    ell: int, a_values: Iterable[Rat], b_values: Iterable[Rat]
-) -> Iterator[tuple[Rat, Rat, str, AlphaBeta, Certificate | None]]:
-    """Rows (a, b, verdict, coefficients, certificate) of a region sweep on
-    F_ell, ell >= 1, for a of a_values and b of b_values, both > ell, a-major.
-
-    D = b1*S + b2*F and A = a1*S + a2*F for b = b2/b1 and a = a2/a1, with
-    S the section and F a fiber, and S is the candidate shift.  The rows
-    are those of :func:`_region_rows`, which reads alpha/beta in ints, as
-    ``sweep`` does on its grid of integer numerators over one denominator:
-    each verdict is the sign of :func:`hirzebruch_region` (b_values is read
-    once, at the first a > ell).  The first row in the instability region
-    builds F_ell's surface, S and v(S), once per call; each such row builds
-    D, and A once per a, checks them ample and calls :func:`_threshold`,
-    the others have no certificate.  A non-int ell raises PreconditionError,
-    and an a or b read that is not an int or a Fraction InputError.
-    """
-    if type(ell) is not int or ell < 1:
-        raise PreconditionError("ell must be a positive integer")
-    def terms(values):  # each value checked as it is read
-        return ((_exact(v).numerator, v.denominator, v) for v in values)
-    rows = _region_rows(ell, terms(a_values), terms(b_values))
-    for a, b, verdict, alpha, beta, cert in rows:
-        yield a[2], b[2], verdict, AlphaBeta(Fraction(alpha), Fraction(beta)), cert
+            yield (a2, a1), (b2, b1), verdict, alpha, beta, cert
 
 
 Polarization = namedtuple(

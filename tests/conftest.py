@@ -376,10 +376,11 @@ def rational_texts(draw, value):
 
 
 def ref_hirzebruch_rows(ell, a_values, b_values):
-    """Reference for ``hirzebruch_rows``: the per-point path, with the
-    closed-form region of ``ref_region``, D and A built from
-    section/fiber coordinates, the seven pairings of ``alpha_beta`` and
-    ``d_threshold`` at every point in the region."""
+    """Reference for the sweep's row core ``_region_rows``, in the form of
+    ``core_rows``: the per-point path, with the closed-form region of
+    ``ref_region``, D and A built from section/fiber coordinates, the
+    seven pairings of ``alpha_beta`` and ``d_threshold`` at every point in
+    the region."""
     X = ToricSurface(Fan(hirzebruch_rays(ell)))
     _, s_idx, _ = X.hirzebruch_presentation()
     S = X.generator(s_idx)
@@ -396,6 +397,25 @@ def ref_hirzebruch_rows(ell, a_values, b_values):
                 th = d_threshold(X, D, S, A)
             rows.append((a, b, verdict, alpha_beta(X, D, S, A), th))
     return rows
+
+
+def as_fractions(rows):
+    """The row core's rows with each (n, d) pair a Fraction and alpha and
+    beta an AlphaBeta of Fractions, as ``ref_hirzebruch_rows`` writes them."""
+    return [
+        (Fraction(*a), Fraction(*b), verdict,
+         AlphaBeta(Fraction(alpha), Fraction(beta)), th)
+        for a, b, verdict, alpha, beta, th in rows
+    ]
+
+
+def core_rows(ell, a_values, b_values):
+    """``as_fractions`` of ``_region_rows`` on rational a and b values, each
+    passed as its numerator over the lcm q of all their denominators."""
+    a_values, b_values = ([Fraction(v) for v in vs] for vs in (a_values, b_values))
+    q = math.lcm(*(v.denominator for v in a_values + b_values))
+    a_nums, b_nums = ([int(v * q) for v in vs] for vs in (a_values, b_values))
+    return as_fractions(_region_rows(ell, a_nums, b_nums, q))
 
 
 def ref_sweep(args) -> int:
@@ -425,8 +445,8 @@ def ref_sweep(args) -> int:
         )
     rows = []
     for ell in ells:
-        a_grid, b_grid = cli._grid(a_lo, a_hi, s, q), cli._grid(b_lo, b_hi, s, q)
-        for a, b, verdict, alpha, beta, th in _region_rows(ell, a_grid, b_grid):
+        a_nums, b_nums = range(a_lo, a_hi + 1, s), range(b_lo, b_hi + 1, s)
+        for a, b, verdict, alpha, beta, th in _region_rows(ell, a_nums, b_nums, q):
             rows.append({
                 "ell": ell,
                 "a": format_rational(*a),

@@ -653,10 +653,10 @@ class TestSweep:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_integer_walk_matches_fraction_walk(self, data):
-        # the points handed to the row core, for ranges and a step drawn as
-        # non-reduced "p/q", decimals and negative values, with a step that
-        # need not divide hi - lo, are ref_grid's in lowest terms, and the
-        # grid bound refuses exactly past ref_grid's count
+        # the points handed to the row core as numerators over q, for
+        # ranges and a step drawn as non-reduced "p/q", decimals and
+        # negative values, with a step that need not divide hi - lo, are
+        # ref_grid's, and the grid bound refuses exactly past its count
         step = data.draw(st.builds(
             Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 5, 8])
         ))
@@ -670,13 +670,13 @@ class TestSweep:
             hi += step * Fraction(data.draw(st.integers(0, 6)), 7)
             lo_text, hi_text = (data.draw(rational_texts(v)) for v in (lo, hi))
             argv.append(f"--{axis}={lo_text}:{hi_text}")
-            expected.append([(v.numerator, v.denominator) for v in ref_grid(lo, hi, step)])
+            expected.append(list(ref_grid(lo, hi, step)))
         argv.append("--step=" + data.draw(rational_texts(step)))
         points = len(ells.split(",")) * len(expected[0]) * len(expected[1])
         seen = []
 
-        def record(ell, a_values, b_values):
-            seen.append([ell, list(a_values), list(b_values)])
+        def record(ell, a_nums, b_nums, q):
+            seen.append([ell] + [[Fraction(v, q) for v in nums] for nums in (a_nums, b_nums)])
             return iter(())
 
         err = io.StringIO()

@@ -179,9 +179,9 @@ def test_abstract_surfaces(name, recorder):
 
 
 def test_hirzebruch_region_rows(surfaces, recorder):
-    """The rows of ``sweep``, point by point and from
-    ``hirzebruch_rows``: region verdict, alpha/beta and, in the
-    instability region, the threshold."""
+    """The rows of ``sweep``, point by point and from its row core
+    ``_region_rows``: region verdict, alpha/beta and, in the instability
+    region, the threshold."""
     rows, swept = 0, []
     for ell in (1, 2, 3):
         X = surfaces[f"f{ell}"]
@@ -197,7 +197,8 @@ def test_hirzebruch_region_rows(surfaces, recorder):
                 if verdict == stability.UNSTABLE_FOR_LARGE_D:
                     stability.d_threshold(X, D, S, A)
                     rows += 1
-        swept += list(stability.hirzebruch_rows(ell, grid, grid))
+        nums = range(3 * ell + 1, 3 * ell + 10)  # the grid's numerators over 3
+        swept += list(stability._region_rows(ell, nums, nums, 3))
     assert rows
-    assert sum(row[4] is not None for row in swept) == rows
+    assert sum(row[5] is not None for row in swept) == rows
     check(recorder, swept)

@@ -115,6 +115,13 @@ CASES = {
         ["sweep", "--ell", "1", "--a", "2:3", "--b", "2", "--step", "0"],
         "--step must be positive",
     ),
+    # the grid is counted in arithmetic, not by len() of an axis's range,
+    # which raises OverflowError past sys.maxsize
+    "sweep-grid-too-large": (
+        ["sweep", "--ell", "1", "--a", "0:1e30", "--b", "3"],
+        "the grid has more than 1000000 points; "
+        "use a coarser --step or narrower ranges",
+    ),
     # a and b are formatted only once a row exists: a huge a or b that
     # no row reaches leaves the grid empty, and one that a row reaches
     # cannot be printed

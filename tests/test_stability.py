@@ -37,7 +37,6 @@ from syzstab import (
     d_threshold,
     find_destabilizer,
     hirzebruch_region,
-    hirzebruch_rows,
     scan_candidates,
     slope_compare,
     syzygy_slope,
@@ -49,6 +48,7 @@ from syzstab.stability import (
     NEGATIVE_GENERATOR_NOTE,
     SCAN_NOTE,
     _region_bound,
+    _region_rows,
     _smallest_exceeding_rational,
     _unstable,
 )
@@ -61,7 +61,9 @@ from conftest import (
     STABLE_POSSIBLE,
     UNSTABLE_EVENTUALLY,
     ample_on,
+    as_fractions,
     blowup_chain_divisors,
+    core_rows,
     count_calls,
     driver_divisor,
     first_nef_multiple,
@@ -378,23 +380,9 @@ class TestHirzebruchRegion:
     )
     def test_only_ints_and_fractions(self, a, b):
         # a float is refused, not read off its binary expansion, and so
-        # are strings and bools, by the region test and by the sweep
+        # are strings and bools
         with pytest.raises(InputError, match="^coefficients must be int or Fraction"):
             hirzebruch_region(1, a, b)
-        with pytest.raises(InputError, match="^coefficients must be int or Fraction"):
-            list(hirzebruch_rows(1, [a], [b]))
-
-    def test_rows_read_every_value_exactly(self):
-        # values at or below ell are skipped only after the type check;
-        # ints and Fractions keep their type in the rows
-        for a_values, b_values in (([1.0, 3], [2]), ([3], [1.0, 2])):
-            with pytest.raises(InputError):
-                list(hirzebruch_rows(1, a_values, b_values))
-        rows = list(hirzebruch_rows(1, [1, 3, Fraction(5, 2)], [Fraction(3, 2), 2]))
-        assert [(type(a), type(b)) for a, b, *_ in rows] == [
-            (int, Fraction), (int, int), (Fraction, Fraction), (Fraction, int)
-        ]
-        assert hirzebruch_region(1, 3, 2) == rows[1][2]
 
     @pytest.mark.parametrize(
         "ell, a, b, quad",
@@ -412,7 +400,7 @@ class TestHirzebruchRegion:
         expected = UNSTABLE_FOR_LARGE_D if quad >= 0 else NOT_COVERED
         assert ref_region(ell, a, b) == expected
         assert hirzebruch_region(ell, a, b) == expected
-        [row] = hirzebruch_rows(ell, [a], [b])
+        [row] = core_rows(ell, [a], [b])
         assert row[2] == expected
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
@@ -424,7 +412,7 @@ class TestHirzebruchRegion:
         on_bound = [_region_bound(ell, b) for b in b_values]
         a_values = sorted(set(a_grid + on_bound))
         seen = set()
-        for a, b, verdict, _, _ in hirzebruch_rows(ell, a_values, b_values):
+        for a, b, verdict, _, _ in core_rows(ell, a_values, b_values):
             expected = ref_region(ell, a, b)
             assert verdict == expected == hirzebruch_region(ell, a, b), (a, b)
             seen.add(expected)
@@ -448,60 +436,39 @@ class TestHirzebruchRegion:
         assert verdicts == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
 
 
-def grid(lo, hi, step):
-    """lo, lo + step, ... <= hi, as the sweep walks an axis."""
-    v = lo
-    while v <= hi:
-        yield v
-        v += step
-
-
 class TestHirzebruchRows:
+    """The sweep's row core ``_region_rows``, on numerators over one
+    denominator q, against the per-point path."""
+
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "step", [Fraction(1, 8), Fraction(1, 3), Fraction(2, 5)], ids=str
     )
     def test_rows_match_per_point_path(self, ell, step):
         # both ranges start below ell, so the ampleness skips, both
-        # verdicts and thresholds all occur; the first value is an int
-        a_values = list(grid(ell - 1, ell + 4, step))
-        b_values = list(grid(ell - 1, ell + 2, step))
-        rows = list(hirzebruch_rows(ell, iter(a_values), iter(b_values)))
+        # verdicts and thresholds all occur.  The axes are range objects,
+        # as the sweep passes them, so b's is walked anew for each a
+        q, s = step.denominator, step.numerator
+        a_nums = range((ell - 1) * q, (ell + 4) * q + 1, s)
+        b_nums = range((ell - 1) * q, (ell + 2) * q + 1, s)
+        rows = as_fractions(_region_rows(ell, a_nums, b_nums, q))
+        a_values = [Fraction(v, q) for v in a_nums]
+        b_values = [Fraction(v, q) for v in b_nums]
         assert rows == ref_hirzebruch_rows(ell, a_values, b_values)
         assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
         assert all((row[4] is None) == (row[2] == NOT_COVERED) for row in rows)
 
-    def test_b_values_read_at_the_first_row(self):
-        reads = []
-
-        def b_values():
-            reads.append(True)
-            yield from (1, Fraction(3, 2), 2)
-
-        # no a > ell: no row, and the b values are never read
-        assert list(hirzebruch_rows(1, [Fraction(1, 2), 1], b_values())) == []
-        assert not reads
-        rows = list(hirzebruch_rows(1, [1, 2, 3], b_values()))
-        assert [row[:2] for row in rows] == [
-            (2, Fraction(3, 2)), (2, 2), (3, Fraction(3, 2)), (3, 2)
-        ]
-        assert reads == [True]
-
     def test_rows_keep_their_types(self):
-        # the rows are read in integers, but a and b come back as passed,
-        # a Fraction of denominator 1 included, and alpha/beta as Fractions
-        a_values = [2, Fraction(5, 2), Fraction(3)]
-        b_values = [Fraction(3, 2), 2, Fraction(4)]
-        rows = list(hirzebruch_rows(1, a_values, b_values))
-        assert len(rows) == 9
-        for row, (a, b) in zip(rows, product(a_values, b_values)):
-            assert row[0] is a and row[1] is b
-            assert type(row[3].alpha) is Fraction and type(row[3].beta) is Fraction
+        # a and b at or below ell are skipped; the others come out as
+        # (numerator, denominator) int pairs in lowest terms, each reduced
+        # by its own gcd with q, and alpha/beta as ints
+        rows = list(_region_rows(1, [8, 16, 20, 24], [8, 12, 16, 32], 8))
+        assert [row[:2] for row in rows] == [
+            (a, b) for a in ((2, 1), (5, 2), (3, 1)) for b in ((3, 2), (2, 1), (4, 1))
+        ]
+        for row in rows:
+            assert all(type(x) is int for x in (*row[0], *row[1], *row[3:5]))
         assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}
-
-    def test_ell_must_be_positive(self):
-        with pytest.raises(PreconditionError):
-            list(hirzebruch_rows(0, [2], [2]))
 
     def test_fed_core_matches_d_threshold(self):
         # each row in the region hands its own numbers to the threshold
@@ -516,7 +483,7 @@ class TestHirzebruchRows:
             b_values = [ell + j * step for j in range(1, 25)]
             a_values = [ell + i * step for i in range(1, 33)]
             a_values += sorted({_region_bound(ell, b) for b in b_values})
-            for a, b, _, ab, cert in hirzebruch_rows(ell, a_values, b_values):
+            for a, b, _, ab, cert in core_rows(ell, a_values, b_values):
                 if cert is not None:
                     D = sf(X, b.denominator, b.numerator)
                     A = sf(X, a.denominator, a.numerator)
@@ -531,7 +498,7 @@ class TestHirzebruchRows:
     def test_sweep_op_call_counts(self, monkeypatch):
         # one a over 8 values of b, as one sweep command walks them: each
         # of the k rows in the region makes at most four Pick sums, two
-        # counts at d0 and two at d0 - 1, and no row re-reads the
+        # counts at d0 and two at d0 - 1, and no row reads the
         # presentation, builds D or A from section/fiber coordinates,
         # re-forms alpha/beta from divisors or divides a Fraction
         calls = {}
@@ -551,16 +518,15 @@ class TestHirzebruchRows:
         counted(stability, "_coefficients")
         counted(Fraction, "__truediv__")
         picks, polygons = spy_counts(monkeypatch)
-        b_values = [1 + Fraction(j, 8) for j in range(1, 9)]
-        for a, k in ((Fraction(13, 8), 1), (Fraction(25, 8), 5), (Fraction(41, 8), 8)):
+        for a, k in ((13, 1), (25, 5), (41, 8)):  # a = 13/8, 25/8, 41/8
             picks.clear()
             calls.update(dict.fromkeys(calls, 0))
-            rows = list(hirzebruch_rows(1, [a], b_values))
-            assert len(rows) == 8 and sum(row[4] is not None for row in rows) == k
+            rows = list(_region_rows(1, [a], range(9, 17), 8))
+            assert len(rows) == 8 and sum(row[5] is not None for row in rows) == k
             assert 0 < len(picks) <= 4 * k and not polygons, (a, len(picks))
             assert calls == {
                 "from_section_fiber": 0,
-                "hirzebruch_presentation": 1,  # once per call, not per row
+                "hirzebruch_presentation": 0,
                 "_coefficients": 0,
                 "__truediv__": 0,
             }, (a, calls)
@@ -597,8 +563,8 @@ class TestHirzebruchRows:
 
 
 class TestSectionAlphaBeta:
-    """Both Hirzebruch functions read S's alpha/beta off F_ell's
-    intersection numbers; only a sweep row that needs d0 builds a surface."""
+    """The region test and the sweep's row core read S's alpha/beta off
+    F_ell's intersection numbers; only a row that needs d0 builds a surface."""
 
     def test_region_builds_no_surface(self, monkeypatch):
         built = spy_builds(monkeypatch, Fan, ToricSurface, Divisor)
@@ -615,7 +581,7 @@ class TestSectionAlphaBeta:
         built = spy_builds(monkeypatch, Fan)
         # no row in the region: no fan
         b_values = [Fraction(k, 8) for k in range(45, 53)]
-        rows = list(hirzebruch_rows(4, [Fraction(33, 8)], b_values))
+        rows = core_rows(4, [Fraction(33, 8)], b_values)
         assert len(rows) == 8 and {row[2] for row in rows} == {NOT_COVERED}
         assert built[Fan] == 0
         # 1, 5 and 8 rows in the region, one a at a time and all three in
@@ -625,25 +591,23 @@ class TestSectionAlphaBeta:
         calls = [([a], k) for a, k in zip(a_values, (1, 5, 8))]
         for a_call, k in calls + [(a_values, 14)]:
             built[Fan] = 0
-            rows = list(hirzebruch_rows(1, a_call, b_values))
+            rows = core_rows(1, a_call, b_values)
             assert sum(row[4] is not None for row in rows) == k
             assert built[Fan] == 1, (a_call, built[Fan])
 
     @pytest.mark.parametrize("ell", [True, 2.0, Fraction(3, 2)], ids=repr)
     def test_ell_must_be_an_int(self, ell):
-        # no fan refuses a non-int ell now, so both functions do
+        # no fan refuses a non-int ell now, so the region test does
         message = "^ell must be a positive integer$"
         with pytest.raises(PreconditionError, match=message):
             hirzebruch_region(ell, 5, 5)
-        with pytest.raises(PreconditionError, match=message):
-            list(hirzebruch_rows(ell, [5], [5]))
 
     def test_large_ell_matches_references(self):
         ell = 10**6
         b_values = [ell + 1, ell + Fraction(1, 2), Fraction(3 * ell, 2), 2 * ell]
         a_values = [ell + 1, 3 * ell + 1]
         a_values += [_region_bound(ell, Fraction(b)) for b in b_values]
-        rows = list(hirzebruch_rows(ell, a_values, b_values))
+        rows = core_rows(ell, a_values, b_values)
         assert rows == ref_hirzebruch_rows(ell, a_values, b_values)
         assert len(rows) == 24
         assert {row[2] for row in rows} == {UNSTABLE_FOR_LARGE_D, NOT_COVERED}

@@ -19,7 +19,9 @@ LIMIT = sys.get_int_max_str_digits()
 # 900 digits: past what the print bound can tell, yet every row prints
 BIG = "9" * 900
 # on the 62,001-point grid of test_memory_is_bounded the reference writer
-# peaks at about 112 MB of traced memory, the streaming writer at 0.3 MB
+# peaks at about 112 MB of traced memory, the streaming writer at 0.3 MB;
+# on its 20,001-point grid of one a, a row core that kept the b axis in a
+# list peaked at 3.6 MB, the one that walks it anew for each a at 0.4 MB
 MEMORY_BOUND = 1_000_000
 
 small_values = st.builds(Fraction, st.integers(-8, 48), st.sampled_from([1, 2, 4, 8]))
@@ -101,17 +103,21 @@ class RowCounter:
 
 
 def test_memory_is_bounded():
-    argv = ["sweep", "--ell", "1", "--a", "9/8:5", "--b", "9/8:5", "--step", "1/64", "--json"]
-    sink = RowCounter()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            rc = cli.main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0 and sink.rows == 249 * 249
-    assert peak < MEMORY_BOUND, peak
+    # a square grid, and one a over 20,001 values of b
+    for axes, rows in [
+        (["--a", "9/8:5", "--b", "9/8:5", "--step", "1/64"], 249 * 249),
+        (["--a", "3", "--b", "2:2502", "--step", "1/8"], 20_001),
+    ]:
+        sink = RowCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                rc = cli.main(["sweep", "--ell", "1", *axes, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and sink.rows == rows, axes
+        assert peak < MEMORY_BOUND, (axes, peak)
 
 
 NO_OUTPUT = {
