@@ -48,7 +48,7 @@ call concurrently, including grid sweeps over parameter tuples.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -410,7 +410,7 @@ def hirzebruch_region(ell: int, a: Rat, b: Rat) -> str:
 
 
 def _region_rows(
-    ell: int, a_nums: Iterable[int], b_nums: Iterable[int], q: int
+    ell: int, a_nums: Sequence[int], b_nums: Sequence[int], q: int
 ) -> Iterator:
     """Rows (a, b, verdict, alpha, beta, certificate) of a region sweep on
     F_ell for a = v/q, v of a_nums, and b = w/q, w of b_nums walked anew for
